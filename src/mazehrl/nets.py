@@ -18,8 +18,6 @@ __all__ = [
     "Mlp",
     "Adam",
     "polyak_update",
-    "params_to_state",
-    "state_to_params",
 ]
 
 CHECKPOINT_FORMAT = "mazehrl-net-v1"
@@ -349,11 +347,3 @@ def polyak_update(target_params, online_params, tau):
             raise ValueError("polyak shape mismatch")
         t *= 1.0 - tau
         t += tau * o
-
-
-def params_to_state(params):
-    return [p.tolist() for p in params]
-
-
-def state_to_params(state):
-    return [np.asarray(p, dtype=np.float64) for p in state]

@@ -1,10 +1,16 @@
 """Hierarchical experience storage and high-return trajectory weighting.
 
-The low-level buffer keeps whole trajectories (FIFO eviction of complete
-episodes) so episodic returns, task normalization, expected-return
-regression, and Boltzmann transition weights can be recomputed at every
-landmark-sampling event. Uniform and top-k baseline samplers share the
-same storage.
+The low-level buffer keeps whole episodes in a ring of preallocated
+columns, one per name in ``FIELDS`` (``capacity`` rows each), and an
+episode table, ``TrajectoryBuffer.records``, with one
+``TrajectoryRecord`` per stored episode, oldest first. An episode occupies
+``length`` consecutive ring rows from ``record.offset``, wrapping past the
+last row. Storing an episode evicts whole oldest episodes (FIFO) until it
+fits; an episode longer than ``capacity`` is rejected. Episodic returns,
+task normalization, expected-return regression and Boltzmann transition
+weights are recomputed over the episode table, in place, at every
+landmark-sampling event. Uniform and top-k baseline samplers read the same
+columns.
 """
 
 from __future__ import annotations
@@ -16,6 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 SAMPLER_CHOICES = ("hr", "uniform", "topk", "hr+uniform", "hr+topk")
+# Per-step columns of the buffer, in Transition and export order.
+FIELDS = ("s", "sg", "a", "r", "s_next", "sg_next", "done")
 
 
 @dataclass
@@ -35,34 +43,21 @@ class Transition:
 
 @dataclass
 class TrajectoryRecord:
-    """Per-episode bookkeeping feeding the weighting pipeline."""
+    """Per-episode bookkeeping feeding the weighting pipeline.
+
+    ``offset`` is the ring row of the episode's first step; step ``i`` sits
+    at row ``(offset + i) % capacity``.
+    """
 
     traj_id: int
     length: int
     ret: float
     start: np.ndarray
     goal: np.ndarray
+    offset: int
     norm_ret: float = 0.0
     expected_ret: float = 0.0
     weight: float = 0.0
-
-
-class StoredTrajectory:
-    __slots__ = ("traj_id", "s", "sg", "a", "r", "s_next", "sg_next", "done", "goal")
-
-    def __init__(self, traj_id, s, sg, a, r, s_next, sg_next, done, goal):
-        self.traj_id = traj_id
-        self.s = s
-        self.sg = sg
-        self.a = a
-        self.r = r
-        self.s_next = s_next
-        self.sg_next = sg_next
-        self.done = done
-        self.goal = goal
-
-    def __len__(self):
-        return self.s.shape[0]
 
 
 def episodic_return(rewards) -> float:
@@ -71,166 +66,126 @@ def episodic_return(rewards) -> float:
 
 
 class TrajectoryBuffer:
-    """FIFO low-level replay with whole-trajectory eviction."""
+    """FIFO low-level replay with whole-trajectory eviction.
+
+    Steps live in a ring of float64 columns, one per name in ``FIELDS``,
+    each with ``capacity`` rows. The columns are allocated at the first
+    ``store_episode``, with row shapes taken from that episode, and left
+    unfilled (``np.empty``), so memory pages are touched only as rows are
+    written; no read reaches a row that no stored episode holds.
+    Flat index ``i`` (0 is the oldest stored step) is ring row
+    ``(head + i) % capacity``. ``records`` is the episode table, oldest
+    first; ``compute_weights`` writes its weights into it in place.
+
+    ``store_episode`` raises ``ValueError``, leaving the buffer unchanged,
+    for an empty episode, non-consecutive step indices, ``done`` before the
+    last step, more steps than ``capacity``, or row shapes that differ from
+    the columns.
+    """
 
     def __init__(self, capacity=200_000):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self.trajectories: list[StoredTrajectory] = []
         self.records: list[TrajectoryRecord] = []
+        self._cols = None  # field -> (capacity, ...) array, made at the first store
+        self._head = 0  # ring row of the oldest stored step
+        self._size = 0
         self._next_id = 0
-        self._n_transitions = 0
-        self._cumlen = None  # rebuilt lazily for global indexing
 
     def __len__(self):
-        return self._n_transitions
+        return self._size
 
     @property
     def n_trajectories(self):
-        return len(self.trajectories)
+        return len(self.records)
+
+    def _rows(self, flat):
+        """Ring rows of flat indices (0 is the oldest stored step)."""
+        return (self._head + flat) % self.capacity
 
     def store_episode(self, transitions, goal) -> int:
-        """Append one completed episode; evicts oldest episodes past capacity."""
-        if not transitions:
+        """Append one completed episode, evicting the oldest episodes until it fits."""
+        length = len(transitions)
+        if not length:
             raise ValueError("empty episode")
+        if length > self.capacity:
+            raise ValueError(f"episode of {length} steps exceeds capacity {self.capacity}")
         for i, tr in enumerate(transitions):
             if tr.t != i:
                 raise ValueError(f"non-consecutive step index {tr.t} at position {i}")
-            if tr.done and i != len(transitions) - 1:
+            if tr.done and i != length - 1:
                 raise ValueError("done before the final transition")
+        episode = {f: np.array([getattr(tr, f) for tr in transitions], dtype=np.float64) for f in FIELDS}
+        goal = np.array(goal, dtype=np.float64)
+        if self._cols is not None:
+            for f, col in self._cols.items():
+                shape = episode[f].shape[1:]
+                if shape != col.shape[1:]:
+                    raise ValueError(f"{f} rows of shape {shape}, buffer has {col.shape[1:]}")
+        else:
+            self._cols = {f: np.empty((self.capacity,) + v.shape[1:]) for f, v in episode.items()}
+        while self._size + length > self.capacity:
+            gone = self.records.pop(0)
+            self._head = (self._head + gone.length) % self.capacity
+            self._size -= gone.length
+        rows = self._rows(np.arange(self._size, self._size + length))
+        for f, values in episode.items():
+            self._cols[f][rows] = values
+        self._size += length
         traj_id = self._next_id
         self._next_id += 1
-        stored = StoredTrajectory(
-            traj_id,
-            np.stack([tr.s for tr in transitions]).astype(np.float64),
-            np.stack([tr.sg for tr in transitions]).astype(np.float64),
-            np.stack([tr.a for tr in transitions]).astype(np.float64),
-            np.array([tr.r for tr in transitions], dtype=np.float64),
-            np.stack([tr.s_next for tr in transitions]).astype(np.float64),
-            np.stack([tr.sg_next for tr in transitions]).astype(np.float64),
-            np.array([tr.done for tr in transitions], dtype=np.float64),
-            np.asarray(goal, dtype=np.float64).copy(),
-        )
-        self.trajectories.append(stored)
         self.records.append(
             TrajectoryRecord(
                 traj_id=traj_id,
-                length=len(stored),
-                ret=episodic_return(stored.r),
-                start=stored.s[0].copy(),
-                goal=stored.goal,
+                length=length,
+                ret=episodic_return(episode["r"]),
+                start=episode["s"][0].copy(),
+                goal=goal,
+                offset=int(rows[0]),
             )
         )
-        self._n_transitions += len(stored)
-        while self._n_transitions > self.capacity and len(self.trajectories) > 1:
-            gone = self.trajectories.pop(0)
-            self.records.pop(0)
-            self._n_transitions -= len(gone)
-        self._cumlen = None
         return traj_id
-
-    def _cumulative(self):
-        if self._cumlen is None:
-            self._cumlen = np.cumsum([len(t) for t in self.trajectories])
-        return self._cumlen
-
-    def locate(self, flat_index):
-        cum = self._cumulative()
-        ti = int(np.searchsorted(cum, flat_index, side="right"))
-        prev = 0 if ti == 0 else int(cum[ti - 1])
-        return ti, flat_index - prev
 
     def sample_batch(self, n, rng):
         """Uniform transition minibatch as column arrays (for TD learning)."""
-        if self._n_transitions == 0:
+        if self._size == 0:
             raise ValueError("empty buffer")
-        idx = rng.integers(0, self._n_transitions, size=n)
-        return self.gather(idx)
-
-    def gather(self, flat_indices):
-        cols = {k: [] for k in ("s", "sg", "a", "r", "s_next", "sg_next", "done")}
-        for fi in flat_indices:
-            ti, si = self.locate(int(fi))
-            tr = self.trajectories[ti]
-            cols["s"].append(tr.s[si])
-            cols["sg"].append(tr.sg[si])
-            cols["a"].append(tr.a[si])
-            cols["r"].append(tr.r[si])
-            cols["s_next"].append(tr.s_next[si])
-            cols["sg_next"].append(tr.sg_next[si])
-            cols["done"].append(tr.done[si])
-        return {k: np.asarray(v, dtype=np.float64) for k, v in cols.items()}
+        rows = self._rows(rng.integers(0, self._size, size=n))
+        return {f: col[rows] for f, col in self._cols.items()}
 
     def recent_states(self, window):
         """Last ``window`` stored states, newest last."""
-        chunks = []
-        need = window
-        for tr in reversed(self.trajectories):
-            take = min(need, len(tr))
-            chunks.append(tr.s[len(tr) - take :])
-            need -= take
-            if need == 0:
-                break
-        if not chunks:
+        if self._size == 0:
             return np.zeros((0, 0))
-        return np.concatenate(chunks[::-1], axis=0)
+        take = max(0, min(window, self._size))
+        return self._cols["s"][self._rows(np.arange(self._size - take, self._size))]
 
     # ---- line-delimited export/import ----
 
     def export_lines(self, path):
         with open(path, "w") as fh:
-            for tr in self.trajectories:
-                for i in range(len(tr)):
-                    fh.write(
-                        json.dumps(
-                            {
-                                "traj": tr.traj_id,
-                                "t": i,
-                                "s": tr.s[i].tolist(),
-                                "sg": tr.sg[i].tolist(),
-                                "a": tr.a[i].tolist(),
-                                "r": tr.r[i],
-                                "s_next": tr.s_next[i].tolist(),
-                                "sg_next": tr.sg_next[i].tolist(),
-                                "done": bool(tr.done[i]),
-                                "goal": tr.goal.tolist(),
-                            }
-                        )
-                        + "\n"
-                    )
+            for rec in self.records:
+                rows = (rec.offset + np.arange(rec.length)) % self.capacity
+                cols = {f: self._cols[f][rows].tolist() for f in FIELDS}
+                cols["done"] = [bool(d) for d in cols["done"]]
+                goal = rec.goal.tolist()
+                for i in range(rec.length):
+                    row = {"traj": rec.traj_id, "t": i, **{f: cols[f][i] for f in FIELDS}, "goal": goal}
+                    fh.write(json.dumps(row) + "\n")
 
     @classmethod
     def import_lines(cls, path, capacity=200_000):
         buf = cls(capacity)
         groups = {}
-        goals = {}
-        order = []
         with open(path) as fh:
             for line in fh:
-                rec = json.loads(line)
-                tid = rec["traj"]
-                if tid not in groups:
-                    groups[tid] = []
-                    order.append(tid)
-                    goals[tid] = rec["goal"]
-                groups[tid].append(rec)
-        for tid in order:
-            rows = sorted(groups[tid], key=lambda r: r["t"])
-            transitions = [
-                Transition(
-                    s=np.array(r["s"]),
-                    sg=np.array(r["sg"]),
-                    a=np.array(r["a"]),
-                    r=r["r"],
-                    s_next=np.array(r["s_next"]),
-                    sg_next=np.array(r["sg_next"]),
-                    done=r["done"],
-                    t=r["t"],
-                )
-                for r in rows
-            ]
-            buf.store_episode(transitions, goals[tid])
+                row = json.loads(line)
+                groups.setdefault(row["traj"], []).append(row)
+        for rows in groups.values():
+            goal = rows[0]["goal"]
+            rows.sort(key=lambda r: r["t"])
+            buf.store_episode([Transition(**{f: r[f] for f in FIELDS}, t=r["t"]) for r in rows], goal)
         return buf
 
 
@@ -243,16 +198,17 @@ def task_key(start_goal_pos, goal, cell_size):
     return q(start_goal_pos), q(goal)
 
 
-def normalize_returns(records, cell_size, goal_dims=2):
+def normalize_returns(records, cell_size):
     """Per-task max-min normalization of episodic returns.
 
     Returns the normalized array and writes record.norm_ret. Tasks are
     groups of quantized (start position, goal) cell pairs; a degenerate
-    group (max == min) maps to 0.5.
+    group (max == min) maps to 0.5. The start position is the first
+    ``len(goal)`` coordinates of the start state.
     """
     groups = {}
     for i, rec in enumerate(records):
-        key = task_key(rec.start[:goal_dims], rec.goal, cell_size)
+        key = task_key(rec.start[: len(rec.goal)], rec.goal, cell_size)
         groups.setdefault(key, []).append(i)
     out = np.empty(len(records))
     for idx in groups.values():
@@ -285,13 +241,6 @@ class ReturnRegressor:
         self.feature_idx_ = None
         self.coef_ = None
         self.intercept_ = 0.0
-
-    def get_params(self):
-        return {
-            "max_features": self.max_features,
-            "min_samples": self.min_samples,
-            "ridge": self.ridge,
-        }
 
     @property
     def is_fallback(self):
@@ -336,11 +285,6 @@ class ReturnRegressor:
         return X[:, self.feature_idx_] @ self.coef_ + self.intercept_
 
 
-def fit_expected_return(pairs, returns, **kwargs) -> ReturnRegressor:
-    """Fit the expected-return regressor on (start, goal) feature rows."""
-    return ReturnRegressor(**kwargs).fit(pairs, returns)
-
-
 # ---- Boltzmann transition weights ----
 
 
@@ -362,7 +306,7 @@ def hr_weights(corrected_returns, lengths, alpha):
     return e / float(np.dot(T, e))
 
 
-def compute_weights(buffer, alpha, cell_size, normalize=True, regressor_kwargs=None):
+def compute_weights(buffer, alpha, cell_size, normalize=True):
     """Full weighting pipeline over the buffer's trajectory records.
 
     Normalizes returns per task, fits the expected-return regressor,
@@ -379,7 +323,7 @@ def compute_weights(buffer, alpha, cell_size, normalize=True, regressor_kwargs=N
         for rec, v in zip(records, base):
             rec.norm_ret = float(v)
     feats = np.stack([np.concatenate([rec.start, rec.goal]) for rec in records])
-    reg = ReturnRegressor(**(regressor_kwargs or {})).fit(feats, base)
+    reg = ReturnRegressor().fit(feats, base)
     expected = reg.predict(feats)
     lengths = np.array([rec.length for rec in records], dtype=np.float64)
     weights = hr_weights(base - expected, lengths, alpha)
@@ -416,13 +360,11 @@ def weighted_sample(buffer, traj_weights, n, rng):
     a trajectory is chosen with probability T_i * w_i, then a step within
     it uniformly.
     """
-    lengths = np.array([len(t) for t in buffer.trajectories], dtype=np.float64)
+    lengths = np.array([rec.length for rec in buffer.records])
+    offsets = np.array([rec.offset for rec in buffer.records])
     ti = weighted_indices(lengths * np.asarray(traj_weights), n, rng)
-    out = []
-    for t in ti:
-        tr = buffer.trajectories[int(t)]
-        out.append(tr.s[int(rng.integers(0, len(tr)))])
-    return np.asarray(out)
+    steps = rng.integers(0, lengths[ti])
+    return buffer._cols["s"][(offsets[ti] + steps) % buffer.capacity]
 
 
 def topk_filter(records, fraction):
@@ -445,20 +387,17 @@ def sample_pool(buffer, sampler, pool_size, rng, alpha=0.1, cell_size=0.75,
         raise ValueError(f"unknown sampler {sampler!r}; choices: {SAMPLER_CHOICES}")
 
     def uniform_states(n):
-        idx = rng.integers(0, len(buffer), size=n)
-        return np.stack([buffer.trajectories[ti].s[si] for ti, si in (buffer.locate(int(i)) for i in idx)])
+        return buffer._cols["s"][buffer._rows(rng.integers(0, len(buffer), size=n))]
 
     def hr_states(n):
         w = compute_weights(buffer, alpha, cell_size, normalize=normalize)
         return weighted_sample(buffer, w, n, rng)
 
     def topk_states(n):
-        kept = topk_filter(buffer.records, topk_fraction)
-        ids = {rec.traj_id for rec in kept}
-        trajs = [t for t in buffer.trajectories if t.traj_id in ids]
-        lengths = np.array([len(t) for t in trajs], dtype=np.float64)
-        ti = weighted_indices(lengths, n, rng)
-        return np.stack([trajs[int(t)].s[int(rng.integers(0, len(trajs[int(t)])))] for t in ti])
+        # Zero weight leaves an episode no share of the draw's cdf, so this
+        # draws from the kept episodes alone, by length.
+        kept = {rec.traj_id for rec in topk_filter(buffer.records, topk_fraction)}
+        return weighted_sample(buffer, [float(rec.traj_id in kept) for rec in buffer.records], n, rng)
 
     if sampler == "uniform":
         return uniform_states(pool_size)

@@ -1,15 +1,21 @@
 """Tests for hierarchical replay and high-return weighting."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mazehrl.replay import (
+    FIELDS,
+    SAMPLER_CHOICES,
     ReturnRegressor,
     TrajectoryBuffer,
+    TrajectoryRecord,
     Transition,
     compute_weights,
     episodic_return,
-    fit_expected_return,
     hr_weights,
     normalize_returns,
     sample_pool,
@@ -64,7 +70,7 @@ class TestBuffer:
         a = add_episode(buf, [-1, -1, -1])
         b = add_episode(buf, [-1, -1])
         c = add_episode(buf, [-1])
-        assert [t.traj_id for t in buf.trajectories] == [b, c]
+        assert [r.traj_id for r in buf.records] == [b, c]
         assert len(buf) == 3
 
     def test_failed_sparse_return(self):
@@ -114,7 +120,92 @@ class TestBuffer:
         loaded = TrajectoryBuffer.import_lines(path)
         assert len(loaded) == len(buf)
         assert [rec.ret for rec in loaded.records] == [rec.ret for rec in buf.records]
-        np.testing.assert_array_equal(loaded.trajectories[1].s, buf.trajectories[1].s)
+        loaded.export_lines(tmp_path / "again.jsonl")
+        assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
+
+
+def distinct_step(t, k, done):
+    """Step t of episode k, with a different value in every field."""
+    b = 10.0 * k + t
+    return Transition(
+        s=np.array([b, b + 0.5, 0.25, -0.25]),
+        sg=np.array([b + 1, -1.5]),
+        a=np.array([0.75, -0.125]),
+        r=-1.0 - t,
+        s_next=np.array([b + 1, b + 1.5, 0.5, 0.0]),
+        sg_next=np.array([b, -2.5]),
+        done=done,
+        t=t,
+    )
+
+
+GOLDEN_LINES = [
+    '{"traj": 0, "t": 0, "s": [0.0, 0.5, 0.25, -0.25], "sg": [1.0, -1.5], "a": [0.75, -0.125], '
+    '"r": -1.0, "s_next": [1.0, 1.5, 0.5, 0.0], "sg_next": [0.0, -2.5], "done": false, "goal": [3.0, 4.0]}',
+    '{"traj": 0, "t": 1, "s": [1.0, 1.5, 0.25, -0.25], "sg": [2.0, -1.5], "a": [0.75, -0.125], '
+    '"r": -2.0, "s_next": [2.0, 2.5, 0.5, 0.0], "sg_next": [1.0, -2.5], "done": true, "goal": [3.0, 4.0]}',
+    '{"traj": 1, "t": 0, "s": [10.0, 10.5, 0.25, -0.25], "sg": [11.0, -1.5], "a": [0.75, -0.125], '
+    '"r": -1.0, "s_next": [11.0, 11.5, 0.5, 0.0], "sg_next": [10.0, -2.5], "done": false, "goal": [7.5, -8.0]}',
+]
+
+
+def record_summary(buf):
+    return [(r.traj_id, r.length, r.ret, r.offset, r.start.tolist(), r.goal.tolist()) for r in buf.records]
+
+
+class TestRingStore:
+    def test_export_golden_lines(self, tmp_path):
+        buf = TrajectoryBuffer()
+        buf.store_episode([distinct_step(0, 0, False), distinct_step(1, 0, True)], (3.0, 4.0))
+        buf.store_episode([distinct_step(0, 1, False)], (7.5, -8.0))
+        path = tmp_path / "buffer.jsonl"
+        buf.export_lines(path)
+        assert path.read_text() == "".join(line + "\n" for line in GOLDEN_LINES)
+
+    def test_roundtrip_across_ring_end(self, tmp_path):
+        buf = TrajectoryBuffer(capacity=7)
+        for k, n in enumerate((3, 3, 3)):
+            buf.store_episode([distinct_step(t, k, t == n - 1) for t in range(n)], (k, -k))
+        assert any(r.offset + r.length > buf.capacity for r in buf.records)
+        path = tmp_path / "buffer.jsonl"
+        buf.export_lines(path)
+        loaded = TrajectoryBuffer.import_lines(path, capacity=7)
+        loaded.export_lines(tmp_path / "again.jsonl")
+        # import numbers episodes afresh; every other key must survive as is
+        strip = lambda p: [{k: v for k, v in json.loads(l).items() if k != "traj"} for l in open(p)]
+        assert strip(tmp_path / "again.jsonl") == strip(path)
+        np.testing.assert_array_equal(loaded.recent_states(6), buf.recent_states(6))
+
+    def test_rejected_episode_leaves_buffer_unchanged(self, tmp_path):
+        buf = TrajectoryBuffer(capacity=5)
+        for k, n in enumerate((3, 2, 2)):  # the third store wraps the ring end
+            buf.store_episode([distinct_step(t, k, t == n - 1) for t in range(n)], (k, k))
+        before_path = tmp_path / "before.jsonl"
+        buf.export_lines(before_path)
+        before = (len(buf), record_summary(buf), before_path.read_text())
+
+        too_long = [distinct_step(t, 9, t == 5) for t in range(6)]
+        gap = [distinct_step(0, 9, False), distinct_step(2, 9, True)]
+        early_done = [distinct_step(0, 9, True), distinct_step(1, 9, True)]
+        wide = [distinct_step(0, 9, True)]
+        wide[0].s = np.zeros(5)
+        ragged = [distinct_step(0, 9, False), distinct_step(1, 9, True)]
+        ragged[1].a = np.zeros(3)
+        for bad in ([], too_long, gap, early_done, wide, ragged):
+            with pytest.raises(ValueError):
+                buf.store_episode(bad, (0.0, 0.0))
+            after_path = tmp_path / "after.jsonl"
+            buf.export_lines(after_path)
+            assert (len(buf), record_summary(buf), after_path.read_text()) == before
+        assert add_episode(buf, [-1]) == 3
+
+    def test_episode_longer_than_capacity_rejected_when_empty(self):
+        buf = TrajectoryBuffer(capacity=2)
+        with pytest.raises(ValueError):
+            add_episode(buf, [-1, -1, -1])
+        assert len(buf) == 0 and buf.records == []
+        add_episode(buf, [-1, -1])
+        assert len(buf) == 2
 
 
 class TestEpisodicReturn:
@@ -163,19 +254,19 @@ class TestNormalizeReturns:
 class TestReturnRegressor:
     def test_constant_returns(self):
         X = np.random.default_rng(0).normal(size=(30, 4))
-        reg = fit_expected_return(X, np.full(30, 2.5))
+        reg = ReturnRegressor().fit(X, np.full(30, 2.5))
         np.testing.assert_allclose(reg.predict(X), 2.5)
 
     def test_exact_linear_recovery(self):
         rng = np.random.default_rng(1)
         X = rng.normal(size=(40, 6))
         y = 3.0 * X[:, 2] - 1.5
-        reg = fit_expected_return(X, y)
+        reg = ReturnRegressor().fit(X, y)
         assert not reg.is_fallback
         np.testing.assert_allclose(reg.predict(X), y, atol=1e-8)
 
     def test_single_sample_fallback(self):
-        reg = fit_expected_return([[1.0, 2.0]], [4.0])
+        reg = ReturnRegressor().fit([[1.0, 2.0]], [4.0])
         assert reg.is_fallback
         np.testing.assert_allclose(reg.predict([[9.0, 9.0]]), 4.0)
 
@@ -183,21 +274,21 @@ class TestReturnRegressor:
         rng = np.random.default_rng(2)
         X = rng.normal(size=(10, 3))
         y = X[:, 0] * 2
-        reg = fit_expected_return(X, y)
+        reg = ReturnRegressor().fit(X, y)
         assert reg.is_fallback
         np.testing.assert_allclose(reg.predict(X), y.mean())
 
     def test_duplicate_rows_fallback(self):
         X = np.ones((25, 3))
         y = np.linspace(0, 1, 25)
-        reg = fit_expected_return(X, y)
+        reg = ReturnRegressor().fit(X, y)
         assert reg.is_fallback
 
     def test_top6_feature_selection(self):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(60, 8))
         y = 5.0 * X[:, 7] + 0.01 * rng.normal(size=60)
-        reg = fit_expected_return(X, y)
+        reg = ReturnRegressor().fit(X, y)
         assert 7 in set(reg.feature_idx_)
         assert len(reg.feature_idx_) <= 6
 
@@ -206,14 +297,14 @@ class TestReturnRegressor:
         base = rng.normal(size=(30, 1))
         X = np.hstack([base, base, base])  # perfectly collinear
         y = base[:, 0] * 2.0
-        reg = fit_expected_return(X, y)
+        reg = ReturnRegressor().fit(X, y)
         assert np.all(np.isfinite(reg.predict(X)))
         np.testing.assert_allclose(reg.predict(X), y, atol=1e-4)
 
     def test_prediction_finite(self):
         rng = np.random.default_rng(5)
         X = rng.normal(size=(40, 4))
-        reg = fit_expected_return(X, rng.normal(size=40))
+        reg = ReturnRegressor().fit(X, rng.normal(size=40))
         probe = rng.normal(scale=1e6, size=(10, 4))
         assert np.all(np.isfinite(reg.predict(probe)))
 
@@ -427,3 +518,128 @@ class TestSamplers:
     def test_empty_buffer_rejected(self):
         with pytest.raises(ValueError):
             sample_pool(TrajectoryBuffer(), "uniform", 4, np.random.default_rng(0))
+
+
+class ListModel:
+    """Reference semantics of the buffer: one array per field per episode,
+    FIFO whole-episode eviction, cumsum/searchsorted row location, and one
+    scalar step draw per sampled state."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.episodes = []
+        self.records = []
+        self.next_id = 0
+
+    def __len__(self):
+        return sum(len(ep["r"]) for ep in self.episodes)
+
+    def store_episode(self, transitions, goal):
+        ep = {f: np.stack([np.asarray(getattr(tr, f), dtype=np.float64) for tr in transitions])
+              for f in FIELDS}
+        traj_id = self.next_id
+        self.next_id += 1
+        self.episodes.append(ep)
+        self.records.append(
+            TrajectoryRecord(traj_id, len(ep["r"]), episodic_return(ep["r"]), ep["s"][0].copy(),
+                             np.asarray(goal, dtype=np.float64), offset=-1)
+        )
+        while len(self) > self.capacity and len(self.episodes) > 1:
+            self.episodes.pop(0)
+            self.records.pop(0)
+        return traj_id
+
+    def locate(self, flat):
+        cum = np.cumsum([len(ep["r"]) for ep in self.episodes])
+        ti = int(np.searchsorted(cum, flat, side="right"))
+        return ti, flat - (0 if ti == 0 else int(cum[ti - 1]))
+
+    def rows(self, flat_indices, field):
+        return np.array([self.episodes[ti][field][si] for ti, si in map(self.locate, flat_indices)])
+
+    def sample_batch(self, n, rng):
+        idx = [int(i) for i in rng.integers(0, len(self), size=n)]
+        return {f: self.rows(idx, f) for f in FIELDS}
+
+    def recent_states(self, window):
+        states = np.concatenate([ep["s"] for ep in self.episodes])
+        return states[len(states) - min(window, len(states)):]
+
+    def _draw(self, episodes, mass, n, rng):
+        ti = weighted_indices(mass, n, rng)
+        return np.array([episodes[t]["s"][int(rng.integers(0, len(episodes[t]["r"])))] for t in ti])
+
+    def sample_pool(self, sampler, n, rng):
+        def lengths(eps):
+            return np.array([len(ep["r"]) for ep in eps], dtype=np.float64)
+
+        def uniform(k):
+            return self.rows([int(i) for i in rng.integers(0, len(self), size=k)], "s")
+
+        def hr(k):
+            w = compute_weights(self, alpha=0.1, cell_size=0.75)
+            return self._draw(self.episodes, lengths(self.episodes) * w, k, rng)
+
+        def topk(k):
+            ids = {rec.traj_id for rec in topk_filter(self.records, 0.1)}
+            eps = [ep for ep, rec in zip(self.episodes, self.records) if rec.traj_id in ids]
+            return self._draw(eps, lengths(eps), k, rng)
+
+        if sampler in ("uniform", "hr", "topk"):
+            return {"uniform": uniform, "hr": hr, "topk": topk}[sampler](n)
+        n_hr = int(rng.binomial(n, 0.5))
+        other = uniform if sampler == "hr+uniform" else topk
+        parts = []
+        if n_hr:
+            parts.append(hr(n_hr))
+        if n - n_hr:
+            parts.append(other(n - n_hr))
+        return np.concatenate(parts)
+
+
+def random_episode(rng, length):
+    pos = rng.uniform(0, 3, size=2)
+    return [
+        Transition(
+            s=np.concatenate([pos + 0.1 * t, rng.normal(size=2)]),
+            sg=rng.normal(size=2),
+            a=rng.uniform(-1, 1, size=2),
+            r=float(rng.choice([-1.0, 0.0, rng.normal()])),
+            s_next=rng.normal(size=4),
+            sg_next=rng.normal(size=2),
+            done=t == length - 1,
+            t=t,
+        )
+        for t in range(length)
+    ]
+
+
+class TestRingMatchesListModel:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        capacity=st.integers(1, 24),
+        lengths=st.lists(st.integers(1, 24), min_size=1, max_size=30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_contents_and_draws(self, capacity, lengths, seed):
+        rng = np.random.default_rng(seed)
+        buf, model = TrajectoryBuffer(capacity), ListModel(capacity)
+        for length in lengths:
+            episode, goal = random_episode(rng, min(length, capacity)), rng.uniform(0, 3, size=2)
+            assert buf.store_episode(episode, goal) == model.store_episode(episode, goal)
+            assert len(buf) == len(model) and buf.n_trajectories == len(model.records)
+            assert [(r.traj_id, r.length, r.ret, r.start.tolist()) for r in buf.records] == [
+                (r.traj_id, r.length, r.ret, r.start.tolist()) for r in model.records
+            ]
+            for window in (1, len(buf) // 2, len(buf), len(buf) + 3):
+                np.testing.assert_array_equal(buf.recent_states(window), model.recent_states(window))
+            batch_seed = int(rng.integers(2**32))
+            ours = buf.sample_batch(5, np.random.default_rng(batch_seed))
+            ref = model.sample_batch(5, np.random.default_rng(batch_seed))
+            for f in FIELDS:
+                np.testing.assert_array_equal(ours[f], ref[f])
+        for sampler in SAMPLER_CHOICES:
+            pool_seed = int(rng.integers(2**32))
+            ours = sample_pool(buf, sampler, 16, np.random.default_rng(pool_seed))
+            ref = model.sample_pool(sampler, 16, np.random.default_rng(pool_seed))
+            np.testing.assert_array_equal(ours, ref)
