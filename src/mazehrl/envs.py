@@ -17,6 +17,7 @@ ACTION_BOUND = 1.0
 DAMPING = 0.9
 ACCEL_SCALE = 0.03
 DENSE_SUCCESS_BONUS = 200.0
+FREE_POINT_TRIES = 1000  # rejection-sampling attempts before a region counts as walled off
 
 
 @dataclass(frozen=True)
@@ -123,10 +124,10 @@ def _in_any_wall(spec, p) -> bool:
     return any(w.contains_interior(p) for w in spec.walls)
 
 
-def sample_free_point(spec, region, rng, max_tries=1000):
+def sample_free_point(spec, region, rng):
     if not isinstance(region, Rect):
         return np.array(region, dtype=np.float64)
-    for _ in range(max_tries):
+    for _ in range(FREE_POINT_TRIES):
         p = np.array(
             [rng.uniform(region.x0, region.x1), rng.uniform(region.y0, region.y1)]
         )
@@ -355,11 +356,3 @@ def save_maze_spec(spec: MazeSpec, path):
 def load_maze_spec(path) -> MazeSpec:
     with open(path) as fh:
         return spec_from_dict(json.load(fh))
-
-
-def dump_trajectory(path, rows):
-    """Write line-delimited (step, x, y, reward, done) records."""
-    with open(path, "w") as fh:
-        fh.write("step,x,y,reward,done\n")
-        for step, x, y, reward, done in rows:
-            fh.write(f"{int(step)},{float(x)!r},{float(y)!r},{float(reward)!r},{int(done)}\n")

@@ -6,30 +6,33 @@ a recent-state window. Graph edges carry negated low-level Q-values as
 distance estimates; planning returns the first hop of the shortest path
 toward the goal. Graph construction is a pure function of its inputs and
 built graphs are read-only.
+
+Every tie in planning, between shortest-path frontier nodes at equal
+distance and between equally cheap fallback landmarks, is broken by one
+rule: lexicographic node coordinates, then node index
+(``coordinate_rank``). Plans are therefore invariant to landmark order.
 """
 
 from __future__ import annotations
-
-import heapq
 
 import numpy as np
 
 from .nets import Adam, Mlp
 
-DEDUP_DECIMALS = 9  # landmark duplicate tolerance 1e-9
+DEDUP_DECIMALS = 9  # rows equal after rounding to this many decimals are duplicates
+NOVELTY_HIDDEN = (64, 64)
+NOVELTY_OUT_DIM = 16
 
 
 def dedup_points(points, aux=None):
-    """Drop duplicate rows (1e-9 tolerance), keeping first occurrences in order."""
+    """Drop rows equal after rounding to ``DEDUP_DECIMALS`` decimals.
+
+    Keeps the first occurrence of each row, in input order; ``aux`` is
+    filtered alongside.
+    """
     points = np.asarray(points, dtype=np.float64)
-    seen = {}
-    keep = []
-    for i, p in enumerate(points):
-        key = tuple(np.round(p, DEDUP_DECIMALS))
-        if key not in seen:
-            seen[key] = i
-            keep.append(i)
-    keep = np.array(keep, dtype=int)
+    _, first = np.unique(np.round(points, DEDUP_DECIMALS), axis=0, return_index=True)
+    keep = np.sort(first)
     if aux is None:
         return points[keep]
     return points[keep], np.asarray(aux)[keep]
@@ -66,25 +69,19 @@ def fps(pool, m, rng, first_index=None):
 class NoveltyScorer:
     """Random-network-distillation novelty: prediction error against a frozen net."""
 
-    def __init__(self, state_dim, rng, hidden=(64, 64), out_dim=16, lr=3e-4):
-        self.target = Mlp([state_dim, *hidden, out_dim], rng=rng)
+    def __init__(self, state_dim, rng, lr=3e-4):
+        sizes = [state_dim, *NOVELTY_HIDDEN, NOVELTY_OUT_DIM]
+        self.target = Mlp(sizes, rng=rng)
         # give the frozen target nontrivial output structure
         self.target.weights[-1] = rng.normal(0.0, 0.5, size=self.target.weights[-1].shape)
-        self.predictor = Mlp([state_dim, *hidden, out_dim], rng=rng)
+        self.predictor = Mlp(sizes, rng=rng)
         self.opt = Adam(self.predictor.params, lr=lr)
-        self._count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
 
     def scores(self, states):
         """Nonnegative novelty per state: mean squared predictor-target error."""
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))
         diff = self.predictor.forward(states) - self.target.forward(states)
         return np.mean(diff * diff, axis=1)
-
-    def normalized_scores(self, states):
-        std = np.sqrt(self._m2 / self._count) if self._count > 1 else 1.0
-        return self.scores(states) / (std + 1e-8)
 
     def train(self, states):
         """One predictor step toward the frozen target; returns the batch loss."""
@@ -93,15 +90,8 @@ class NoveltyScorer:
         pred = self.predictor.output(cache)
         diff = pred - self.target.forward(states)
         loss = float(np.mean(diff * diff))
-        n = states.shape[0]
         grads = self.predictor.grad_params_cached(cache, 2.0 * diff / diff.size)
         self.opt.step(self.predictor.params, grads)
-        per_state = np.mean(diff * diff, axis=1)
-        for v in per_state:
-            self._count += 1
-            delta = v - self._mean
-            self._mean += delta / self._count
-            self._m2 += delta * (v - self._mean)
         return loss
 
     def state_dict(self):
@@ -109,15 +99,12 @@ class NoveltyScorer:
             "target": self.target.state_dict(),
             "predictor": self.predictor.state_dict(),
             "opt": self.opt.state_dict(),
-            "stats": [self._count, self._mean, self._m2],
         }
 
     def load_state_dict(self, state):
         self.target = Mlp.from_state_dict(state["target"])
         self.predictor = Mlp.from_state_dict(state["predictor"])
         self.opt = Adam.from_state_dict(state["opt"], self.predictor.params)
-        self._count, self._mean, self._m2 = state["stats"]
-        self._count = int(self._count)
 
 
 def select_novel(candidate_states, scorer, m):
@@ -133,8 +120,8 @@ def select_novel(candidate_states, scorer, m):
     if n <= m:
         return candidates.copy()
     scores = scorer.scores(candidates)
-    order = sorted(range(n), key=lambda i: (-scores[i], -i))
-    return candidates[np.array(order[:m])]
+    order = np.lexsort((-np.arange(n), -scores))
+    return candidates[order[:m]]
 
 
 # ---- graph construction and planning ----
@@ -200,72 +187,60 @@ class LandmarkGraph:
     def n_nodes(self):
         return len(self.points)
 
-    def export_edges(self, path):
-        with open(path, "w") as fh:
-            fh.write("src,dst,weight\n")
-            n = self.n_nodes
-            for i in range(n):
-                for j in range(n):
-                    if i != j and np.isfinite(self.w_cut[i, j]):
-                        fh.write(f"{i},{j},{float(self.w_cut[i, j])!r}\n")
-
 
 def build_graph(state, goal_point, landmarks: LandmarkSet, critic, actor, goal_map, eta, cutoff):
     """Assemble the planning graph for one high-level decision."""
     state = np.asarray(state, dtype=np.float64)
-    points = [goal_map(state[None, :])[0]]
-    src_states = [state]
-    for p, s in zip(landmarks.points, landmarks.states):
-        points.append(p)
-        src_states.append(s)
-    points.append(np.asarray(goal_point, dtype=np.float64))
-    points = np.asarray(points)
+    src_states = np.vstack([state, landmarks.states.reshape(-1, state.size)])
+    points = np.vstack(
+        [goal_map(state[None, :]), landmarks.points, np.asarray(goal_point, dtype=np.float64)]
+    )
     n = len(points)
+    # every ordered pair except self-loops; the goal node has no outgoing edges
+    src, dst = np.nonzero(~np.eye(n - 1, n, dtype=bool))
     w_raw = np.full((n, n), np.inf)
-    if n > 1:
-        n_src = n - 1  # goal node has no outgoing edges
-        src = np.repeat(np.arange(n_src), n)
-        dst = np.tile(np.arange(n), n_src)
-        keep = src != dst
-        src, dst = src[keep], dst[keep]
-        w = edge_weights(
-            critic, actor, np.stack([src_states[i] for i in src]), points[dst], goal_map, eta
-        )
-        w_raw[src, dst] = w
+    w_raw[src, dst] = edge_weights(critic, actor, src_states[src], points[dst], goal_map, eta)
     w_cut = np.where(w_raw <= cutoff, w_raw, np.inf)
     return LandmarkGraph(points, w_cut, w_raw, cutoff)
+
+
+def coordinate_rank(points):
+    """Position of each row in lexicographic (coordinates, index) order."""
+    points = np.asarray(points)
+    rank = np.empty(len(points), dtype=np.intp)
+    rank[np.lexsort(points.T[::-1])] = np.arange(len(points))
+    return rank
 
 
 def dijkstra_first_hop(weights, points, src, dst):
     """Shortest path under nonnegative weights; returns (first_hop, dist).
 
-    Tie-breaks are by lexicographic node coordinates so the result is
-    invariant to node ordering; returns (None, inf) when dst is
-    unreachable.
+    Dense O(n^2) Dijkstra: each round settles the open node with the
+    smallest finite distance, ties broken by lexicographic node
+    coordinates, then node index, so the result is invariant to node
+    ordering. Returns (None, inf) when dst is unreachable.
     """
     n = weights.shape[0]
-    keys = [tuple(p) for p in points]
+    rank = coordinate_rank(points)
     dist = np.full(n, np.inf)
     pred = np.full(n, -1, dtype=int)
     dist[src] = 0.0
-    heap = [(0.0, keys[src], src)]
-    done = np.zeros(n, dtype=bool)
-    while heap:
-        d, _, u = heapq.heappop(heap)
-        if done[u]:
-            continue
-        done[u] = True
+    open_ = np.ones(n, dtype=bool)
+    for _ in range(n):
+        frontier = np.where(open_, dist, np.inf)
+        best = frontier.min()
+        if not np.isfinite(best):
+            break
+        tied = np.flatnonzero(frontier == best)
+        u = tied[np.argmin(rank[tied])]
+        open_[u] = False
         if u == dst:
             break
-        for v in range(n):
-            w = weights[u, v]
-            if not np.isfinite(w) or done[v]:
-                continue
-            nd = d + w
-            if nd < dist[v]:
-                dist[v] = nd
-                pred[v] = u
-                heapq.heappush(heap, (nd, keys[v], v))
+        row = weights[u]
+        nd = dist[u] + row
+        better = np.isfinite(row) & open_ & (nd < dist)
+        dist[better] = nd[better]
+        pred[better] = u
     if not np.isfinite(dist[dst]):
         return None, np.inf
     node = dst
@@ -283,8 +258,8 @@ def plan_subgoal(graph: LandmarkGraph):
     goal (last node) and returns the first landmark on that path (the
     goal point itself if the direct edge wins). If the goal is
     unreachable under the cutoff, falls back to the landmark minimizing
-    the raw two-hop estimate w(s, L) + w(L, g); with no finite option the
-    goal point is returned.
+    the raw two-hop estimate w(s, L) + w(L, g), ties broken by
+    ``coordinate_rank``; with no finite option the goal point is returned.
     """
     dst = graph.n_nodes - 1
     if graph.n_nodes <= 2:
@@ -293,12 +268,10 @@ def plan_subgoal(graph: LandmarkGraph):
     if hop is not None:
         return graph.points[hop].copy()
     two_hop = graph.w_raw[0, 1:dst] + graph.w_raw[1:dst, dst]
-    if two_hop.size and np.any(np.isfinite(two_hop)):
-        best = np.min(two_hop)
-        cand = np.nonzero(two_hop == best)[0] + 1
-        # deterministic tie-break on coordinates
-        order = sorted(cand, key=lambda i: tuple(graph.points[i]))
-        return graph.points[order[0]].copy()
+    if np.any(np.isfinite(two_hop)):
+        cand = np.flatnonzero(two_hop == np.min(two_hop)) + 1
+        best = cand[np.argmin(coordinate_rank(graph.points)[cand])]
+        return graph.points[best].copy()
     return graph.points[dst].copy()
 
 
@@ -315,10 +288,3 @@ def pseudo_landmark(sg_plan, phi_state, delta):
     if norm == 0.0:
         return sg_plan.copy(), True
     return sg_plan + delta * ray / norm, False
-
-
-def export_landmarks_csv(path, landmarks: LandmarkSet):
-    with open(path, "w") as fh:
-        fh.write("x,y,type\n")
-        for p, tag in zip(landmarks.points, landmarks.tags):
-            fh.write(f"{float(p[0])!r},{float(p[1])!r},{tag}\n")

@@ -72,18 +72,6 @@ class Mlp:
             out.append(b)
         return out
 
-    def set_params(self, params):
-        expected = 2 * len(self.weights)
-        if len(params) != expected:
-            raise ValueError(f"expected {expected} arrays, got {len(params)}")
-        for i in range(len(self.weights)):
-            w = np.asarray(params[2 * i], dtype=np.float64)
-            b = np.asarray(params[2 * i + 1], dtype=np.float64)
-            if w.shape != self.weights[i].shape or b.shape != self.biases[i].shape:
-                raise ValueError("parameter shape mismatch")
-            self.weights[i] = w.copy()
-            self.biases[i] = b.copy()
-
     def copy(self):
         dup = Mlp.__new__(Mlp)
         dup.layer_sizes = list(self.layer_sizes)
@@ -188,10 +176,6 @@ class Mlp:
         cache = self.forward_cache(x)
         g, _, _ = self._backward(cache, upstream, want_params=False, want_inputs=True)
         return g[0] if cache["squeeze"] else g
-
-    def grad_input_vjp_cached(self, cache, upstream):
-        g, _, _ = self._backward(cache, upstream, want_params=False, want_inputs=True)
-        return g
 
     def grad_input(self, x):
         """Full Jacobian d forward / d x.

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from mazehrl import envs
 from mazehrl.envs import (
     EnvState,
     MazeSpec,
@@ -59,6 +58,18 @@ class TestReset:
         for _ in range(200):
             state = reset_state(spec, rng)
             assert not any(w.contains_interior(state.goal) for w in spec.walls)
+
+    def test_walled_off_start_region_raises(self):
+        spec = MazeSpec(
+            name="walled",
+            extent=Rect(-1, -1, 1, 1),
+            walls=(Rect(-0.5, -0.5, 0.5, 0.5),),
+            start=Rect(-0.25, -0.25, 0.25, 0.25),
+            goal=(0.9, 0.9),
+            eval_goal=(0.9, 0.9),
+        )
+        with pytest.raises(RuntimeError):
+            reset_state(spec, np.random.default_rng(0))
 
 
 class TestStep:
@@ -266,11 +277,3 @@ class TestSpecIO:
                 goal=(0.9, 0.9),
                 eval_goal=(0.9, 0.9),
             )
-
-    def test_trajectory_dump(self, tmp_path):
-        path = tmp_path / "traj.csv"
-        envs.dump_trajectory(path, [(0, 0.5, -0.25, -1.0, False), (1, 0.75, 0.0, 0.0, True)])
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "step,x,y,reward,done"
-        assert lines[1] == "0,0.5,-0.25,-1.0,0"
-        assert lines[2] == "1,0.75,0.0,0.0,1"

@@ -1,9 +1,12 @@
 """Tests for landmark sampling, graph building, and planning."""
 
+import heapq
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mazehrl.envs import phi
 from mazehrl.graphplan import (
@@ -14,7 +17,6 @@ from mazehrl.graphplan import (
     dedup_points,
     dijkstra_first_hop,
     edge_weights,
-    export_landmarks_csv,
     fps,
     plan_subgoal,
     pseudo_landmark,
@@ -223,6 +225,18 @@ class TestPlanning:
         g = LandmarkGraph(points, w, w.copy(), np.inf)
         np.testing.assert_array_equal(plan_subgoal(g), [3.0, 4.0])
 
+    def test_build_graph_without_landmarks(self):
+        lms = LandmarkSet(np.zeros((0, 4)), np.zeros((0, 4)), phi)
+        assert len(lms) == 0
+        graph = build_graph(
+            np.array([1.0, 2.0, 0.5, 0.5]), np.array([3.0, 4.0]), lms,
+            StubCritic(-2.0), StubActor(), phi, 1.0, cutoff=5.0,
+        )
+        assert graph.n_nodes == 2
+        np.testing.assert_array_equal(graph.points, [[1.0, 2.0], [3.0, 4.0]])
+        np.testing.assert_array_equal(graph.w_raw, [[np.inf, 2.0], [np.inf, np.inf]])
+        np.testing.assert_array_equal(plan_subgoal(graph), [3.0, 4.0])
+
     def test_unreachable_goal_two_hop_fallback(self):
         points = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [9.0, 9.0]])
         w_raw = np.array(
@@ -303,30 +317,142 @@ class TestPseudoLandmark:
 
 
 class TestExports:
-    def test_landmark_csv(self, tmp_path):
-        lms = LandmarkSet(
-            np.array([[1.0, 2.0, 0, 0]]), np.array([[3.0, 4.0, 0, 0]]), phi
-        )
-        path = tmp_path / "landmarks.csv"
-        export_landmarks_csv(path, lms)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "x,y,type"
-        assert lines[1] == "1.0,2.0,coverage"
-        assert lines[2] == "3.0,4.0,novelty"
-
-    def test_edge_list_export(self, tmp_path):
-        g = self_graph = LandmarkGraph(
-            np.array([[0.0, 0.0], [1.0, 0.0]]),
-            np.array([[np.inf, 2.5], [np.inf, np.inf]]),
-            np.array([[np.inf, 2.5], [np.inf, np.inf]]),
-            np.inf,
-        )
-        path = tmp_path / "edges.csv"
-        g.export_edges(path)
-        lines = path.read_text().strip().split("\n")
-        assert lines == ["src,dst,weight", "0,1,2.5"]
-
     def test_dedup_points_tolerance(self):
         pts = np.array([[1.0, 1.0], [1.0 + 1e-12, 1.0], [2.0, 2.0]])
         out = dedup_points(pts)
         assert out.shape == (2, 2)
+
+
+# ---- loop-form references for the array-form planner ----
+
+
+def reference_dijkstra_first_hop(weights, points, src, dst):
+    """Heap Dijkstra keyed on (dist, coordinate tuple, index)."""
+    n = weights.shape[0]
+    keys = [tuple(p) for p in points]
+    dist = np.full(n, np.inf)
+    pred = np.full(n, -1, dtype=int)
+    dist[src] = 0.0
+    heap = [(0.0, keys[src], src)]
+    done = np.zeros(n, dtype=bool)
+    while heap:
+        d, _, u = heapq.heappop(heap)
+        if done[u]:
+            continue
+        done[u] = True
+        if u == dst:
+            break
+        for v in range(n):
+            w = weights[u, v]
+            if not np.isfinite(w) or done[v]:
+                continue
+            nd = d + w
+            if nd < dist[v]:
+                dist[v] = nd
+                pred[v] = u
+                heapq.heappush(heap, (nd, keys[v], v))
+    if not np.isfinite(dist[dst]):
+        return None, np.inf
+    node = dst
+    while pred[node] != src:
+        node = pred[node]
+        if node == -1:
+            return None, np.inf
+    return int(node), float(dist[dst])
+
+
+def reference_plan_subgoal(graph):
+    dst = graph.n_nodes - 1
+    if graph.n_nodes <= 2:
+        return graph.points[dst].copy()
+    hop, _ = reference_dijkstra_first_hop(graph.w_cut, graph.points, 0, dst)
+    if hop is not None:
+        return graph.points[hop].copy()
+    two_hop = graph.w_raw[0, 1:dst] + graph.w_raw[1:dst, dst]
+    if two_hop.size and np.any(np.isfinite(two_hop)):
+        cand = np.nonzero(two_hop == np.min(two_hop))[0] + 1
+        order = sorted(cand, key=lambda i: tuple(graph.points[i]))
+        return graph.points[order[0]].copy()
+    return graph.points[dst].copy()
+
+
+def reference_dedup_points(points, aux):
+    points = np.asarray(points, dtype=np.float64)
+    seen = {}
+    keep = []
+    for i, p in enumerate(points):
+        key = tuple(np.round(p, 9))
+        if key not in seen:
+            seen[key] = i
+            keep.append(i)
+    keep = np.array(keep, dtype=int)
+    return points[keep], np.asarray(aux)[keep]
+
+
+def reference_select_novel(candidates, scores, m):
+    n = len(candidates)
+    if n <= m:
+        return candidates.copy()
+    order = sorted(range(n), key=lambda i: (-scores[i], -i))
+    return candidates[np.array(order[:m])]
+
+
+# few distinct values, so equal distances, duplicate points and signed zeros are common
+COORDS = st.sampled_from([-1.0, -0.0, 0.0, 1.0, 2.0, 1e-12, -1e-12, 1.0 + 1e-12])
+WEIGHTS = st.sampled_from([-0.0, 0.0, 1.0, 2.0, 3.0, np.inf, np.nan])
+
+
+@st.composite
+def tie_heavy_graphs(draw):
+    n = draw(st.integers(2, 7))
+    points = np.array(draw(st.lists(st.tuples(COORDS, COORDS), min_size=n, max_size=n)))
+    weights = np.array(draw(st.lists(WEIGHTS, min_size=n * n, max_size=n * n))).reshape(n, n)
+    return points, weights
+
+
+class TestMatchesLoopReference:
+    @settings(max_examples=300, deadline=None)
+    @given(tie_heavy_graphs())
+    def test_dijkstra_every_source(self, graph):
+        points, weights = graph
+        n = len(points)
+        for src, dst in itertools.product(range(n), repeat=2):
+            hop, dist = dijkstra_first_hop(weights, points, src, dst)
+            ref_hop, ref_dist = reference_dijkstra_first_hop(weights, points, src, dst)
+            assert hop == ref_hop and dist.hex() == ref_dist.hex()  # -0.0 != 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(tie_heavy_graphs(), st.sampled_from([0.0, 1.0, 2.0, np.inf]), st.booleans())
+    def test_plan_subgoal_including_fallback(self, graph, cutoff, cut_goal):
+        points, weights = graph
+        # as build_graph leaves them: no NaN, no self-loops, no edges out of the goal
+        w_raw = np.where(np.isnan(weights), np.inf, weights)
+        np.fill_diagonal(w_raw, np.inf)
+        w_raw[-1, :] = np.inf
+        w_cut = np.where(w_raw <= cutoff, w_raw, np.inf)
+        if cut_goal:  # force the two-hop fallback, where equal-cost landmarks are common
+            w_cut[:, -1] = np.inf
+        g = LandmarkGraph(points, w_cut, w_raw, cutoff)
+        got, ref = plan_subgoal(g), reference_plan_subgoal(g)
+        assert got.tobytes() == ref.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(COORDS, COORDS, COORDS), min_size=1, max_size=12))
+    def test_dedup_points(self, rows):
+        points = np.array(rows)
+        aux = np.arange(len(points))
+        got_rows, got_aux = dedup_points(points, aux)
+        ref_rows, ref_aux = reference_dedup_points(points, aux)
+        np.testing.assert_array_equal(got_aux, ref_aux)
+        assert got_rows.tobytes() == ref_rows.tobytes()
+        assert dedup_points(points).tobytes() == ref_rows.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.sampled_from([-0.0, 0.0, 0.5, 1.0, 2.0]), min_size=1, max_size=12),
+        st.integers(1, 12),
+    )
+    def test_select_novel(self, scores, m):
+        candidates = np.stack([np.arange(len(scores), dtype=float), np.zeros(len(scores))], axis=1)
+        got = select_novel(candidates, FixedScorer(scores), m)
+        np.testing.assert_array_equal(got, reference_select_novel(candidates, scores, m))
