@@ -4,8 +4,9 @@ Coverage landmarks come from farthest-point sampling over the (possibly
 high-return-weighted) state pool; novelty landmarks from RND scores over
 a recent-state window. Graph edges carry negated low-level Q-values as
 distance estimates; planning returns the first hop of the shortest path
-toward the goal. Graph construction is a pure function of its inputs and
-built graphs are read-only.
+toward the goal. A built graph is a pure function of its inputs and is
+read-only; the landmark->landmark weights it reuses are cached on the
+``LandmarkSet`` under a key covering everything they depend on.
 
 Every tie in planning, between shortest-path frontier nodes at equal
 distance and between equally cheap fallback landmarks, is broken by one
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .nets import Adam, Mlp
+from .nets import Adam, Mlp, param_epoch
 
 DEDUP_DECIMALS = 9  # rows equal after rounding to this many decimals are duplicates
 NOVELTY_HIDDEN = (64, 64)
@@ -128,7 +129,11 @@ def select_novel(candidate_states, scorer, m):
 
 
 class LandmarkSet:
-    """Coverage and novelty landmarks with their backing full states."""
+    """Coverage and novelty landmarks with their backing full states.
+
+    ``points`` and ``states`` are read-only, because ``build_graph`` caches
+    the landmark->landmark edge weights of this set on it.
+    """
 
     def __init__(self, coverage_states, novelty_states, goal_map):
         cov = np.asarray(coverage_states, dtype=np.float64)
@@ -147,9 +152,27 @@ class LandmarkSet:
             self.points = np.zeros((0, 2))
             self.states = np.zeros((0, 0))
             self.tags = []
+        self.points.setflags(write=False)
+        self.states.setflags(write=False)
+        self._block_key = None
+        self._block = None
 
     def __len__(self):
         return len(self.points)
+
+    def _edge_block(self, critic, actor, goal_map, eta):
+        """L x L landmark->landmark weights (inf diagonal), scored once per key."""
+        key = (critic, actor, goal_map, eta, param_epoch())
+        if self._block_key != key:
+            n = len(self)
+            block = np.full((n, n), np.inf)
+            if n > 1:
+                src, dst = np.nonzero(~np.eye(n, dtype=bool))
+                block[src, dst] = edge_weights(
+                    critic, actor, self.states[src], self.points[dst], goal_map, eta
+                )
+            self._block_key, self._block = key, block
+        return self._block
 
 
 def edge_weights(critic, actor, src_states, dst_points, goal_map, eta):
@@ -157,6 +180,9 @@ def edge_weights(critic, actor, src_states, dst_points, goal_map, eta):
 
     w = -min(Q1, Q2)(s_i, dst - eta * phi(s_i), pi_low(...)), clamped
     below at zero. Non-finite estimates come back as +inf (edge rejected).
+    A pair's value can differ in the last bits between batches of
+    different sizes (BLAS blocks the products by batch shape), so the
+    same pair scored in another batch is equal only to within a few ulp.
     """
     src_states = np.atleast_2d(src_states)
     dst_points = np.atleast_2d(dst_points)
@@ -189,16 +215,31 @@ class LandmarkGraph:
 
 
 def build_graph(state, goal_point, landmarks: LandmarkSet, critic, actor, goal_map, eta, cutoff):
-    """Assemble the planning graph for one high-level decision."""
+    """Assemble the planning graph for one high-level decision.
+
+    The landmark->landmark weights depend only on the landmarks and the
+    nets, so they are scored once and kept on ``landmarks``, keyed on
+    ``(critic, actor, goal_map, eta, nets.param_epoch())``: the objects by
+    identity, ``eta`` by value, and the epoch, which every ``Adam.step``
+    and ``polyak_update`` raises. Parameters written any other way leave
+    the cached block stale. Each decision scores the 3L + 1 remaining
+    pairs (state -> every other node, landmark -> state, landmark -> goal)
+    in one batch of the same shape whether the block was cached or not, so
+    a graph built from a cached block is byte-identical to a cold build.
+    """
     state = np.asarray(state, dtype=np.float64)
-    src_states = np.vstack([state, landmarks.states.reshape(-1, state.size)])
+    n_lm = len(landmarks)
+    src_states = np.vstack([state, landmarks.states.reshape(n_lm, state.size)])
     points = np.vstack(
         [goal_map(state[None, :]), landmarks.points, np.asarray(goal_point, dtype=np.float64)]
     )
     n = len(points)
-    # every ordered pair except self-loops; the goal node has no outgoing edges
-    src, dst = np.nonzero(~np.eye(n - 1, n, dtype=bool))
+    lm = np.arange(1, n - 1)
+    # the goal node (n - 1) has no outgoing edges and no node has a self-loop
+    src = np.concatenate([np.zeros(n - 1, dtype=np.intp), lm, lm])
+    dst = np.concatenate([np.arange(1, n), np.zeros(n_lm, dtype=np.intp), np.full(n_lm, n - 1)])
     w_raw = np.full((n, n), np.inf)
+    w_raw[1:-1, 1:-1] = landmarks._edge_block(critic, actor, goal_map, eta)
     w_raw[src, dst] = edge_weights(critic, actor, src_states[src], points[dst], goal_map, eta)
     w_cut = np.where(w_raw <= cutoff, w_raw, np.inf)
     return LandmarkGraph(points, w_cut, w_raw, cutoff)
@@ -259,7 +300,8 @@ def plan_subgoal(graph: LandmarkGraph):
     goal point itself if the direct edge wins). If the goal is
     unreachable under the cutoff, falls back to the landmark minimizing
     the raw two-hop estimate w(s, L) + w(L, g), ties broken by
-    ``coordinate_rank``; with no finite option the goal point is returned.
+    ``coordinate_rank``; a NaN sum counts as no route. With no finite
+    option the goal point is returned.
     """
     dst = graph.n_nodes - 1
     if graph.n_nodes <= 2:
@@ -268,6 +310,7 @@ def plan_subgoal(graph: LandmarkGraph):
     if hop is not None:
         return graph.points[hop].copy()
     two_hop = graph.w_raw[0, 1:dst] + graph.w_raw[1:dst, dst]
+    two_hop[np.isnan(two_hop)] = np.inf
     if np.any(np.isfinite(two_hop)):
         cand = np.flatnonzero(two_hop == np.min(two_hop)) + 1
         best = cand[np.argmin(coordinate_rank(graph.points)[cand])]

@@ -5,7 +5,10 @@ gradients w.r.t. parameters and inputs, an Adam optimizer, Polyak target
 updates, and a JSON checkpoint format that round-trips bit-exactly.
 
 Nets are immutable during inference; parameter updates go through the
-optimizer on the training thread only.
+optimizer (``Adam.step``) or ``polyak_update`` on the training thread only.
+Both bump ``param_epoch()`` before their first in-place write, and caches of
+net outputs (``graphplan.LandmarkSet``'s edge block) rely on that: a
+parameter written any other way leaves such a cache stale.
 """
 
 from __future__ import annotations
@@ -18,9 +21,26 @@ __all__ = [
     "Mlp",
     "Adam",
     "polyak_update",
+    "param_epoch",
 ]
 
 CHECKPOINT_FORMAT = "mazehrl-net-v1"
+
+_param_epoch = 0  # in-place parameter writes so far, process-wide
+
+
+def param_epoch():
+    """Count of ``Adam.step`` and ``polyak_update`` calls that wrote parameters.
+
+    Any in-place write to any net's parameters through those two raises it,
+    so an output cached with an equal epoch is still current.
+    """
+    return _param_epoch
+
+
+def _bump_param_epoch():
+    global _param_epoch
+    _param_epoch += 1
 
 
 class Mlp:
@@ -287,6 +307,7 @@ class Adam:
                 raise FloatingPointError(
                     f"non-finite gradient in slot {i} (max |g| = {np.max(np.abs(g))})"
                 )
+        _bump_param_epoch()
         self.step_count += 1
         b1c = 1.0 - self.beta1 ** self.step_count
         b2c = 1.0 - self.beta2 ** self.step_count
@@ -326,6 +347,7 @@ def polyak_update(target_params, online_params, tau):
     """target <- tau * online + (1 - tau) * target, in place."""
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must be in [0, 1], got {tau}")
+    _bump_param_epoch()
     for t, o in zip(target_params, online_params):
         if t.shape != o.shape:
             raise ValueError("polyak shape mismatch")

@@ -192,35 +192,32 @@ class TrajectoryBuffer:
 # ---- task normalization and expected-return regression ----
 
 
-def task_key(start_goal_pos, goal, cell_size):
-    """Quantized (start position, goal) grid cell pair identifying a task."""
-    q = lambda v: tuple(int(math.floor(x / cell_size)) for x in np.asarray(v, dtype=float))
-    return q(start_goal_pos), q(goal)
-
-
 def normalize_returns(records, cell_size):
     """Per-task max-min normalization of episodic returns.
 
-    Returns the normalized array and writes record.norm_ret. Tasks are
-    groups of quantized (start position, goal) cell pairs; a degenerate
-    group (max == min) maps to 0.5. The start position is the first
-    ``len(goal)`` coordinates of the start state.
+    Returns the normalized array and writes record.norm_ret. A task is a
+    pair of grid cells, floor(coordinate / cell_size), of the start
+    position and the goal; the start position is the first ``len(goal)``
+    coordinates of the start state. A degenerate task (max == min) maps
+    to 0.5.
     """
-    groups = {}
-    for i, rec in enumerate(records):
-        key = task_key(rec.start[: len(rec.goal)], rec.goal, cell_size)
-        groups.setdefault(key, []).append(i)
-    out = np.empty(len(records))
-    for idx in groups.values():
-        rets = np.array([records[i].ret for i in idx])
-        lo, hi = rets.min(), rets.max()
-        if hi - lo <= 0:
-            vals = np.full(len(idx), 0.5)
-        else:
-            vals = (rets - lo) / (hi - lo)
-        for i, v in zip(idx, vals):
-            out[i] = v
-            records[i].norm_ret = float(v)
+    if not records:
+        return np.empty(0)
+    goals = np.array([rec.goal for rec in records], dtype=np.float64)
+    starts = np.array([rec.start[: goals.shape[1]] for rec in records], dtype=np.float64)
+    cells = np.floor(np.concatenate([starts, goals], axis=1) / cell_size)
+    tasks, task = np.unique(cells, axis=0, return_inverse=True)
+    task = task.reshape(-1)
+    rets = np.array([rec.ret for rec in records], dtype=np.float64)
+    lo = np.full(len(tasks), np.inf)
+    hi = np.full(len(tasks), -np.inf)
+    np.minimum.at(lo, task, rets)
+    np.maximum.at(hi, task, rets)
+    span = (hi - lo)[task]
+    flat = span <= 0
+    out = np.where(flat, 0.5, (rets - lo[task]) / np.where(flat, 1.0, span))
+    for rec, v in zip(records, out):
+        rec.norm_ret = float(v)
     return out
 
 

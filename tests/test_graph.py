@@ -22,6 +22,7 @@ from mazehrl.graphplan import (
     pseudo_landmark,
     select_novel,
 )
+from mazehrl.nets import Adam, Mlp, polyak_update
 
 
 def min_pairwise(points):
@@ -252,6 +253,16 @@ class TestPlanning:
         # two-hop costs: via node1 = 1+4=5, via node2 = 3+30=33 -> node 1
         np.testing.assert_array_equal(plan_subgoal(g), [1.0, 0.0])
 
+    def test_nan_two_hop_sum_is_no_route(self):
+        points = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [9.0, 9.0]])
+        w_raw = np.full((4, 4), np.inf)
+        w_raw[0, 1] = np.nan  # two-hop sums: via node 1 NaN, via node 2 finite
+        w_raw[0, 2] = 1.0
+        w_raw[1, 3] = 1.0
+        w_raw[2, 3] = 2.0
+        g = LandmarkGraph(points, np.full((4, 4), np.inf), w_raw, 0.5)
+        np.testing.assert_array_equal(plan_subgoal(g), [2.0, 0.0])
+
     def test_no_finite_fallback_returns_goal(self):
         points = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 5.0]])
         w = np.full((3, 3), np.inf)
@@ -456,3 +467,142 @@ class TestMatchesLoopReference:
         candidates = np.stack([np.arange(len(scores), dtype=float), np.zeros(len(scores))], axis=1)
         got = select_novel(candidates, FixedScorer(scores), m)
         np.testing.assert_array_equal(got, reference_select_novel(candidates, scores, m))
+
+
+# ---- the cached landmark->landmark block ----
+
+
+class TwinCritic:
+    def __init__(self, q1, q2):
+        self.q1, self.q2 = q1, q2
+
+    def min_q(self, x):
+        return np.minimum(self.q1.forward(x)[:, 0], self.q2.forward(x)[:, 0])
+
+
+class RowCountingCritic(StubCritic):
+    def __init__(self, value):
+        super().__init__(value)
+        self.rows = 0
+
+    def min_q(self, x):
+        self.rows += np.atleast_2d(x).shape[0]
+        return super().min_q(x)
+
+
+def spread_critic(rng):
+    """A critic whose -Q ranges over about [0, 10], so the cutoff keeps some edges."""
+    q = Mlp([8, 16, 16, 1], rng=rng)
+    q.weights[-1] = rng.normal(0.0, 0.5, size=q.weights[-1].shape)
+    q.biases[-1] = np.array([-5.0])
+    return q
+
+
+def random_states(rng, n):
+    return np.concatenate([rng.uniform(-5, 5, (n, 2)), rng.uniform(-0.3, 0.3, (n, 2))], axis=1)
+
+
+def landmark_inputs(rng, n_lm):
+    states = random_states(rng, n_lm)
+    n_cov = (2 * n_lm) // 3
+    return states[:n_cov], states[n_cov:]
+
+
+def all_pairs_build_graph(state, goal_point, landmarks, critic, actor, goal_map, eta, cutoff):
+    """Every ordered pair scored in one batch, as before the block was cached."""
+    state = np.asarray(state, dtype=np.float64)
+    src_states = np.vstack([state, landmarks.states.reshape(-1, state.size)])
+    points = np.vstack([goal_map(state[None, :]), landmarks.points, np.asarray(goal_point)])
+    n = len(points)
+    src, dst = np.nonzero(~np.eye(n - 1, n, dtype=bool))
+    w_raw = np.full((n, n), np.inf)
+    w_raw[src, dst] = edge_weights(critic, actor, src_states[src], points[dst], goal_map, eta)
+    return LandmarkGraph(points, np.where(w_raw <= cutoff, w_raw, np.inf), w_raw, cutoff)
+
+
+def graph_bytes(g):
+    return g.points.tobytes(), g.w_raw.tobytes(), g.w_cut.tobytes()
+
+
+class TestCachedLandmarkBlock:
+    CUTOFF = 5.0
+
+    @pytest.mark.parametrize("n_lm", [0, 1, 29])
+    def test_warm_build_equals_cold_build(self, n_lm):
+        rng = np.random.default_rng(21 + n_lm)
+        cov, nov = landmark_inputs(rng, n_lm)
+        landmarks = LandmarkSet(cov, nov, phi)
+        assert len(landmarks) == n_lm
+        actor = Mlp([6, 16, 16, 2], "scaled_tanh", rng=rng)
+        q1, q2 = spread_critic(rng), spread_critic(rng)
+        target = q2.copy()
+        opt = Adam(q1.params, lr=1e-2)
+        nets = {"critic": TwinCritic(q1, q2), "actor": actor, "eta": 1.0}
+
+        def adam_step():
+            opt.step(q1.params, [rng.normal(size=p.shape) for p in q1.params])
+
+        def polyak():
+            polyak_update(q2.params, target.params, 0.5)
+
+        def new_critic():
+            nets["critic"] = TwinCritic(spread_critic(rng), q2)
+
+        def new_actor():
+            nets["actor"] = Mlp([6, 16, 16, 2], "scaled_tanh", rng=rng)
+
+        def new_eta():
+            nets["eta"] = 0.5
+
+        for change in (None, adam_step, polyak, new_critic, new_actor, new_eta):
+            if change is not None:
+                change()
+            for state, goal in zip(random_states(rng, 3), rng.uniform(-5, 5, (3, 2))):
+                args = (nets["critic"], nets["actor"], phi, nets["eta"], self.CUTOFF)
+                warm = build_graph(state, goal, landmarks, *args)
+                cold = build_graph(state, goal, LandmarkSet(cov, nov, phi), *args)
+                assert graph_bytes(warm) == graph_bytes(cold)
+                assert plan_subgoal(warm).tobytes() == plan_subgoal(cold).tobytes()
+
+    @pytest.mark.parametrize("n_lm", [0, 1, 29])
+    def test_matches_all_pairs_reference(self, n_lm):
+        rng = np.random.default_rng(31 + n_lm)
+        landmarks = LandmarkSet(*landmark_inputs(rng, n_lm), phi)
+        critic = TwinCritic(spread_critic(rng), spread_critic(rng))
+        actor = Mlp([6, 16, 16, 2], "scaled_tanh", rng=rng)
+        kept = 0
+        for state, goal in zip(random_states(rng, 10), rng.uniform(-5, 5, (10, 2))):
+            args = (state, goal, landmarks, critic, actor, phi, 1.0, self.CUTOFF)
+            got, ref = build_graph(*args), all_pairs_build_graph(*args)
+            assert got.points.tobytes() == ref.points.tobytes()
+            for w, w_ref in ((got.w_raw, ref.w_raw), (got.w_cut, ref.w_cut)):
+                np.testing.assert_array_equal(np.isinf(w), np.isinf(w_ref))
+                np.testing.assert_allclose(w[np.isfinite(w)], w_ref[np.isfinite(w_ref)], rtol=1e-12)
+            assert plan_subgoal(got).tobytes() == plan_subgoal(ref).tobytes()
+            kept += np.count_nonzero(np.isfinite(got.w_cut))
+        if n_lm == 29:
+            assert 0 < kept < 10 * 30 * 30  # the cutoff keeps some edges and drops others
+
+    @pytest.mark.parametrize("n_lm", [0, 1, 2, 29])
+    def test_rows_scored_per_decision(self, n_lm):
+        rng = np.random.default_rng(41 + n_lm)
+        landmarks = LandmarkSet(*landmark_inputs(rng, n_lm), phi)
+        critic, actor = RowCountingCritic(-1.0), StubActor()
+        per_decision, block = 3 * n_lm + 1, n_lm * (n_lm - 1)
+        for k, state in enumerate(random_states(rng, 3)):
+            critic.rows = 0
+            build_graph(state, np.zeros(2), landmarks, critic, actor, phi, 1.0, self.CUTOFF)
+            assert critic.rows == per_decision + (block if k == 0 else 0)
+        critic.rows = 0  # a parameter update anywhere invalidates the block
+        polyak_update([np.zeros(1)], [np.zeros(1)], 0.5)
+        build_graph(np.zeros(4), np.zeros(2), landmarks, critic, actor, phi, 1.0, self.CUTOFF)
+        assert critic.rows == per_decision + block
+
+    def test_landmark_arrays_are_read_only(self):
+        rng = np.random.default_rng(51)
+        for landmarks in (LandmarkSet(*landmark_inputs(rng, 5), phi),
+                          LandmarkSet(np.zeros((0, 4)), np.zeros((0, 4)), phi)):
+            with pytest.raises(ValueError, match="read-only"):
+                landmarks.points[...] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                landmarks.states[...] = 0.0

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from mazehrl.nets import Adam, Mlp, polyak_update
+from mazehrl.nets import Adam, Mlp, param_epoch, polyak_update
 
 
 def fd_param_grads(net, x, upstream, h=1e-5):
@@ -282,6 +282,16 @@ class TestAdam:
         with pytest.raises(FloatingPointError):
             opt.step(p, [np.array([1.0, np.nan])])
 
+    def test_param_epoch_advances_only_on_a_written_step(self):
+        p = [np.zeros(2)]
+        opt = Adam(p)
+        before = param_epoch()
+        opt.step(p, [np.array([1.0, -1.0])])
+        assert param_epoch() == before + 1
+        with pytest.raises(FloatingPointError):
+            opt.step(p, [np.array([np.inf, 0.0])])
+        assert param_epoch() == before + 1  # the rejected step wrote nothing
+
     def test_optimizer_state_roundtrip(self):
         p = [np.array([1.0, 2.0])]
         opt = Adam(p, lr=0.05)
@@ -311,6 +321,14 @@ class TestPolyak:
     def test_bad_tau_raises(self):
         with pytest.raises(ValueError):
             polyak_update([np.zeros(1)], [np.zeros(1)], 1.5)
+
+    def test_param_epoch_advances(self):
+        before = param_epoch()
+        polyak_update([np.zeros(2)], [np.ones(2)], 0.5)
+        assert param_epoch() == before + 1
+        with pytest.raises(ValueError):
+            polyak_update([np.zeros(1)], [np.zeros(1)], -0.1)
+        assert param_epoch() == before + 1
 
 
 class TestCheckpoint:

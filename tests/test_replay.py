@@ -1,6 +1,7 @@
 """Tests for hierarchical replay and high-return weighting."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -172,7 +173,9 @@ class TestRingStore:
         loaded = TrajectoryBuffer.import_lines(path, capacity=7)
         loaded.export_lines(tmp_path / "again.jsonl")
         # import numbers episodes afresh; every other key must survive as is
-        strip = lambda p: [{k: v for k, v in json.loads(l).items() if k != "traj"} for l in open(p)]
+        strip = lambda p: [
+            {k: v for k, v in json.loads(l).items() if k != "traj"} for l in p.read_text().splitlines()
+        ]
         assert strip(tmp_path / "again.jsonl") == strip(path)
         np.testing.assert_array_equal(loaded.recent_states(6), buf.recent_states(6))
 
@@ -249,6 +252,57 @@ class TestNormalizeReturns:
         add_episode(buf, [-100.0], goal=(50, 50))
         out = normalize_returns(buf.records, cell_size=0.75)
         np.testing.assert_allclose(out, [0.0, 1.0, 0.5])
+
+    def test_signed_zeros_share_a_cell(self):
+        buf = TrajectoryBuffer()
+        add_episode(buf, [-10.0], start=(-0.0, 0.0), goal=(0.0, -0.0))
+        add_episode(buf, [0.0], start=(0.0, -0.0), goal=(-0.0, 0.0))
+        np.testing.assert_array_equal(normalize_returns(buf.records, 0.75), [0.0, 1.0])
+
+    def test_empty(self):
+        assert normalize_returns([], 0.75).shape == (0,)
+
+
+def reference_normalize_returns(records, cell_size):
+    """Dict of quantized (start cell, goal cell) tuples, one group at a time."""
+    q = lambda v: tuple(int(math.floor(x / cell_size)) for x in np.asarray(v, dtype=float))
+    groups = {}
+    for i, rec in enumerate(records):
+        groups.setdefault((q(rec.start[: len(rec.goal)]), q(rec.goal)), []).append(i)
+    out = np.empty(len(records))
+    for idx in groups.values():
+        rets = np.array([records[i].ret for i in idx])
+        lo, hi = rets.min(), rets.max()
+        out[idx] = 0.5 if hi - lo <= 0 else (rets - lo) / (hi - lo)
+    return out
+
+
+# cell boundaries (multiples of 0.75), both sides of them, negatives and signed zeros
+CELL_COORDS = st.sampled_from(
+    [-1.5, -0.75, -0.7499999999999999, -1e-300, -0.0, 0.0, 0.3, 0.75, 0.7500000000000001, 1.5, 2.25, 40.0]
+)
+
+
+@st.composite
+def task_records(draw):
+    n = draw(st.integers(1, 30))
+    records = []
+    for i in range(n):
+        start = draw(st.tuples(CELL_COORDS, CELL_COORDS, st.floats(-1, 1), st.floats(-1, 1)))
+        goal = draw(st.tuples(CELL_COORDS, CELL_COORDS))
+        ret = draw(st.sampled_from([-50.0, -10.0, -7.25, -3.0, 0.0]) | st.floats(-100, 0))
+        records.append(TrajectoryRecord(i, 1, ret, np.array(start), np.array(goal), i))
+    return records
+
+
+class TestNormalizeMatchesDictReference:
+    @settings(max_examples=300, deadline=None)
+    @given(task_records())
+    def test_bit_identical(self, records):
+        ref = reference_normalize_returns(records, 0.75)
+        got = normalize_returns(records, 0.75)
+        assert got.tobytes() == ref.tobytes()
+        assert np.array([rec.norm_ret for rec in records]).tobytes() == ref.tobytes()
 
 
 class TestReturnRegressor:
