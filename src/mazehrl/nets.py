@@ -9,6 +9,17 @@ optimizer (``Adam.step``) or ``polyak_update`` on the training thread only.
 Both bump ``param_epoch()`` before their first in-place write, and caches of
 net outputs (``graphplan.LandmarkSet``'s edge block) rely on that: a
 parameter written any other way leaves such a cache stale.
+
+Reverse-mode calls read a forward cache (``Mlp.forward_cache``) and keep
+three rules:
+
+- A forward cache is valid only for the parameters it was built with; after
+  any parameter write, build a new one.
+- The ``zgrads`` passed to ``Mlp.double_backprop`` must come from
+  ``Mlp.input_grad_scalar`` on the same cache.
+- ``input_grad_scalar`` runs its reverse sweep once per cache and memoises
+  it there, so the arrays it returns are shared (``grad_params_cached``
+  reuses them) and read-only.
 """
 
 from __future__ import annotations
@@ -118,11 +129,9 @@ class Mlp:
         a = x
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = a @ w.T + b
-            if i < last:
-                a = np.maximum(z, 0.0)
-            else:
-                a = self._head(z)
+            z = a @ w.T
+            z += b
+            a = np.maximum(z, 0.0, out=z) if i < last else self._head(z)
         return a[0] if squeeze else a
 
     def _head(self, z):
@@ -131,14 +140,19 @@ class Mlp:
         return self.bound * np.tanh(z)
 
     def forward_cache(self, x):
-        """Forward pass retaining activations for subsequent backward calls."""
+        """Forward pass retaining activations for subsequent backward calls.
+
+        The cache holds only for the current parameters (see the module
+        docstring); reverse-mode calls may memoise results in it.
+        """
         x, squeeze = self._check_input(x)
         acts = [x]
         zs = []
         a = x
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = a @ w.T + b
+            z = a @ w.T
+            z += b
             zs.append(z)
             a = np.maximum(z, 0.0) if i < last else self._head(z)
             acts.append(a)
@@ -156,14 +170,18 @@ class Mlp:
         t = np.tanh(z)
         return self.bound * (1.0 - t * t)
 
-    def _backward(self, cache, upstream, want_params=True, want_inputs=True, want_zgrads=False):
-        acts, zs = cache["acts"], cache["zs"]
-        n = acts[0].shape[0]
+    def _upstream(self, cache, upstream):
+        n = cache["acts"][0].shape[0]
         u = np.asarray(upstream, dtype=np.float64)
         if u.ndim == 1:
             u = u[None, :]
         if u.shape != (n, self.out_dim):
             raise ValueError(f"upstream shape {u.shape} != {(n, self.out_dim)}")
+        return u
+
+    def _backward(self, cache, upstream, want_params=True, want_inputs=True, want_zgrads=False):
+        acts, zs = cache["acts"], cache["zs"]
+        u = self._upstream(cache, upstream)
         param_grads = [None] * (2 * len(self.weights)) if want_params else None
         zgrads = [None] * len(self.weights) if want_zgrads else None
         delta = u * self._head_deriv(zs[-1])
@@ -183,12 +201,24 @@ class Mlp:
 
     def grad_params(self, x, upstream):
         """Gradient of ``upstream . forward(x)`` w.r.t. params (summed over batch)."""
-        cache = self.forward_cache(x)
-        _, grads, _ = self._backward(cache, upstream, want_params=True, want_inputs=False)
-        return grads
+        return self.grad_params_cached(self.forward_cache(x), upstream)
 
     def grad_params_cached(self, cache, upstream):
-        _, grads, _ = self._backward(cache, upstream, want_params=True, want_inputs=False)
+        """:meth:`grad_params` on a cache from :meth:`forward_cache`.
+
+        For a scalar identity head each layer's backward signal is the
+        upstream times that layer's gradient under upstream ones, so this
+        reuses the sweep :meth:`input_grad_scalar` memoises in ``cache``.
+        """
+        if self.out_dim != 1 or self.output_activation != "identity":
+            _, grads, _ = self._backward(cache, upstream, want_params=True, want_inputs=False)
+            return grads
+        u = self._upstream(cache, upstream)
+        _, zgrads = self.input_grad_scalar(cache)
+        grads = []
+        for zg, a in zip(zgrads, cache["acts"]):
+            delta = u * zg
+            grads += [delta.T @ a, delta.sum(axis=0)]
         return grads
 
     def grad_input_vjp(self, x, upstream):
@@ -217,22 +247,31 @@ class Mlp:
     def input_grad_scalar(self, cache):
         """Input gradient of a scalar-output net, plus layer pre-activation grads.
 
-        Returns (g, zgrads) where g is (n, in_dim). Used together with
-        :meth:`double_backprop` for penalties on input-gradient norms.
+        Returns (g, zgrads) where g is (n, in_dim) and ``zgrads[i]`` is the
+        gradient w.r.t. layer i's pre-activation. Used together with
+        :meth:`double_backprop` for penalties on input-gradient norms. The
+        sweep (upstream ones) runs once per cache and is memoised in it, so
+        the arrays are shared and read-only.
         """
         if self.out_dim != 1:
             raise ValueError("input_grad_scalar requires a scalar output")
-        n = cache["acts"][0].shape[0]
-        ones = np.ones((n, 1), dtype=np.float64)
-        g, _, zgrads = self._backward(cache, ones, want_params=False, want_inputs=True, want_zgrads=True)
-        return g, zgrads
+        sweep = cache.get("unit_sweep")
+        if sweep is None:
+            ones = np.ones((cache["acts"][0].shape[0], 1), dtype=np.float64)
+            g, _, zgrads = self._backward(cache, ones, want_params=False, want_zgrads=True)
+            for a in (g, *zgrads):
+                a.setflags(write=False)
+            sweep = cache["unit_sweep"] = (g, tuple(zgrads))
+        return sweep
 
     def double_backprop(self, cache, zgrads, q):
         """Parameter gradients of sum_n p_n where p_n depends on the input
         gradient g_n of a scalar identity-output net and q_n = dp_n/dg_n.
 
-        ReLU masks are treated as locally constant (their second derivative is
-        zero almost everywhere), so bias gradients vanish.
+        ``zgrads`` must be what :meth:`input_grad_scalar` returned for the
+        same ``cache``. ReLU masks are treated as locally constant (their
+        second derivative is zero almost everywhere), so bias gradients
+        vanish.
         """
         if self.output_activation != "identity" or self.out_dim != 1:
             raise ValueError("double_backprop requires a scalar identity output")
@@ -240,13 +279,22 @@ class Mlp:
         q = np.asarray(q, dtype=np.float64)
         if q.shape != acts[0].shape:
             raise ValueError("q must match the input batch shape")
-        grads = [None] * (2 * len(self.weights))
+        w = self.weights
+        last = len(w) - 1
+        grads = [None] * (2 * len(w))
+        grads[1::2] = [np.zeros_like(b) for b in self.biases]
+        if last == 0:
+            grads[0] = zgrads[0].T @ q
+            return grads
         r = q
-        for i, w in enumerate(self.weights):
+        for i in range(last - 1):
             grads[2 * i] = zgrads[i].T @ r
-            grads[2 * i + 1] = np.zeros_like(self.biases[i])
-            if i < len(self.weights) - 1:
-                r = (r @ w.T) * (zs[i] > 0.0)
+            r = (r @ w[i].T) * (zs[i] > 0.0)
+        # Under upstream ones the last hidden layer's zgrad is w[last][0] * mask, so
+        # both remaining weight gradients follow from one product c.
+        c = (zs[last - 1] > 0.0).T.astype(np.float64) @ r
+        grads[2 * last - 2] = w[last][0][:, None] * c
+        grads[2 * last] = (w[last - 1] * c).sum(axis=1)[None]
         return grads
 
     # ---- checkpointing ----
@@ -273,9 +321,12 @@ class Mlp:
         )
         net.weights = [np.asarray(w, dtype=np.float64) for w in state["weights"]]
         net.biases = [np.asarray(b, dtype=np.float64) for b in state["biases"]]
-        for w, b, fan_out in zip(net.weights, net.biases, net.layer_sizes[1:]):
-            if w.shape != (fan_out, w.shape[1]) or b.shape != (fan_out,):
-                raise ValueError("checkpoint layer shapes inconsistent")
+        sizes = net.layer_sizes
+        if not len(net.weights) == len(net.biases) == len(sizes) - 1 or any(
+            w.shape != (fan_out, fan_in) or b.shape != (fan_out,)
+            for w, b, fan_in, fan_out in zip(net.weights, net.biases, sizes, sizes[1:])
+        ):
+            raise ValueError("checkpoint layer shapes inconsistent")
         return net
 
     def to_json(self):
@@ -299,10 +350,18 @@ class Adam:
         self.v = [np.zeros_like(p) for p in params]
 
     def step(self, params, grads):
-        """Update params in place from grads; rejects non-finite gradients."""
+        """Update params in place from grads.
+
+        Every slot is checked before anything is written. A length or shape
+        mismatch raises ``ValueError`` and a non-finite gradient raises
+        ``FloatingPointError``; either way the params, the moments,
+        ``step_count`` and ``param_epoch()`` stay as they were.
+        """
         if len(params) != len(self.m) or len(grads) != len(self.m):
             raise ValueError("params/grads length mismatch with optimizer state")
-        for i, g in enumerate(grads):
+        for i, (p, g, m) in enumerate(zip(params, grads, self.m)):
+            if not p.shape == g.shape == m.shape:
+                raise ValueError(f"gradient shape mismatch in slot {i}")
             if not np.all(np.isfinite(g)):
                 raise FloatingPointError(
                     f"non-finite gradient in slot {i} (max |g| = {np.max(np.abs(g))})"
@@ -312,8 +371,6 @@ class Adam:
         b1c = 1.0 - self.beta1 ** self.step_count
         b2c = 1.0 - self.beta2 ** self.step_count
         for p, g, m, v in zip(params, grads, self.m, self.v):
-            if p.shape != g.shape:
-                raise ValueError("gradient shape mismatch")
             m *= self.beta1
             m += (1.0 - self.beta1) * g
             v *= self.beta2
@@ -344,12 +401,23 @@ class Adam:
 
 
 def polyak_update(target_params, online_params, tau):
-    """target <- tau * online + (1 - tau) * target, in place."""
+    """target <- tau * online + (1 - tau) * target, in place.
+
+    Every slot is checked before anything is written: a bad ``tau`` or a
+    length or shape mismatch raises ``ValueError``, a non-finite online
+    parameter ``FloatingPointError``, and the targets and ``param_epoch()``
+    stay as they were.
+    """
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must be in [0, 1], got {tau}")
+    if len(target_params) != len(online_params):
+        raise ValueError("polyak length mismatch")
+    for i, (t, o) in enumerate(zip(target_params, online_params)):
+        if t.shape != o.shape:
+            raise ValueError(f"polyak shape mismatch in slot {i}")
+        if not np.all(np.isfinite(o)):
+            raise FloatingPointError(f"non-finite online parameter in slot {i}")
     _bump_param_epoch()
     for t, o in zip(target_params, online_params):
-        if t.shape != o.shape:
-            raise ValueError("polyak shape mismatch")
         t *= 1.0 - tau
         t += tau * o

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mazehrl.nets import Adam, Mlp, param_epoch, polyak_update
 
@@ -351,3 +353,239 @@ class TestCheckpoint:
         b = Mlp([3, 8, 2], rng=np.random.default_rng(123))
         for pa, pb in zip(a.params, b.params):
             assert pa.tobytes() == pb.tobytes()
+
+    def test_wrong_fan_in_rejected(self):
+        state = Mlp([4, 8, 1], rng=np.random.default_rng(0)).state_dict()
+        state["weights"][0] = np.zeros((8, 5)).tolist()
+        with pytest.raises(ValueError, match="checkpoint layer shapes inconsistent"):
+            Mlp.from_state_dict(state)
+
+    def test_missing_layer_rejected(self):
+        state = Mlp([4, 8, 1], rng=np.random.default_rng(0)).state_dict()
+        del state["weights"][-1], state["biases"][-1]
+        with pytest.raises(ValueError, match="checkpoint layer shapes inconsistent"):
+            Mlp.from_state_dict(state)
+
+
+class TestRejectedUpdatesWriteNothing:
+    @staticmethod
+    def snapshot(*arrays):
+        return [a.tobytes() for a in arrays]
+
+    @pytest.mark.parametrize(
+        "grads, error",
+        [
+            ([np.ones(2), np.ones(4)], ValueError),  # shape mismatch in slot 1
+            ([np.ones(2)], ValueError),  # length mismatch
+            ([np.ones(2), np.array([1.0, 2.0, np.nan])], FloatingPointError),
+        ],
+    )
+    def test_adam_rejection_leaves_state(self, grads, error):
+        p = [np.zeros(2), np.zeros(3)]
+        opt = Adam([np.zeros(2), np.zeros(3)], lr=0.1)
+        before = self.snapshot(*p, *opt.m, *opt.v)
+        epoch = param_epoch()
+        with pytest.raises(error):
+            opt.step(p, grads)
+        assert self.snapshot(*p, *opt.m, *opt.v) == before
+        assert opt.step_count == 0
+        assert param_epoch() == epoch
+
+    @pytest.mark.parametrize(
+        "n_targets, online, error",
+        [
+            (2, [np.ones(2), np.ones(4)], ValueError),  # shape mismatch in slot 1
+            (1, [np.ones(2), np.ones(4)], ValueError),  # more online slots than targets
+            (2, [np.ones(2)], ValueError),  # fewer online slots than targets
+            (2, [np.ones(2), np.array([1.0, np.inf, 0.0])], FloatingPointError),
+        ],
+    )
+    def test_polyak_rejection_leaves_targets(self, n_targets, online, error):
+        t = [np.zeros(2), np.zeros(3)][:n_targets]
+        before = self.snapshot(*t)
+        epoch = param_epoch()
+        with pytest.raises(error):
+            polyak_update(t, online, 0.5)
+        assert self.snapshot(*t) == before
+        assert param_epoch() == epoch
+
+
+# ---- loop references: a full reverse sweep per call, and double backprop layer by layer ----
+
+
+def reference_forward_cache(net, x):
+    acts, zs = [x], []
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = acts[-1] @ w.T + b
+        zs.append(z)
+        acts.append(np.maximum(z, 0.0) if i < len(net.weights) - 1 else net._head(z))
+    return {"acts": acts, "zs": zs, "squeeze": False}
+
+
+def reference_backward(net, cache, u):
+    """One reverse sweep per call: (input grad, param grads, pre-activation grads)."""
+    acts, zs = cache["acts"], cache["zs"]
+    grads = [None] * (2 * len(net.weights))
+    zgrads = [None] * len(net.weights)
+    delta = u * net._head_deriv(zs[-1])
+    for i in range(len(net.weights) - 1, -1, -1):
+        zgrads[i] = delta
+        grads[2 * i] = delta.T @ acts[i]
+        grads[2 * i + 1] = delta.sum(axis=0)
+        delta = delta @ net.weights[i]
+        if i > 0:
+            delta = delta * (zs[i - 1] > 0.0)
+    return delta, grads, zgrads
+
+
+def reference_double_backprop(net, cache, zgrads, q):
+    grads, r = [], q
+    for i, w in enumerate(net.weights):
+        grads += [zgrads[i].T @ r, np.zeros_like(net.biases[i])]
+        if i < len(net.weights) - 1:
+            r = (r @ w.T) * (cache["zs"][i] > 0.0)
+    return grads
+
+
+def assert_bit_identical(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_same_up_to_order(got, want, magnitude):
+    """``got`` and ``want`` sum the same terms in different orders.
+
+    ``magnitude`` is the same computation on absolute values, so it bounds
+    the sum of |term| behind every entry. Entries agree to 1e-12 of it, which
+    makes an entry exactly zero in both wherever every term is zero.
+    """
+    assert len(got) == len(want) == len(magnitude)
+    for a, b, m in zip(got, want, magnitude):
+        assert a.shape == b.shape
+        assert np.all(np.abs(a - b) <= 1e-12 * m)
+
+
+LAYER_SIZES = st.sampled_from([[3, 1], [3, 5, 1], [3, 6, 5, 1], [4, 7, 6, 5, 1]])
+UNIT_STATES = st.sampled_from(["live", "live", "dead", "kink"])
+
+
+@st.composite
+def scalar_critic_batches(draw):
+    """A scalar identity-head net, a batch, an upstream u and a penalty signal q.
+
+    Hidden units are live (random row), dead (zero row, bias -1, so z < 0)
+    or on the kink (zero row and bias, so z == 0 and the mask is off). Some
+    inputs are replaced by +0.0 or -0.0.
+    """
+    sizes = draw(LAYER_SIZES)
+    n = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    net = Mlp(sizes, rng=rng)
+    for i in range(len(net.weights)):
+        net.weights[i] = rng.normal(0.0, 0.8, size=net.weights[i].shape)
+        net.biases[i] = rng.normal(0.0, 0.3, size=net.biases[i].shape)
+        if i == len(net.weights) - 1:
+            continue
+        states = draw(st.lists(UNIT_STATES, min_size=sizes[i + 1], max_size=sizes[i + 1]))
+        for j, state in enumerate(states):
+            if state != "live":
+                net.weights[i][j] = 0.0
+                net.biases[i][j] = -1.0 if state == "dead" else 0.0
+    x = rng.normal(size=(n, sizes[0]))
+    zeros = draw(st.sampled_from([0.0, 0.3, 1.0])) > rng.random(x.shape)
+    x[zeros] = np.where(rng.random(x.shape) < 0.5, 0.0, -0.0)[zeros]
+    return net, x, rng.normal(size=(n, 1)), rng.normal(size=x.shape)
+
+
+def absolute(net, cache):
+    """``net`` and ``cache`` with |weights| and |activations| but the same ReLU masks."""
+    abs_net = net.copy()
+    abs_net.weights = [np.abs(w) for w in net.weights]
+    return abs_net, {"acts": [np.abs(a) for a in cache["acts"]], "zs": cache["zs"]}
+
+
+class TestSharedUnitSweep:
+    @settings(max_examples=300, deadline=None)
+    @given(scalar_critic_batches())
+    def test_matches_loop_reference(self, case):
+        net, x, u, q = case
+        cache = net.forward_cache(x)
+        ref = reference_forward_cache(net, x)
+        assert net.forward(x).tobytes() == ref["acts"][-1].tobytes()
+        assert_bit_identical(cache["acts"] + cache["zs"], ref["acts"] + ref["zs"])
+
+        td = net.grad_params_cached(cache, u)
+        g, zgrads = net.input_grad_scalar(cache)
+        pen = net.double_backprop(cache, zgrads, q)
+
+        _, ref_td, _ = reference_backward(net, ref, u)
+        ref_g, _, ref_zgrads = reference_backward(net, ref, np.ones_like(u))
+        assert_bit_identical([g, *zgrads], [ref_g, *ref_zgrads])
+        ref_pen = reference_double_backprop(net, ref, ref_zgrads, q)
+
+        abs_net, abs_ref = absolute(net, ref)
+        _, abs_td, _ = reference_backward(abs_net, abs_ref, np.abs(u))
+        _, _, abs_zgrads = reference_backward(abs_net, abs_ref, np.ones_like(u))
+        abs_pen = reference_double_backprop(abs_net, abs_ref, abs_zgrads, np.abs(q))
+        assert_same_up_to_order(td, ref_td, abs_td)
+        assert_same_up_to_order(pen, ref_pen, abs_pen)
+        # the last two layers' TD gradients keep their summation order
+        for got, want in zip(td[-4:], ref_td[-4:]):
+            np.testing.assert_array_equal(got, want)
+        for b in pen[1::2]:
+            assert not np.any(b)
+        assert_bit_identical(net.grad_params(x, u), td)
+
+    def test_one_reverse_sweep_per_cache(self, monkeypatch):
+        sweeps = []
+        backward = Mlp._backward
+
+        def counted(self, *args, **kwargs):
+            sweeps.append(1)
+            return backward(self, *args, **kwargs)
+
+        monkeypatch.setattr(Mlp, "_backward", counted)
+        rng = np.random.default_rng(4)
+        net = Mlp([8, 16, 16, 1], rng=rng)
+        x, u = rng.normal(size=(5, 8)), rng.normal(size=(5, 1))
+        cache = net.forward_cache(x)
+        net.grad_params_cached(cache, u)
+        g, zgrads = net.input_grad_scalar(cache)
+        net.double_backprop(cache, zgrads, g)
+        assert len(sweeps) == 1
+        net.grad_params_cached(net.forward_cache(x), u)
+        assert len(sweeps) == 2  # a new cache runs its own sweep
+
+    def test_memoised_arrays_are_shared_and_read_only(self):
+        rng = np.random.default_rng(5)
+        net = Mlp([4, 6, 5, 1], rng=rng)
+        cache = net.forward_cache(rng.normal(size=(3, 4)))
+        g, zgrads = net.input_grad_scalar(cache)
+        again = net.input_grad_scalar(cache)
+        assert again[0] is g and all(a is b for a, b in zip(again[1], zgrads))
+        for a in (g, *zgrads):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0.0
+
+    @pytest.mark.parametrize(
+        "sizes, head",
+        [
+            ([6, 16, 16, 2], "scaled_tanh"),  # actor-shaped
+            ([3, 5, 1], "scaled_tanh"),  # scalar tanh head
+            ([4, 8, 8, 3], "identity"),  # RND-predictor-shaped
+        ],
+    )
+    def test_other_heads_keep_their_sweep(self, sizes, head):
+        rng = np.random.default_rng(6)
+        net = Mlp(sizes, output_activation=head, bound=1.5, rng=rng)
+        for w in net.weights:
+            w[...] = rng.normal(0.0, 0.8, size=w.shape)
+        x, u = rng.normal(size=(7, sizes[0])), rng.normal(size=(7, sizes[-1]))
+        ref = reference_forward_cache(net, x)
+        assert_bit_identical(net.grad_params(x, u), reference_backward(net, ref, u)[1])
+        if sizes[-1] == 1:
+            g, zgrads = net.input_grad_scalar(net.forward_cache(x))
+            ref_g, _, ref_zgrads = reference_backward(net, ref, np.ones_like(u))
+            assert_bit_identical([g, *zgrads], [ref_g, *ref_zgrads])
