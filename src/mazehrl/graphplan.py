@@ -74,7 +74,8 @@ class NoveltyScorer:
         sizes = [state_dim, *NOVELTY_HIDDEN, NOVELTY_OUT_DIM]
         self.target = Mlp(sizes, rng=rng)
         # give the frozen target nontrivial output structure
-        self.target.weights[-1] = rng.normal(0.0, 0.5, size=self.target.weights[-1].shape)
+        last = self.target.weights[-1]
+        self.target.weights[-1] = rng.normal(0.0, 0.5, size=last.shape).astype(last.dtype)
         self.predictor = Mlp(sizes, rng=rng)
         self.opt = Adam(self.predictor.params, lr=lr)
 
@@ -180,6 +181,8 @@ def edge_weights(critic, actor, src_states, dst_points, goal_map, eta):
 
     w = -min(Q1, Q2)(s_i, dst - eta * phi(s_i), pi_low(...)), clamped
     below at zero. Non-finite estimates come back as +inf (edge rejected).
+    Values are computed in the nets' dtype; ``build_graph`` writes them
+    into float64 graph arrays, which hold every float32 value exactly.
     A pair's value can differ in the last bits between batches of
     different sizes (BLAS blocks the products by batch shape), so the
     same pair scored in another batch is equal only to within a few ulp.

@@ -1,8 +1,15 @@
 """Minimal differentiable-function kernel.
 
-Fixed-architecture fully connected nets in float64 with reverse-mode
-gradients w.r.t. parameters and inputs, an Adam optimizer, Polyak target
-updates, and a JSON checkpoint format that round-trips bit-exactly.
+Fixed-architecture fully connected nets with reverse-mode gradients
+w.r.t. parameters and inputs, an Adam optimizer, Polyak target updates,
+and a JSON checkpoint format that round-trips bit-exactly.
+
+Each net computes in one dtype fixed at construction: float32 by default,
+or float64, which the finite-difference and loop-reference oracles use.
+Every array a net makes (params, forward caches, outputs, gradients) has
+that dtype, and every array it accepts is cast to it; Adam moments follow
+their params. Initial weights are drawn in float64 and then cast, so a
+seed consumes the same draws in either dtype.
 
 Nets are immutable during inference; parameter updates go through the
 optimizer (``Adam.step``) or ``polyak_update`` on the training thread only.
@@ -59,19 +66,15 @@ class Mlp:
 
     ``layer_sizes`` chains input through hidden widths to the output,
     e.g. ``[4, 64, 64, 2]``. A scaled-tanh head keeps outputs in
-    ``[-bound, +bound]`` componentwise. All math is float64.
+    ``[-bound, +bound]`` componentwise. ``dtype`` (``np.float32`` or
+    ``np.float64``) is the dtype of every array the net makes; inputs,
+    upstream gradients and penalty signals are cast to it.
     """
 
-    def __init__(self, layer_sizes, output_activation="identity", bound=1.0, rng=None):
-        if len(layer_sizes) < 2 or any(int(n) <= 0 for n in layer_sizes):
-            raise ValueError(f"layer_sizes must be >=2 positive ints, got {layer_sizes}")
-        if output_activation not in ("identity", "scaled_tanh"):
-            raise ValueError(f"unknown output activation {output_activation!r}")
-        if output_activation == "scaled_tanh" and bound <= 0:
-            raise ValueError("scaled_tanh bound must be positive")
-        self.layer_sizes = [int(n) for n in layer_sizes]
-        self.output_activation = output_activation
-        self.bound = float(bound)
+    def __init__(
+        self, layer_sizes, output_activation="identity", bound=1.0, rng=None, dtype=np.float32
+    ):
+        self._configure(layer_sizes, output_activation, bound, dtype)
         rng = rng if rng is not None else np.random.default_rng(0)
         self.weights = []
         self.biases = []
@@ -83,8 +86,22 @@ class Mlp:
             else:
                 # small final layer keeps initial outputs near zero
                 w = rng.uniform(-3e-3, 3e-3, size=(fan_out, fan_in))
-            self.weights.append(np.asarray(w, dtype=np.float64))
-            self.biases.append(np.zeros(fan_out, dtype=np.float64))
+            self.weights.append(w.astype(self.dtype, copy=False))
+            self.biases.append(np.zeros(fan_out, dtype=self.dtype))
+
+    def _configure(self, layer_sizes, output_activation, bound, dtype):
+        if len(layer_sizes) < 2 or any(int(n) <= 0 for n in layer_sizes):
+            raise ValueError(f"layer_sizes must be >=2 positive ints, got {layer_sizes}")
+        if output_activation not in ("identity", "scaled_tanh"):
+            raise ValueError(f"unknown output activation {output_activation!r}")
+        if output_activation == "scaled_tanh" and bound <= 0:
+            raise ValueError("scaled_tanh bound must be positive")
+        if dtype not in (np.float32, np.float64):
+            raise ValueError(f"dtype must be np.float32 or np.float64, got {dtype!r}")
+        self.layer_sizes = [int(n) for n in layer_sizes]
+        self.output_activation = output_activation
+        self.bound = float(bound)
+        self.dtype = np.dtype(dtype)
 
     @property
     def in_dim(self):
@@ -108,6 +125,7 @@ class Mlp:
         dup.layer_sizes = list(self.layer_sizes)
         dup.output_activation = self.output_activation
         dup.bound = self.bound
+        dup.dtype = self.dtype
         dup.weights = [w.copy() for w in self.weights]
         dup.biases = [b.copy() for b in self.biases]
         return dup
@@ -115,7 +133,7 @@ class Mlp:
     # ---- forward ----
 
     def _check_input(self, x):
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x, dtype=self.dtype)
         squeeze = x.ndim == 1
         if squeeze:
             x = x[None, :]
@@ -172,7 +190,7 @@ class Mlp:
 
     def _upstream(self, cache, upstream):
         n = cache["acts"][0].shape[0]
-        u = np.asarray(upstream, dtype=np.float64)
+        u = np.asarray(upstream, dtype=self.dtype)
         if u.ndim == 1:
             u = u[None, :]
         if u.shape != (n, self.out_dim):
@@ -236,9 +254,9 @@ class Mlp:
         x2, squeeze = self._check_input(x)
         cache = self.forward_cache(x2)
         n = x2.shape[0]
-        jac = np.empty((n, self.out_dim, self.in_dim), dtype=np.float64)
+        jac = np.empty((n, self.out_dim, self.in_dim), dtype=self.dtype)
         for k in range(self.out_dim):
-            u = np.zeros((n, self.out_dim), dtype=np.float64)
+            u = np.zeros((n, self.out_dim), dtype=self.dtype)
             u[:, k] = 1.0
             g, _, _ = self._backward(cache, u, want_params=False, want_inputs=True)
             jac[:, k, :] = g
@@ -257,7 +275,7 @@ class Mlp:
             raise ValueError("input_grad_scalar requires a scalar output")
         sweep = cache.get("unit_sweep")
         if sweep is None:
-            ones = np.ones((cache["acts"][0].shape[0], 1), dtype=np.float64)
+            ones = np.ones((cache["acts"][0].shape[0], 1), dtype=self.dtype)
             g, _, zgrads = self._backward(cache, ones, want_params=False, want_zgrads=True)
             for a in (g, *zgrads):
                 a.setflags(write=False)
@@ -276,7 +294,7 @@ class Mlp:
         if self.output_activation != "identity" or self.out_dim != 1:
             raise ValueError("double_backprop requires a scalar identity output")
         acts, zs = cache["acts"], cache["zs"]
-        q = np.asarray(q, dtype=np.float64)
+        q = np.asarray(q, dtype=self.dtype)
         if q.shape != acts[0].shape:
             raise ValueError("q must match the input batch shape")
         w = self.weights
@@ -292,7 +310,7 @@ class Mlp:
             r = (r @ w[i].T) * (zs[i] > 0.0)
         # Under upstream ones the last hidden layer's zgrad is w[last][0] * mask, so
         # both remaining weight gradients follow from one product c.
-        c = (zs[last - 1] > 0.0).T.astype(np.float64) @ r
+        c = (zs[last - 1] > 0.0).T.astype(self.dtype) @ r
         grads[2 * last - 2] = w[last][0][:, None] * c
         grads[2 * last] = (w[last - 1] * c).sum(axis=1)[None]
         return grads
@@ -306,21 +324,28 @@ class Mlp:
             "layer_sizes": list(self.layer_sizes),
             "output_activation": self.output_activation,
             "bound": self.bound,
+            "dtype": self.dtype.name,
             "weights": [w.tolist() for w in self.weights],  # row-major per layer
             "biases": [b.tolist() for b in self.biases],
         }
 
     @classmethod
     def from_state_dict(cls, state):
+        """The net ``state`` describes, in its recorded dtype.
+
+        A checkpoint without a ``"dtype"`` key was written by a float64-only
+        version and loads as float64. No random initialisation is drawn.
+        """
         if state.get("format") != CHECKPOINT_FORMAT:
             raise ValueError(f"unsupported net checkpoint format {state.get('format')!r}")
-        net = cls(
-            state["layer_sizes"],
-            output_activation=state["output_activation"],
-            bound=state["bound"],
-        )
-        net.weights = [np.asarray(w, dtype=np.float64) for w in state["weights"]]
-        net.biases = [np.asarray(b, dtype=np.float64) for b in state["biases"]]
+        name = state.get("dtype", "float64")
+        if name not in ("float32", "float64"):
+            raise ValueError(f"unsupported checkpoint dtype {name!r}")
+        dtype = np.dtype(name)
+        net = cls.__new__(cls)
+        net._configure(state["layer_sizes"], state["output_activation"], state["bound"], dtype)
+        net.weights = [np.asarray(w, dtype=dtype) for w in state["weights"]]
+        net.biases = [np.asarray(b, dtype=dtype) for b in state["biases"]]
         sizes = net.layer_sizes
         if not len(net.weights) == len(net.biases) == len(sizes) - 1 or any(
             w.shape != (fan_out, fan_in) or b.shape != (fan_out,)
@@ -391,12 +416,26 @@ class Adam:
 
     @classmethod
     def from_state_dict(cls, state, params):
+        """The optimizer ``state`` describes, for ``params``.
+
+        Each moment is cast to its param's dtype. A moment count or shape
+        that does not match ``params`` raises ``ValueError`` here, not at
+        the next ``step``.
+        """
         if state.get("format") != "mazehrl-adam-v1":
             raise ValueError("unsupported optimizer checkpoint format")
         opt = cls(params, lr=state["lr"], beta1=state["beta1"], beta2=state["beta2"], eps=state["eps"])
         opt.step_count = int(state["step_count"])
-        opt.m = [np.asarray(a, dtype=np.float64) for a in state["m"]]
-        opt.v = [np.asarray(a, dtype=np.float64) for a in state["v"]]
+        for key in ("m", "v"):
+            if len(state[key]) != len(params):
+                raise ValueError(
+                    f"optimizer checkpoint has {len(state[key])} {key} slots for {len(params)} params"
+                )
+            moments = [np.asarray(a, dtype=p.dtype) for a, p in zip(state[key], params)]
+            for i, (a, p) in enumerate(zip(moments, params)):
+                if a.shape != p.shape:
+                    raise ValueError(f"optimizer checkpoint {key} shape mismatch in slot {i}")
+            setattr(opt, key, moments)
         return opt
 
 

@@ -150,6 +150,21 @@ class TestNovelty:
         np.testing.assert_array_equal(clone.scores(s), scorer.scores(s))
 
 
+class TestNetDtypes:
+    def test_every_param_has_its_net_dtype(self):
+        """RND nets, also after a checkpoint, and pipeline-shaped actor, critic and target."""
+        rng = np.random.default_rng(6)
+        scorer = NoveltyScorer(4, rng)
+        clone = NoveltyScorer(4, np.random.default_rng(0))
+        clone.load_state_dict(scorer.state_dict())
+        critic = Mlp([8, 256, 256, 1], rng=rng)
+        nets = [scorer.target, scorer.predictor, clone.target, clone.predictor, critic, critic.copy()]
+        nets.append(Mlp([6, 256, 256, 2], "scaled_tanh", rng=rng))
+        for net in nets:
+            assert net.dtype == np.float32
+            assert all(p.dtype == net.dtype for p in net.params)
+
+
 class FixedScorer:
     def __init__(self, values):
         self.values = np.asarray(values, dtype=float)

@@ -51,7 +51,7 @@ def random_small_net(rng, out_act="identity"):
     n_hidden = int(rng.integers(1, 3))
     sizes = [int(rng.integers(2, 6))] + [int(rng.integers(2, 8)) for _ in range(n_hidden)]
     sizes.append(int(rng.integers(1, 4)))
-    net = Mlp(sizes, output_activation=out_act, bound=2.0, rng=rng)
+    net = Mlp(sizes, output_activation=out_act, bound=2.0, rng=rng, dtype=np.float64)
     # randomize everything (incl. biases) so no preactivation sits on a ReLU kink
     for i in range(len(net.weights)):
         net.weights[i] = rng.normal(0.0, 0.6, size=net.weights[i].shape)
@@ -206,7 +206,7 @@ class TestDoubleBackprop:
         rng = np.random.default_rng(12)
         for _ in range(10):
             sizes = [3, 6, 5, 1]
-            net = Mlp(sizes, rng=rng)
+            net = Mlp(sizes, rng=rng, dtype=np.float64)
             for i in range(len(net.weights)):
                 net.weights[i] = rng.normal(0.0, 0.8, size=net.weights[i].shape)
                 net.biases[i] = rng.normal(0.0, 0.3, size=net.biases[i].shape)
@@ -303,6 +303,22 @@ class TestAdam:
         for a, b in zip(restored.m, opt.m):
             assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_roundtrip_moments_take_param_dtype(self, dtype):
+        p = [np.array([1.0, 2.0], dtype=dtype), np.zeros((2, 3), dtype=dtype)]
+        opt = Adam(p, lr=0.05)
+        opt.step(p, [np.array([0.3, -0.4], dtype=dtype), np.full((2, 3), 0.1, dtype=dtype)])
+        restored = Adam.from_state_dict(json.loads(json.dumps(opt.state_dict())), p)
+        for a, b, param in zip(restored.m + restored.v, opt.m + opt.v, p + p):
+            assert a.dtype == param.dtype and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("m", [[[0.0, 0.0]], []])
+    def test_mismatched_moments_rejected_at_load(self, m):
+        p = [np.zeros(3)]
+        state = {**Adam(p).state_dict(), "m": m}
+        with pytest.raises(ValueError, match="optimizer checkpoint"):
+            Adam.from_state_dict(state, p)
+
 
 class TestPolyak:
     def test_tau_one_copies(self):
@@ -365,6 +381,42 @@ class TestCheckpoint:
         del state["weights"][-1], state["biases"][-1]
         with pytest.raises(ValueError, match="checkpoint layer shapes inconsistent"):
             Mlp.from_state_dict(state)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_roundtrip_keeps_dtype_bit_exact(self, dtype):
+        net = Mlp([3, 8, 2], "scaled_tanh", bound=1.5, rng=np.random.default_rng(4), dtype=dtype)
+        state = json.loads(net.to_json())
+        assert state["dtype"] == np.dtype(dtype).name
+        clone = Mlp.from_state_dict(state)
+        assert clone.dtype == dtype
+        for a, b in zip(clone.params, net.params):
+            assert a.dtype == dtype and a.tobytes() == b.tobytes()
+        x = np.random.default_rng(5).normal(size=(4, 3))
+        assert clone.forward(x).tobytes() == net.forward(x).tobytes()
+
+    def test_checkpoint_without_dtype_loads_as_float64(self):
+        net = Mlp([3, 4, 1], rng=np.random.default_rng(0), dtype=np.float64)
+        state = net.state_dict()
+        del state["dtype"]
+        clone = Mlp.from_state_dict(state)
+        assert clone.dtype == np.float64
+        for a, b in zip(clone.params, net.params):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("key, value", [("dtype", "float16"), ("output_activation", "relu")])
+    def test_bad_config_rejected(self, key, value):
+        state = {**Mlp([3, 4, 1], rng=np.random.default_rng(0)).state_dict(), key: value}
+        with pytest.raises(ValueError):
+            Mlp.from_state_dict(state)
+
+    def test_load_draws_no_initialisation(self, monkeypatch):
+        state = Mlp([3, 4, 1], rng=np.random.default_rng(0)).state_dict()
+
+        def no_init(*args, **kwargs):
+            raise AssertionError("from_state_dict ran the random initialisation")
+
+        monkeypatch.setattr(Mlp, "__init__", no_init)
+        Mlp.from_state_dict(state)
 
 
 class TestRejectedUpdatesWriteNothing:
@@ -481,7 +533,7 @@ def scalar_critic_batches(draw):
     sizes = draw(LAYER_SIZES)
     n = draw(st.integers(1, 9))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    net = Mlp(sizes, rng=rng)
+    net = Mlp(sizes, rng=rng, dtype=np.float64)
     for i in range(len(net.weights)):
         net.weights[i] = rng.normal(0.0, 0.8, size=net.weights[i].shape)
         net.biases[i] = rng.normal(0.0, 0.3, size=net.biases[i].shape)
@@ -579,7 +631,7 @@ class TestSharedUnitSweep:
     )
     def test_other_heads_keep_their_sweep(self, sizes, head):
         rng = np.random.default_rng(6)
-        net = Mlp(sizes, output_activation=head, bound=1.5, rng=rng)
+        net = Mlp(sizes, output_activation=head, bound=1.5, rng=rng, dtype=np.float64)
         for w in net.weights:
             w[...] = rng.normal(0.0, 0.8, size=w.shape)
         x, u = rng.normal(size=(7, sizes[0])), rng.normal(size=(7, sizes[-1]))
@@ -589,3 +641,81 @@ class TestSharedUnitSweep:
             g, zgrads = net.input_grad_scalar(net.forward_cache(x))
             ref_g, _, ref_zgrads = reference_backward(net, ref, np.ones_like(u))
             assert_bit_identical([g, *zgrads], [ref_g, *ref_zgrads])
+
+
+# ---- the net-level dtype ----
+
+
+class TestDtype:
+    @pytest.mark.parametrize("dtype", [np.float16, np.int64, "float32", None, float])
+    def test_other_dtypes_rejected(self, dtype):
+        with pytest.raises(ValueError, match="dtype"):
+            Mlp([3, 4, 1], dtype=dtype)
+
+    def test_same_draws_in_either_dtype(self):
+        rng32, rng64 = np.random.default_rng(8), np.random.default_rng(8)
+        net32 = Mlp([3, 8, 8, 2], rng=rng32)
+        net64 = Mlp([3, 8, 8, 2], rng=rng64, dtype=np.float64)
+        assert net32.dtype == np.float32 and net64.dtype == np.float64
+        for a, b in zip(net32.params, net64.params):
+            assert a.tobytes() == b.astype(np.float32).tobytes()
+        assert rng32.bit_generator.state == rng64.bit_generator.state
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_every_array_takes_the_net_dtype(self, dtype):
+        rng = np.random.default_rng(9)
+        critic = Mlp([5, 8, 8, 1], rng=rng, dtype=dtype)
+        actor = Mlp([4, 8, 2], "scaled_tanh", rng=rng, dtype=dtype)
+        x = rng.normal(size=(6, 5))  # float64 inputs are cast
+        cache = critic.forward_cache(x)
+        g, zgrads = critic.input_grad_scalar(cache)
+        arrays = [
+            critic.forward(x), *cache["acts"], *cache["zs"], g, *zgrads,
+            *critic.grad_params_cached(cache, rng.normal(size=(6, 1))),
+            *critic.double_backprop(cache, zgrads, rng.normal(size=(6, 5))),
+            *actor.grad_params(x[:, :4], rng.normal(size=(6, 2))),
+            actor.grad_input(x[:, :4]), actor.grad_input_vjp(x[:, :4], rng.normal(size=(6, 2))),
+        ]
+        target = critic.copy()
+        opt = Adam(critic.params)
+        opt.step(critic.params, critic.grad_params(x, np.ones((6, 1))))
+        polyak_update(target.params, critic.params, 0.5)
+        arrays += critic.params + target.params + opt.m + opt.v
+        assert all(a.dtype == dtype for a in arrays)
+
+
+class TestFloat32Agreement:
+    """float32 and float64 nets from the same weights, run through the penalised TD update."""
+
+    def test_penalised_updates_agree(self):
+        rng = np.random.default_rng(0)
+        net32 = Mlp([8, 64, 64, 1], rng=rng)
+        net64 = Mlp.from_state_dict({**net32.state_dict(), "dtype": "float64"})
+        opts = {net: Adam(net.params, lr=1e-3) for net in (net32, net64)}
+        bound, n = 1.0, 64
+        q = {net: [] for net in opts}
+        norms = {net: [] for net in opts}
+        active = dict.fromkeys(opts, 0)
+        for _ in range(100):
+            x = rng.normal(size=(n, 8))
+            y = -3.0 * np.linalg.norm(x[:, 4:6], axis=1)
+            for net, opt in opts.items():
+                cache = net.forward_cache(x)
+                out = net.output(cache)[:, 0]
+                g_td = net.grad_params_cached(cache, (2.0 / n) * (out - y)[:, None])
+                g, zgrads = net.input_grad_scalar(cache)
+                norm = np.linalg.norm(g, axis=1)
+                excess = np.maximum(norm - bound, 0.0)
+                scale = 2.0 / n * excess / np.where(norm > 0, norm, 1.0)
+                g_pen = net.double_backprop(cache, zgrads, scale[:, None] * g)
+                opt.step(net.params, [a + b for a, b in zip(g_td, g_pen)])
+                q[net].append(out)
+                norms[net].append(norm)
+                active[net] += int(np.count_nonzero(excess))
+        q32, q64 = np.concatenate(q[net32]), np.concatenate(q[net64])
+        assert q32.dtype == np.float32 and q64.dtype == np.float64
+        assert np.max(np.abs(q32 - q64)) <= 1e-3 * np.max(np.abs(q64))
+        for p in (0.5, 0.9):
+            want = np.quantile(np.concatenate(norms[net64]), p)
+            assert np.quantile(np.concatenate(norms[net32]), p) == pytest.approx(want, rel=0.01)
+        assert 0 < active[net32] == active[net64] < 100 * n
