@@ -8,7 +8,6 @@ action), so independent episodes can run in parallel.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -302,7 +301,7 @@ def make_maze(name, reward_mode="sparse") -> MazeSpec:
         raise ValueError(f"unknown maze {name!r}; choices: {sorted(MAZE_BUILDERS)}") from None
 
 
-# ---- declarative spec files ----
+# ---- JSON-serializable spec dicts ----
 
 
 def _point_or_rect_to_obj(value):
@@ -346,13 +345,3 @@ def spec_from_dict(obj: dict) -> MazeSpec:
         reward_mode=obj["reward_mode"],
         max_episode_steps=obj["max_episode_steps"],
     )
-
-
-def save_maze_spec(spec: MazeSpec, path):
-    with open(path, "w") as fh:
-        json.dump(spec_to_dict(spec), fh, indent=2)
-
-
-def load_maze_spec(path) -> MazeSpec:
-    with open(path) as fh:
-        return spec_from_dict(json.load(fh))

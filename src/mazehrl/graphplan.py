@@ -39,14 +39,13 @@ def dedup_points(points, aux=None):
     return points[keep], np.asarray(aux)[keep]
 
 
-def fps(pool, m, rng, first_index=None):
+def fps(pool, m, rng):
     """Greedy farthest-point sampling under Euclidean distance.
 
-    The first point is drawn randomly from the pool (or fixed via
-    ``first_index``); each subsequent point maximizes the minimum
-    distance to the chosen set, ties broken by lowest index. The pool is
-    deduplicated first; asking for more points than remain returns the
-    whole deduplicated pool.
+    The first point is drawn randomly from the pool; each subsequent
+    point maximizes the minimum distance to the chosen set, ties broken by
+    lowest index. The pool is deduplicated first; asking for more points
+    than remain returns the whole deduplicated pool.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -57,7 +56,7 @@ def fps(pool, m, rng, first_index=None):
     n = unique.shape[0]
     if m >= n:
         return unique.copy()
-    start = int(rng.integers(0, n)) if first_index is None else int(first_index)
+    start = int(rng.integers(0, n))
     chosen = [start]
     dists = np.linalg.norm(unique - unique[start], axis=1)
     for _ in range(m - 1):
@@ -75,7 +74,7 @@ class NoveltyScorer:
         self.target = Mlp(sizes, rng=rng)
         # give the frozen target nontrivial output structure
         last = self.target.weights[-1]
-        self.target.weights[-1] = rng.normal(0.0, 0.5, size=last.shape).astype(last.dtype)
+        last[...] = rng.normal(0.0, 0.5, size=last.shape)
         self.predictor = Mlp(sizes, rng=rng)
         self.opt = Adam(self.predictor.params, lr=lr)
 

@@ -2,7 +2,8 @@
 
 Fixed-architecture fully connected nets with reverse-mode gradients
 w.r.t. parameters and inputs, an Adam optimizer, Polyak target updates,
-and a JSON checkpoint format that round-trips bit-exactly.
+and a JSON-serializable checkpoint format (``state_dict``) that
+round-trips bit-exactly.
 
 Each net computes in one dtype fixed at construction: float32 by default,
 or float64, which the finite-difference and loop-reference oracles use.
@@ -30,8 +31,6 @@ three rules:
 """
 
 from __future__ import annotations
-
-import json
 
 import numpy as np
 
@@ -69,6 +68,10 @@ class Mlp:
     ``[-bound, +bound]`` componentwise. ``dtype`` (``np.float32`` or
     ``np.float64``) is the dtype of every array the net makes; inputs,
     upstream gradients and penalty signals are cast to it.
+
+    ``weights`` and ``biases`` are tuples, so a layer is rewritten in place
+    (``net.weights[i][...] = v``, which casts ``v`` to the net dtype), never
+    replaced by an array of another dtype.
     """
 
     def __init__(
@@ -76,8 +79,7 @@ class Mlp:
     ):
         self._configure(layer_sizes, output_activation, bound, dtype)
         rng = rng if rng is not None else np.random.default_rng(0)
-        self.weights = []
-        self.biases = []
+        weights = []
         n_layers = len(self.layer_sizes) - 1
         for i in range(n_layers):
             fan_in, fan_out = self.layer_sizes[i], self.layer_sizes[i + 1]
@@ -86,8 +88,9 @@ class Mlp:
             else:
                 # small final layer keeps initial outputs near zero
                 w = rng.uniform(-3e-3, 3e-3, size=(fan_out, fan_in))
-            self.weights.append(w.astype(self.dtype, copy=False))
-            self.biases.append(np.zeros(fan_out, dtype=self.dtype))
+            weights.append(w.astype(self.dtype, copy=False))
+        self.weights = tuple(weights)
+        self.biases = tuple(np.zeros(n, dtype=self.dtype) for n in self.layer_sizes[1:])
 
     def _configure(self, layer_sizes, output_activation, bound, dtype):
         if len(layer_sizes) < 2 or any(int(n) <= 0 for n in layer_sizes):
@@ -126,8 +129,8 @@ class Mlp:
         dup.output_activation = self.output_activation
         dup.bound = self.bound
         dup.dtype = self.dtype
-        dup.weights = [w.copy() for w in self.weights]
-        dup.biases = [b.copy() for b in self.biases]
+        dup.weights = tuple(w.copy() for w in self.weights)
+        dup.biases = tuple(b.copy() for b in self.biases)
         return dup
 
     # ---- forward ----
@@ -245,23 +248,6 @@ class Mlp:
         g, _, _ = self._backward(cache, upstream, want_params=False, want_inputs=True)
         return g[0] if cache["squeeze"] else g
 
-    def grad_input(self, x):
-        """Full Jacobian d forward / d x.
-
-        Returns (out_dim, in_dim) for a single input, (n, out_dim, in_dim)
-        for a batch.
-        """
-        x2, squeeze = self._check_input(x)
-        cache = self.forward_cache(x2)
-        n = x2.shape[0]
-        jac = np.empty((n, self.out_dim, self.in_dim), dtype=self.dtype)
-        for k in range(self.out_dim):
-            u = np.zeros((n, self.out_dim), dtype=self.dtype)
-            u[:, k] = 1.0
-            g, _, _ = self._backward(cache, u, want_params=False, want_inputs=True)
-            jac[:, k, :] = g
-        return jac[0] if squeeze else jac
-
     def input_grad_scalar(self, cache):
         """Input gradient of a scalar-output net, plus layer pre-activation grads.
 
@@ -344,8 +330,8 @@ class Mlp:
         dtype = np.dtype(name)
         net = cls.__new__(cls)
         net._configure(state["layer_sizes"], state["output_activation"], state["bound"], dtype)
-        net.weights = [np.asarray(w, dtype=dtype) for w in state["weights"]]
-        net.biases = [np.asarray(b, dtype=dtype) for b in state["biases"]]
+        net.weights = tuple(np.asarray(w, dtype=dtype) for w in state["weights"])
+        net.biases = tuple(np.asarray(b, dtype=dtype) for b in state["biases"])
         sizes = net.layer_sizes
         if not len(net.weights) == len(net.biases) == len(sizes) - 1 or any(
             w.shape != (fan_out, fan_in) or b.shape != (fan_out,)
@@ -353,13 +339,6 @@ class Mlp:
         ):
             raise ValueError("checkpoint layer shapes inconsistent")
         return net
-
-    def to_json(self):
-        return json.dumps(self.state_dict())
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_state_dict(json.loads(text))
 
 
 class Adam:

@@ -6,11 +6,19 @@ episode table, ``TrajectoryBuffer.records``, with one
 ``TrajectoryRecord`` per stored episode, oldest first. An episode occupies
 ``length`` consecutive ring rows from ``record.offset``, wrapping past the
 last row. Storing an episode evicts whole oldest episodes (FIFO) until it
-fits; an episode longer than ``capacity`` is rejected. Episodic returns,
-task normalization, expected-return regression and Boltzmann transition
-weights are recomputed over the episode table, in place, at every
-landmark-sampling event. Uniform and top-k baseline samplers read the same
-columns.
+fits; an episode longer than ``capacity`` is rejected.
+
+``sample_pool`` draws landmark candidates under one of ``SAMPLER_CHOICES``:
+
+- ``"hr"``: high-return sampling. At every call the episodic returns are
+  max-min normalized per task (start and goal cells of side
+  ``TASK_CELL_SIZE``), debiased by their in-sample expected-return fit
+  (``expected_returns``) and Boltzmann-weighted at temperature ``alpha``;
+  ``compute_weights`` writes each episode's transition weight to
+  ``record.weight``, the only field it writes.
+- ``"uniform"``: every stored transition equally likely.
+- ``"topk"``: uniform over the transitions of the ``TOPK_FRACTION``
+  highest-return episodes.
 """
 
 from __future__ import annotations
@@ -21,9 +29,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SAMPLER_CHOICES = ("hr", "uniform", "topk", "hr+uniform", "hr+topk")
+SAMPLER_CHOICES = ("hr", "uniform", "topk")
 # Per-step columns of the buffer, in Transition and export order.
 FIELDS = ("s", "sg", "a", "r", "s_next", "sg_next", "done")
+# Side of the grid cells that quantize start and goal positions into tasks.
+TASK_CELL_SIZE = 0.75
+# Share of the episodes, by episodic return, that the topk sampler keeps.
+TOPK_FRACTION = 0.1
+# Expected-return fit: at most this many features, the mean below this many
+# episodes, and the ridge that regularizes a rank-deficient design.
+FIT_MAX_FEATURES = 6
+FIT_MIN_SAMPLES = 20
+FIT_RIDGE = 1e-8
 
 
 @dataclass
@@ -37,7 +54,6 @@ class Transition:
     s_next: np.ndarray
     sg_next: np.ndarray
     done: bool
-    traj_id: int = -1
     t: int = -1
 
 
@@ -55,14 +71,7 @@ class TrajectoryRecord:
     start: np.ndarray
     goal: np.ndarray
     offset: int
-    norm_ret: float = 0.0
-    expected_ret: float = 0.0
     weight: float = 0.0
-
-
-def episodic_return(rewards) -> float:
-    """Undiscounted sum of rewards over one trajectory."""
-    return float(np.sum(rewards))
 
 
 class TrajectoryBuffer:
@@ -139,7 +148,7 @@ class TrajectoryBuffer:
             TrajectoryRecord(
                 traj_id=traj_id,
                 length=length,
-                ret=episodic_return(episode["r"]),
+                ret=float(np.sum(episode["r"])),  # undiscounted
                 start=episode["s"][0].copy(),
                 goal=goal,
                 offset=int(rows[0]),
@@ -192,20 +201,19 @@ class TrajectoryBuffer:
 # ---- task normalization and expected-return regression ----
 
 
-def normalize_returns(records, cell_size):
-    """Per-task max-min normalization of episodic returns.
+def normalize_returns(records):
+    """Per-task max-min normalization of episodic returns, as an array.
 
-    Returns the normalized array and writes record.norm_ret. A task is a
-    pair of grid cells, floor(coordinate / cell_size), of the start
-    position and the goal; the start position is the first ``len(goal)``
-    coordinates of the start state. A degenerate task (max == min) maps
-    to 0.5.
+    A task is a pair of grid cells, floor(coordinate / TASK_CELL_SIZE), of
+    the start position and the goal; the start position is the first
+    ``len(goal)`` coordinates of the start state. A degenerate task
+    (max == min) maps to 0.5. The records are left untouched.
     """
     if not records:
         return np.empty(0)
     goals = np.array([rec.goal for rec in records], dtype=np.float64)
     starts = np.array([rec.start[: goals.shape[1]] for rec in records], dtype=np.float64)
-    cells = np.floor(np.concatenate([starts, goals], axis=1) / cell_size)
+    cells = np.floor(np.concatenate([starts, goals], axis=1) / TASK_CELL_SIZE)
     tasks, task = np.unique(cells, axis=0, return_inverse=True)
     task = task.reshape(-1)
     rets = np.array([rec.ret for rec in records], dtype=np.float64)
@@ -215,71 +223,39 @@ def normalize_returns(records, cell_size):
     np.maximum.at(hi, task, rets)
     span = (hi - lo)[task]
     flat = span <= 0
-    out = np.where(flat, 0.5, (rets - lo[task]) / np.where(flat, 1.0, span))
-    for rec, v in zip(records, out):
-        rec.norm_ret = float(v)
-    return out
+    return np.where(flat, 0.5, (rets - lo[task]) / np.where(flat, 1.0, span))
 
 
-class ReturnRegressor:
-    """Expected-return model over start-goal features.
+def expected_returns(X, y):
+    """In-sample expected-return fit of ``y`` over the feature rows ``X``.
 
-    Linear least squares on the top-6 features ranked by absolute
-    correlation with the target; falls back to the global mean below
-    ``min_samples`` or when the design is uninformative. Rank-deficient
-    solves are ridge-regularized.
+    Linear least squares on the ``FIT_MAX_FEATURES`` features with the
+    largest absolute correlation with ``y``; the mean of ``y`` below
+    ``FIT_MIN_SAMPLES`` rows or when the design is uninformative (fewer
+    than two distinct rows, constant ``y`` or no varying feature).
+    Rank-deficient solves are ridge-regularized by ``FIT_RIDGE``.
     """
-
-    def __init__(self, max_features=6, min_samples=20, ridge=1e-8):
-        self.max_features = max_features
-        self.min_samples = min_samples
-        self.ridge = ridge
-        self.mean_ = 0.0
-        self.feature_idx_ = None
-        self.coef_ = None
-        self.intercept_ = 0.0
-
-    @property
-    def is_fallback(self):
-        return self.coef_ is None
-
-    def fit(self, X, y):
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        y = np.asarray(y, dtype=np.float64)
-        if len(y) < 1:
-            raise ValueError("need at least one sample")
-        self.mean_ = float(y.mean())
-        self.feature_idx_ = None
-        self.coef_ = None
-        distinct = np.unique(X, axis=0).shape[0]
-        if len(y) < self.min_samples or distinct < 2 or y.std() == 0:
-            return self
-        std = X.std(axis=0)
-        informative = np.nonzero(std > 0)[0]
-        if informative.size == 0:
-            return self
-        xc = X[:, informative] - X[:, informative].mean(axis=0)
-        yc = y - y.mean()
-        corr = np.abs(xc.T @ yc) / (std[informative] * y.std() * len(y))
-        order = np.argsort(-corr, kind="stable")[: self.max_features]
-        idx = informative[order]
-        A = np.column_stack([X[:, idx], np.ones(len(y))])
-        rank = np.linalg.matrix_rank(A)
-        if rank < A.shape[1]:
-            gram = A.T @ A + self.ridge * np.eye(A.shape[1])
-            sol = np.linalg.solve(gram, A.T @ y)
-        else:
-            sol, *_ = np.linalg.lstsq(A, y, rcond=None)
-        self.feature_idx_ = idx
-        self.coef_ = sol[:-1]
-        self.intercept_ = float(sol[-1])
-        return self
-
-    def predict(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        if self.coef_ is None:
-            return np.full(X.shape[0], self.mean_)
-        return X[:, self.feature_idx_] @ self.coef_ + self.intercept_
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    y = np.asarray(y, dtype=np.float64)
+    if len(y) < 1:
+        raise ValueError("need at least one sample")
+    mean = np.full(len(y), float(y.mean()))
+    if len(y) < FIT_MIN_SAMPLES or np.unique(X, axis=0).shape[0] < 2 or y.std() == 0:
+        return mean
+    std = X.std(axis=0)
+    informative = np.nonzero(std > 0)[0]
+    if informative.size == 0:
+        return mean
+    xc = X[:, informative] - X[:, informative].mean(axis=0)
+    yc = y - y.mean()
+    corr = np.abs(xc.T @ yc) / (std[informative] * y.std() * len(y))
+    idx = informative[np.argsort(-corr, kind="stable")[:FIT_MAX_FEATURES]]
+    A = np.column_stack([X[:, idx], np.ones(len(y))])
+    if np.linalg.matrix_rank(A) < A.shape[1]:
+        sol = np.linalg.solve(A.T @ A + FIT_RIDGE * np.eye(A.shape[1]), A.T @ y)
+    else:
+        sol, *_ = np.linalg.lstsq(A, y, rcond=None)
+    return X[:, idx] @ sol[:-1] + float(sol[-1])
 
 
 # ---- Boltzmann transition weights ----
@@ -303,29 +279,21 @@ def hr_weights(corrected_returns, lengths, alpha):
     return e / float(np.dot(T, e))
 
 
-def compute_weights(buffer, alpha, cell_size, normalize=True):
+def compute_weights(buffer, alpha):
     """Full weighting pipeline over the buffer's trajectory records.
 
-    Normalizes returns per task, fits the expected-return regressor,
-    subtracts the prediction, and Boltzmann-weights the residuals.
-    Updates each record in place and returns the per-trajectory weights.
+    Normalizes returns per task, subtracts their expected-return fit, and
+    Boltzmann-weights the residuals. Writes each ``record.weight`` and
+    returns the per-trajectory weights.
     """
     records = buffer.records
     if not records:
         raise ValueError("empty buffer")
-    if normalize:
-        base = normalize_returns(records, cell_size)
-    else:
-        base = np.array([rec.ret for rec in records])
-        for rec, v in zip(records, base):
-            rec.norm_ret = float(v)
+    norm = normalize_returns(records)
     feats = np.stack([np.concatenate([rec.start, rec.goal]) for rec in records])
-    reg = ReturnRegressor().fit(feats, base)
-    expected = reg.predict(feats)
     lengths = np.array([rec.length for rec in records], dtype=np.float64)
-    weights = hr_weights(base - expected, lengths, alpha)
-    for rec, e, w in zip(records, expected, weights):
-        rec.expected_ret = float(e)
+    weights = hr_weights(norm - expected_returns(feats, norm), lengths, alpha)
+    for rec, w in zip(records, weights):
         rec.weight = float(w)
     return weights
 
@@ -341,72 +309,43 @@ def weight_entropy(weights, lengths):
 # ---- samplers ----
 
 
-def weighted_indices(probs, n, rng):
-    """n i.i.d. draws from a normalized probability vector."""
-    p = np.asarray(probs, dtype=np.float64)
-    total = p.sum()
-    if total <= 0:
-        raise ValueError("all-zero weights")
-    return rng.choice(p.size, size=n, p=p / total)
-
-
 def weighted_sample(buffer, traj_weights, n, rng):
     """n states drawn i.i.d. from the transition distribution.
 
     traj_weights are per-trajectory transition weights (from hr_weights);
-    a trajectory is chosen with probability T_i * w_i, then a step within
-    it uniformly.
+    a trajectory is chosen with probability proportional to T_i * w_i, then
+    a step within it uniformly. All-zero weights raise ``ValueError``.
     """
     lengths = np.array([rec.length for rec in buffer.records])
     offsets = np.array([rec.offset for rec in buffer.records])
-    ti = weighted_indices(lengths * np.asarray(traj_weights), n, rng)
+    mass = lengths * np.asarray(traj_weights, dtype=np.float64)
+    total = mass.sum()
+    if total <= 0:
+        raise ValueError("all-zero weights")
+    ti = rng.choice(mass.size, size=n, p=mass / total)
     steps = rng.integers(0, lengths[ti])
     return buffer._cols["s"][(offsets[ti] + steps) % buffer.capacity]
 
 
-def topk_filter(records, fraction):
-    """Records with the ceil(k*N) highest episodic returns; ties favor newer."""
-    if not records:
-        raise ValueError("empty buffer")
-    if not 0 < fraction <= 1:
-        raise ValueError("fraction must be in (0, 1]")
-    m = math.ceil(fraction * len(records))
-    ranked = sorted(records, key=lambda rec: (-rec.ret, -rec.traj_id))
-    return ranked[:m]
+def topk_mask(records):
+    """Mask of the ceil(TOPK_FRACTION * N) highest-return records; ties favor newer."""
+    rets = np.array([rec.ret for rec in records], dtype=np.float64)
+    ids = np.array([rec.traj_id for rec in records])
+    mask = np.zeros(len(records), dtype=bool)
+    mask[np.lexsort((-ids, -rets))[: math.ceil(TOPK_FRACTION * len(records))]] = True
+    return mask
 
 
-def sample_pool(buffer, sampler, pool_size, rng, alpha=0.1, cell_size=0.75,
-                topk_fraction=0.1, normalize=True):
+def sample_pool(buffer, sampler, pool_size, rng, alpha=0.1):
     """Draw the landmark candidate pool of states under the chosen sampler."""
     if len(buffer) == 0:
         raise ValueError("empty buffer")
-    if sampler not in SAMPLER_CHOICES:
-        raise ValueError(f"unknown sampler {sampler!r}; choices: {SAMPLER_CHOICES}")
-
-    def uniform_states(n):
-        return buffer._cols["s"][buffer._rows(rng.integers(0, len(buffer), size=n))]
-
-    def hr_states(n):
-        w = compute_weights(buffer, alpha, cell_size, normalize=normalize)
-        return weighted_sample(buffer, w, n, rng)
-
-    def topk_states(n):
-        # Zero weight leaves an episode no share of the draw's cdf, so this
-        # draws from the kept episodes alone, by length.
-        kept = {rec.traj_id for rec in topk_filter(buffer.records, topk_fraction)}
-        return weighted_sample(buffer, [float(rec.traj_id in kept) for rec in buffer.records], n, rng)
-
-    if sampler == "uniform":
-        return uniform_states(pool_size)
     if sampler == "hr":
-        return hr_states(pool_size)
+        return weighted_sample(buffer, compute_weights(buffer, alpha), pool_size, rng)
+    if sampler == "uniform":
+        return buffer._cols["s"][buffer._rows(rng.integers(0, len(buffer), size=pool_size))]
     if sampler == "topk":
-        return topk_states(pool_size)
-    n_hr = int(rng.binomial(pool_size, 0.5))
-    other = uniform_states if sampler == "hr+uniform" else topk_states
-    parts = []
-    if n_hr:
-        parts.append(hr_states(n_hr))
-    if pool_size - n_hr:
-        parts.append(other(pool_size - n_hr))
-    return np.concatenate(parts, axis=0)
+        # Zero weight leaves an episode no share of the draw, so this draws
+        # from the kept episodes alone, by length.
+        return weighted_sample(buffer, topk_mask(buffer.records), pool_size, rng)
+    raise ValueError(f"unknown sampler {sampler!r}; choices: {SAMPLER_CHOICES}")

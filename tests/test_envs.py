@@ -1,5 +1,7 @@
 """Tests for the point-maze environments."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -9,11 +11,11 @@ from mazehrl.envs import (
     PointMazeEnv,
     Rect,
     embossed,
-    load_maze_spec,
     make_maze,
     phi,
     reset_state,
-    save_maze_spec,
+    spec_from_dict,
+    spec_to_dict,
     step_state,
     success,
     umaze12,
@@ -240,15 +242,16 @@ class TestRewardField:
         assert np.hypot(peak[0] - goal[0], peak[1] - goal[1]) < 0.5
 
 
-class TestSpecIO:
-    def test_roundtrip(self, tmp_path):
-        spec = umaze12(reward_mode="dense")
-        path = tmp_path / "maze.json"
-        save_maze_spec(spec, path)
-        loaded = load_maze_spec(path)
-        assert loaded == spec
+def json_roundtrip(spec):
+    return spec_from_dict(json.loads(json.dumps(spec_to_dict(spec))))
 
-    def test_custom_walls_from_file(self, tmp_path):
+
+class TestSpecIO:
+    def test_roundtrip(self):
+        spec = umaze12(reward_mode="dense")
+        assert json_roundtrip(spec) == spec
+
+    def test_custom_walls_from_file(self):
         spec = MazeSpec(
             name="custom",
             extent=Rect(-1.0, -1.0, 1.0, 1.0),
@@ -259,9 +262,7 @@ class TestSpecIO:
             success_radius=0.1,
             max_episode_steps=50,
         )
-        path = tmp_path / "m.json"
-        save_maze_spec(spec, path)
-        assert load_maze_spec(path) == spec
+        assert json_roundtrip(spec) == spec
 
     def test_unknown_maze_name(self):
         with pytest.raises(ValueError):

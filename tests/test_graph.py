@@ -80,13 +80,21 @@ class StubCritic:
 class TestFps:
     def test_m_one_returns_seed(self):
         pool = np.array([[0.0, 0.0], [5.0, 5.0], [9.0, 9.0]])
-        out = fps(pool, 1, np.random.default_rng(0), first_index=2)
-        np.testing.assert_array_equal(out, [[9.0, 9.0]])
+        starts = set()
+        for seed in range(20):
+            start = int(np.random.default_rng(seed).integers(0, 3))
+            out = fps(pool, 1, np.random.default_rng(seed))
+            np.testing.assert_array_equal(out, pool[[start]])
+            starts.add(start)
+        assert starts == {0, 1, 2}
 
     def test_collinear_fixture(self):
         pool = np.array([[0.0], [1.0], [10.0]])
-        out = fps(pool, 2, np.random.default_rng(0), first_index=0)
-        np.testing.assert_array_equal(out, [[0.0], [10.0]])
+        farthest = {0: 10.0, 1: 10.0, 2: 0.0}
+        for seed in range(20):
+            start = int(np.random.default_rng(seed).integers(0, 3))
+            out = fps(pool, 2, np.random.default_rng(seed))
+            np.testing.assert_array_equal(out, [pool[start], [farthest[start]]])
 
     def test_requesting_more_than_pool_dedups(self):
         pool = np.array([[1.0, 1.0], [1.0, 1.0], [2.0, 2.0]])
@@ -152,17 +160,19 @@ class TestNovelty:
 
 class TestNetDtypes:
     def test_every_param_has_its_net_dtype(self):
-        """RND nets, also after a checkpoint, and pipeline-shaped actor, critic and target."""
+        """RND nets, also after a checkpoint, pipeline-shaped actor, critic and
+        target, and a critic whose layers a test rewrote."""
         rng = np.random.default_rng(6)
         scorer = NoveltyScorer(4, rng)
         clone = NoveltyScorer(4, np.random.default_rng(0))
         clone.load_state_dict(scorer.state_dict())
         critic = Mlp([8, 256, 256, 1], rng=rng)
         nets = [scorer.target, scorer.predictor, clone.target, clone.predictor, critic, critic.copy()]
-        nets.append(Mlp([6, 256, 256, 2], "scaled_tanh", rng=rng))
+        nets += [Mlp([6, 256, 256, 2], "scaled_tanh", rng=rng), spread_critic(rng)]
         for net in nets:
             assert net.dtype == np.float32
             assert all(p.dtype == net.dtype for p in net.params)
+            assert net.forward(np.zeros(net.in_dim)).dtype == net.dtype
 
 
 class FixedScorer:
@@ -508,8 +518,8 @@ class RowCountingCritic(StubCritic):
 def spread_critic(rng):
     """A critic whose -Q ranges over about [0, 10], so the cutoff keeps some edges."""
     q = Mlp([8, 16, 16, 1], rng=rng)
-    q.weights[-1] = rng.normal(0.0, 0.5, size=q.weights[-1].shape)
-    q.biases[-1] = np.array([-5.0])
+    q.weights[-1][...] = rng.normal(0.0, 0.5, size=q.weights[-1].shape)
+    q.biases[-1][...] = -5.0
     return q
 
 

@@ -41,6 +41,17 @@ def fd_jacobian(net, x, h=1e-5):
     return jac
 
 
+def unit_vjp_jacobian(net, x):
+    """d forward / d x, one row per unit upstream through ``grad_input_vjp``.
+
+    (out_dim, in_dim) for a single input, (n, out_dim, in_dim) for a batch.
+    """
+    x = np.asarray(x)
+    units = np.eye(net.out_dim)
+    rows = [net.grad_input_vjp(x, np.broadcast_to(e, x.shape[:-1] + e.shape)) for e in units]
+    return np.stack(rows, axis=-2)
+
+
 def rel_err(a, b):
     a = np.concatenate([np.ravel(v) for v in a]) if isinstance(a, list) else np.ravel(a)
     b = np.concatenate([np.ravel(v) for v in b]) if isinstance(b, list) else np.ravel(b)
@@ -54,8 +65,8 @@ def random_small_net(rng, out_act="identity"):
     net = Mlp(sizes, output_activation=out_act, bound=2.0, rng=rng, dtype=np.float64)
     # randomize everything (incl. biases) so no preactivation sits on a ReLU kink
     for i in range(len(net.weights)):
-        net.weights[i] = rng.normal(0.0, 0.6, size=net.weights[i].shape)
-        net.biases[i] = rng.normal(0.0, 0.3, size=net.biases[i].shape)
+        net.weights[i][...] = rng.normal(0.0, 0.6, size=net.weights[i].shape)
+        net.biases[i][...] = rng.normal(0.0, 0.3, size=net.biases[i].shape)
     return net
 
 
@@ -70,17 +81,17 @@ class TestForward:
 
     def test_single_linear_layer_identity(self):
         net = Mlp([2, 2], rng=np.random.default_rng(1))
-        net.weights[0] = np.eye(2)
+        net.weights[0][...] = np.eye(2)
         net.biases[0][:] = 0.0
         np.testing.assert_allclose(net.forward(np.array([1.0, 2.0])), [1.0, 2.0])
 
     def test_two_layer_relu_hand_computed(self):
         # z0 = (-1, 1.25) -> relu (0, 1.25); y = 2*0 - 1*1.25 + 0.5 = -0.75
         net = Mlp([2, 2, 1], rng=np.random.default_rng(1))
-        net.weights[0] = np.array([[1.0, -1.0], [0.5, 0.5]])
-        net.biases[0] = np.array([0.0, -0.25])
-        net.weights[1] = np.array([[2.0, -1.0]])
-        net.biases[1] = np.array([0.5])
+        net.weights[0][...] = [[1.0, -1.0], [0.5, 0.5]]
+        net.biases[0][...] = [0.0, -0.25]
+        net.weights[1][...] = [[2.0, -1.0]]
+        net.biases[1][...] = 0.5
         np.testing.assert_allclose(net.forward(np.array([1.0, 2.0])), [-0.75])
 
     def test_batch_matches_vector_calls(self):
@@ -107,7 +118,7 @@ class TestForward:
     def test_scaled_tanh_within_bound(self):
         rng = np.random.default_rng(11)
         net = Mlp([2, 8, 2], output_activation="scaled_tanh", bound=1.5, rng=rng)
-        net.weights[-1] = rng.normal(0.0, 5.0, size=net.weights[-1].shape)
+        net.weights[-1][...] = rng.normal(0.0, 5.0, size=net.weights[-1].shape)
         xs = rng.normal(scale=10.0, size=(200, 2))
         out = net.forward(xs)
         assert np.all(np.abs(out) <= 1.5 + 1e-12)
@@ -155,16 +166,16 @@ class TestGradParams:
 class TestGradInput:
     def test_linear_jacobian_is_weight_matrix(self):
         net = Mlp([3, 2], rng=np.random.default_rng(0))
-        net.weights[0] = np.array([[1.0, 2.0, 3.0], [-1.0, 0.0, 1.0]])
-        jac = net.grad_input(np.array([0.3, -0.7, 2.0]))
+        net.weights[0][...] = [[1.0, 2.0, 3.0], [-1.0, 0.0, 1.0]]
+        jac = unit_vjp_jacobian(net, np.array([0.3, -0.7, 2.0]))
         np.testing.assert_allclose(jac, net.weights[0])
 
     def test_dead_relu_zero_jacobian(self):
         net = Mlp([2, 3, 2], rng=np.random.default_rng(0))
-        net.weights[0] = np.abs(net.weights[0])
+        np.abs(net.weights[0], out=net.weights[0])
         net.biases[0][:] = -1.0
         # all layer-1 preactivations negative at a strictly negative input
-        jac = net.grad_input(np.array([-2.0, -3.0]))
+        jac = unit_vjp_jacobian(net, np.array([-2.0, -3.0]))
         assert not np.any(jac)
 
     @pytest.mark.parametrize("out_act", ["identity", "scaled_tanh"])
@@ -173,20 +184,20 @@ class TestGradInput:
         for _ in range(20):
             net = random_small_net(rng, out_act)
             x = rng.normal(size=net.in_dim)
-            assert rel_err(net.grad_input(x), fd_jacobian(net, x)) < 1e-4
+            assert rel_err(unit_vjp_jacobian(net, x), fd_jacobian(net, x)) < 1e-4
 
     def test_vjp_matches_jacobian_transpose(self):
         rng = np.random.default_rng(6)
         net = random_small_net(rng)
         x = rng.normal(size=net.in_dim)
         u = rng.normal(size=net.out_dim)
-        np.testing.assert_allclose(net.grad_input_vjp(x, u), net.grad_input(x).T @ u, atol=1e-12)
+        assert rel_err(net.grad_input_vjp(x, u), fd_jacobian(net, x).T @ u) < 1e-6
 
     def test_scaled_tanh_jacobian_finite_on_grid(self):
         rng = np.random.default_rng(9)
         net = Mlp([2, 16, 16, 2], output_activation="scaled_tanh", bound=3.0, rng=rng)
         grid = np.stack(np.meshgrid(np.linspace(-8, 8, 17), np.linspace(-8, 8, 17)), axis=-1).reshape(-1, 2)
-        jac = net.grad_input(grid)
+        jac = unit_vjp_jacobian(net, grid)
         norms = np.sqrt((jac**2).sum(axis=(1, 2)))
         assert np.all(np.isfinite(norms))
 
@@ -208,8 +219,8 @@ class TestDoubleBackprop:
             sizes = [3, 6, 5, 1]
             net = Mlp(sizes, rng=rng, dtype=np.float64)
             for i in range(len(net.weights)):
-                net.weights[i] = rng.normal(0.0, 0.8, size=net.weights[i].shape)
-                net.biases[i] = rng.normal(0.0, 0.3, size=net.biases[i].shape)
+                net.weights[i][...] = rng.normal(0.0, 0.8, size=net.weights[i].shape)
+                net.biases[i][...] = rng.normal(0.0, 0.3, size=net.biases[i].shape)
             xs = rng.normal(size=(4, 3))
             bound = 0.1  # low enough that the hinge is active
             _, grads = self.penalty_and_grads(net, xs, bound)
@@ -353,7 +364,7 @@ class TestCheckpoint:
     def test_json_roundtrip_bit_exact(self):
         rng = np.random.default_rng(21)
         net = random_small_net(rng, "scaled_tanh")
-        clone = Mlp.from_json(net.to_json())
+        clone = Mlp.from_state_dict(json.loads(json.dumps(net.state_dict())))
         assert clone.layer_sizes == net.layer_sizes
         assert clone.output_activation == net.output_activation
         assert clone.bound == net.bound
@@ -385,7 +396,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_roundtrip_keeps_dtype_bit_exact(self, dtype):
         net = Mlp([3, 8, 2], "scaled_tanh", bound=1.5, rng=np.random.default_rng(4), dtype=dtype)
-        state = json.loads(net.to_json())
+        state = json.loads(json.dumps(net.state_dict()))
         assert state["dtype"] == np.dtype(dtype).name
         clone = Mlp.from_state_dict(state)
         assert clone.dtype == dtype
@@ -535,8 +546,8 @@ def scalar_critic_batches(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     net = Mlp(sizes, rng=rng, dtype=np.float64)
     for i in range(len(net.weights)):
-        net.weights[i] = rng.normal(0.0, 0.8, size=net.weights[i].shape)
-        net.biases[i] = rng.normal(0.0, 0.3, size=net.biases[i].shape)
+        net.weights[i][...] = rng.normal(0.0, 0.8, size=net.weights[i].shape)
+        net.biases[i][...] = rng.normal(0.0, 0.3, size=net.biases[i].shape)
         if i == len(net.weights) - 1:
             continue
         states = draw(st.lists(UNIT_STATES, min_size=sizes[i + 1], max_size=sizes[i + 1]))
@@ -553,7 +564,8 @@ def scalar_critic_batches(draw):
 def absolute(net, cache):
     """``net`` and ``cache`` with |weights| and |activations| but the same ReLU masks."""
     abs_net = net.copy()
-    abs_net.weights = [np.abs(w) for w in net.weights]
+    for w in abs_net.weights:
+        np.abs(w, out=w)
     return abs_net, {"acts": [np.abs(a) for a in cache["acts"]], "zs": cache["zs"]}
 
 
@@ -674,7 +686,7 @@ class TestDtype:
             *critic.grad_params_cached(cache, rng.normal(size=(6, 1))),
             *critic.double_backprop(cache, zgrads, rng.normal(size=(6, 5))),
             *actor.grad_params(x[:, :4], rng.normal(size=(6, 2))),
-            actor.grad_input(x[:, :4]), actor.grad_input_vjp(x[:, :4], rng.normal(size=(6, 2))),
+            actor.grad_input_vjp(x[:, :4], rng.normal(size=(6, 2))),
         ]
         target = critic.copy()
         opt = Adam(critic.params)
@@ -682,6 +694,24 @@ class TestDtype:
         polyak_update(target.params, critic.params, 0.5)
         arrays += critic.params + target.params + opt.m + opt.v
         assert all(a.dtype == dtype for a in arrays)
+
+
+    @pytest.mark.parametrize("made_by", ["init", "copy", "checkpoint"])
+    def test_layers_are_replaced_only_in_place(self, made_by):
+        net = Mlp([3, 4, 2], rng=np.random.default_rng(2))
+        if made_by == "copy":
+            net = net.copy()
+        elif made_by == "checkpoint":
+            net = Mlp.from_state_dict(net.state_dict())
+        for layers in (net.weights, net.biases):
+            with pytest.raises(TypeError):
+                layers[0] = np.zeros(layers[0].shape)
+        v = np.random.default_rng(3).normal(size=net.weights[0].shape)
+        net.weights[0][...] = v
+        net.biases[0][...] = 0.1
+        assert net.weights[0].tobytes() == v.astype(np.float32).tobytes()
+        assert all(p.dtype == np.float32 for p in net.params)
+        assert net.forward(np.ones(3)).dtype == np.float32
 
 
 class TestFloat32Agreement:

@@ -11,18 +11,18 @@ from hypothesis import strategies as st
 from mazehrl.replay import (
     FIELDS,
     SAMPLER_CHOICES,
-    ReturnRegressor,
+    TASK_CELL_SIZE,
+    TOPK_FRACTION,
     TrajectoryBuffer,
     TrajectoryRecord,
     Transition,
     compute_weights,
-    episodic_return,
+    expected_returns,
     hr_weights,
     normalize_returns,
     sample_pool,
-    topk_filter,
+    topk_mask,
     weight_entropy,
-    weighted_indices,
     weighted_sample,
 )
 
@@ -211,6 +211,13 @@ class TestRingStore:
         assert len(buf) == 2
 
 
+def episodic_return(rewards):
+    """The return a stored episode's record carries."""
+    buf = TrajectoryBuffer()
+    add_episode(buf, rewards)
+    return buf.records[0].ret
+
+
 class TestEpisodicReturn:
     def test_sparse_success_at_step_ten(self):
         assert episodic_return([-1.0] * 9 + [0.0]) == -9.0
@@ -232,35 +239,46 @@ class TestNormalizeReturns:
     def test_group_spread(self):
         buf = TrajectoryBuffer()
         records = self._records(buf, [-10.0, -5.0, 0.0])
-        out = normalize_returns(records, cell_size=0.75)
+        out = normalize_returns(records)
         np.testing.assert_allclose(out, [0.0, 0.5, 1.0])
 
     def test_singleton_group(self):
         buf = TrajectoryBuffer()
         records = self._records(buf, [-7.0])
-        np.testing.assert_allclose(normalize_returns(records, 0.75), [0.5])
+        np.testing.assert_allclose(normalize_returns(records), [0.5])
 
     def test_equal_returns(self):
         buf = TrajectoryBuffer()
         records = self._records(buf, [-3.0, -3.0])
-        np.testing.assert_allclose(normalize_returns(records, 0.75), [0.5, 0.5])
+        np.testing.assert_allclose(normalize_returns(records), [0.5, 0.5])
 
     def test_groups_are_separate(self):
         buf = TrajectoryBuffer()
         add_episode(buf, [-10.0], goal=(1, 1))
         add_episode(buf, [0.0], goal=(1, 1))
         add_episode(buf, [-100.0], goal=(50, 50))
-        out = normalize_returns(buf.records, cell_size=0.75)
+        out = normalize_returns(buf.records)
         np.testing.assert_allclose(out, [0.0, 1.0, 0.5])
 
     def test_signed_zeros_share_a_cell(self):
         buf = TrajectoryBuffer()
         add_episode(buf, [-10.0], start=(-0.0, 0.0), goal=(0.0, -0.0))
         add_episode(buf, [0.0], start=(0.0, -0.0), goal=(-0.0, 0.0))
-        np.testing.assert_array_equal(normalize_returns(buf.records, 0.75), [0.0, 1.0])
+        np.testing.assert_array_equal(normalize_returns(buf.records), [0.0, 1.0])
 
     def test_empty(self):
-        assert normalize_returns([], 0.75).shape == (0,)
+        assert normalize_returns([]).shape == (0,)
+
+    def test_records_left_untouched(self):
+        buf = TrajectoryBuffer()
+        add_episode(buf, [-10.0])
+        add_episode(buf, [0.0], start=(0.1, 0.0))
+        before = [dict(vars(rec)) for rec in buf.records]
+        normalize_returns(buf.records)
+        for rec, old in zip(buf.records, before):
+            assert vars(rec).keys() == old.keys()
+            for key, value in old.items():
+                assert np.array_equal(getattr(rec, key), value)
 
 
 def reference_normalize_returns(records, cell_size):
@@ -299,68 +317,56 @@ class TestNormalizeMatchesDictReference:
     @settings(max_examples=300, deadline=None)
     @given(task_records())
     def test_bit_identical(self, records):
-        ref = reference_normalize_returns(records, 0.75)
-        got = normalize_returns(records, 0.75)
-        assert got.tobytes() == ref.tobytes()
-        assert np.array([rec.norm_ret for rec in records]).tobytes() == ref.tobytes()
+        assert TASK_CELL_SIZE == 0.75  # the cell boundaries CELL_COORDS straddles
+        ref = reference_normalize_returns(records, TASK_CELL_SIZE)
+        assert normalize_returns(records).tobytes() == ref.tobytes()
 
 
 class TestReturnRegressor:
+    """``expected_returns``: the in-sample expected-return fit."""
+
     def test_constant_returns(self):
         X = np.random.default_rng(0).normal(size=(30, 4))
-        reg = ReturnRegressor().fit(X, np.full(30, 2.5))
-        np.testing.assert_allclose(reg.predict(X), 2.5)
+        np.testing.assert_allclose(expected_returns(X, np.full(30, 2.5)), 2.5)
 
     def test_exact_linear_recovery(self):
         rng = np.random.default_rng(1)
         X = rng.normal(size=(40, 6))
         y = 3.0 * X[:, 2] - 1.5
-        reg = ReturnRegressor().fit(X, y)
-        assert not reg.is_fallback
-        np.testing.assert_allclose(reg.predict(X), y, atol=1e-8)
+        np.testing.assert_allclose(expected_returns(X, y), y, atol=1e-8)
 
     def test_single_sample_fallback(self):
-        reg = ReturnRegressor().fit([[1.0, 2.0]], [4.0])
-        assert reg.is_fallback
-        np.testing.assert_allclose(reg.predict([[9.0, 9.0]]), 4.0)
+        np.testing.assert_allclose(expected_returns([[1.0, 2.0]], [4.0]), [4.0])
 
     def test_below_min_samples_uses_mean(self):
         rng = np.random.default_rng(2)
         X = rng.normal(size=(10, 3))
         y = X[:, 0] * 2
-        reg = ReturnRegressor().fit(X, y)
-        assert reg.is_fallback
-        np.testing.assert_allclose(reg.predict(X), y.mean())
+        np.testing.assert_allclose(expected_returns(X, y), y.mean())
 
     def test_duplicate_rows_fallback(self):
         X = np.ones((25, 3))
         y = np.linspace(0, 1, 25)
-        reg = ReturnRegressor().fit(X, y)
-        assert reg.is_fallback
+        np.testing.assert_allclose(expected_returns(X, y), y.mean())
 
     def test_top6_feature_selection(self):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(60, 8))
         y = 5.0 * X[:, 7] + 0.01 * rng.normal(size=60)
-        reg = ReturnRegressor().fit(X, y)
-        assert 7 in set(reg.feature_idx_)
-        assert len(reg.feature_idx_) <= 6
+        # feature 7 is fitted: the residual is the noise alone
+        assert np.max(np.abs(expected_returns(X, y) - y)) < 0.05
+        # every feature matters, but at most six are fitted: the fit is inexact
+        y = X @ np.arange(1.0, 9.0)
+        assert np.max(np.abs(expected_returns(X, y) - y)) > 1e-3
 
     def test_rank_deficient_ridge_path(self):
         rng = np.random.default_rng(4)
         base = rng.normal(size=(30, 1))
         X = np.hstack([base, base, base])  # perfectly collinear
         y = base[:, 0] * 2.0
-        reg = ReturnRegressor().fit(X, y)
-        assert np.all(np.isfinite(reg.predict(X)))
-        np.testing.assert_allclose(reg.predict(X), y, atol=1e-4)
-
-    def test_prediction_finite(self):
-        rng = np.random.default_rng(5)
-        X = rng.normal(size=(40, 4))
-        reg = ReturnRegressor().fit(X, rng.normal(size=40))
-        probe = rng.normal(scale=1e6, size=(10, 4))
-        assert np.all(np.isfinite(reg.predict(probe)))
+        fit = expected_returns(X, y)
+        assert np.all(np.isfinite(fit))
+        np.testing.assert_allclose(fit, y, atol=1e-4)
 
 
 class TestHrWeights:
@@ -448,46 +454,68 @@ class TestComputeWeights:
 
     def test_transition_normalization(self):
         buf = self._mixed_buffer()
-        w = compute_weights(buf, alpha=0.3, cell_size=0.75)
+        w = compute_weights(buf, alpha=0.3)
         T = np.array([rec.length for rec in buf.records])
         assert abs(np.dot(T, w) - 1.0) < 1e-9
 
     def test_debias_invariance_constant_shift(self):
-        a = compute_weights(self._mixed_buffer(0.0), alpha=0.3, cell_size=0.75)
-        b = compute_weights(self._mixed_buffer(100.0), alpha=0.3, cell_size=0.75)
+        a = compute_weights(self._mixed_buffer(0.0), alpha=0.3)
+        b = compute_weights(self._mixed_buffer(100.0), alpha=0.3)
         np.testing.assert_allclose(a, b, atol=1e-12)
 
+    def _raw_debias(self, shift, n_episodes, atol):
+        """Raw (unnormalized) returns shifted by a constant: the expected-return
+        fit moves by the shift, and the debiased Boltzmann weights stay put."""
+        records = self._mixed_buffer(0.0, n_episodes).records
+        X = np.stack([np.concatenate([rec.start, rec.goal]) for rec in records])
+        y = np.array([rec.ret for rec in records])
+        T = [rec.length for rec in records]
+        fit, fit_shifted = expected_returns(X, y), expected_returns(X, y + shift)
+        np.testing.assert_allclose(fit_shifted, fit + shift, atol=atol)
+        np.testing.assert_allclose(
+            hr_weights(y + shift - fit_shifted, T, 0.3), hr_weights(y - fit, T, 0.3), atol=atol
+        )
+
     def test_debias_invariance_without_normalization(self):
-        # mean fallback absorbs the shift below min_samples
-        a = compute_weights(self._mixed_buffer(0.0), alpha=0.3, cell_size=0.75, normalize=False)
-        b = compute_weights(self._mixed_buffer(100.0), alpha=0.3, cell_size=0.75, normalize=False)
-        np.testing.assert_allclose(a, b, atol=1e-10)
+        # mean fallback absorbs the shift below FIT_MIN_SAMPLES
+        self._raw_debias(100.0, 8, atol=1e-10)
 
     def test_debias_invariance_linear_regressor_path(self):
-        # with >= 20 samples the regression intercept absorbs the shift
-        a = compute_weights(self._mixed_buffer(0.0, 30), alpha=0.3, cell_size=0.75, normalize=False)
-        b = compute_weights(self._mixed_buffer(50.0, 30), alpha=0.3, cell_size=0.75, normalize=False)
-        np.testing.assert_allclose(a, b, atol=1e-9)
+        # with >= FIT_MIN_SAMPLES episodes the regression intercept absorbs the shift
+        self._raw_debias(50.0, 30, atol=1e-9)
 
     def test_records_updated_in_place(self):
         buf = self._mixed_buffer()
-        compute_weights(buf, alpha=0.3, cell_size=0.75)
+        compute_weights(buf, alpha=0.3)
         for rec in buf.records:
             assert rec.weight > 0
 
 
+def one_step_buffer(k):
+    """k one-step episodes; episode i's only state sits at x = i."""
+    buf = TrajectoryBuffer()
+    for i in range(k):
+        add_episode(buf, [0.0], start=(float(i), 0.0))
+    return buf
+
+
+def sampled_episodes(buf, weights, n, seed):
+    """Episode index of each of n weighted_sample draws from a one_step_buffer."""
+    return weighted_sample(buf, weights, n, np.random.default_rng(seed))[:, 0].astype(int)
+
+
 class TestSamplers:
-    def test_weighted_indices_dirac(self):
-        idx = weighted_indices([0.0, 1.0, 0.0], 20, np.random.default_rng(0))
+    def test_weighted_sample_dirac(self):
+        idx = sampled_episodes(one_step_buffer(3), [0.0, 1.0, 0.0], 20, 0)
         assert np.all(idx == 1)
 
-    def test_weighted_indices_all_zero_rejected(self):
+    def test_weighted_sample_all_zero_rejected(self):
         with pytest.raises(ValueError):
-            weighted_indices([0.0, 0.0], 3, np.random.default_rng(0))
+            weighted_sample(one_step_buffer(2), [0.0, 0.0], 3, np.random.default_rng(0))
 
     def test_uniform_frequencies_within_3_sigma(self):
         n, k = 100_000, 8
-        idx = weighted_indices(np.ones(k), n, np.random.default_rng(1))
+        idx = sampled_episodes(one_step_buffer(k), np.ones(k), n, 1)
         counts = np.bincount(idx, minlength=k)
         p = 1.0 / k
         sigma = np.sqrt(n * p * (1 - p))
@@ -495,7 +523,7 @@ class TestSamplers:
 
     def test_nine_to_one_ratio_within_3_sigma(self):
         n = 100_000
-        idx = weighted_indices([0.9, 0.1], n, np.random.default_rng(2))
+        idx = sampled_episodes(one_step_buffer(2), [0.9, 0.1], n, 2)
         ones = np.sum(idx == 1)
         sigma = np.sqrt(n * 0.1 * 0.9)
         assert abs(ones - n * 0.1) <= 3 * sigma
@@ -508,25 +536,23 @@ class TestSamplers:
         states = weighted_sample(buf, [0.0, 0.2], 50, np.random.default_rng(0))
         assert np.all(states[:, 0] >= 100.0)
 
-    def test_topk_full_fraction_keeps_all(self):
+    def test_topk_keeps_ceil_fraction_of_records(self):
         buf = TrajectoryBuffer()
-        for r in (-5, -3, -1):
-            add_episode(buf, [r])
-        assert len(topk_filter(buf.records, 1.0)) == 3
+        for n in range(1, 26):
+            add_episode(buf, [-float(n % 7)])
+            assert np.count_nonzero(topk_mask(buf.records)) == math.ceil(TOPK_FRACTION * n)
 
     def test_topk_selects_highest(self):
         buf = TrajectoryBuffer()
-        for r in (5.0, 3.0, 1.0):
+        for r in (3.0, 5.0, 1.0):
             add_episode(buf, [r])
-        kept = topk_filter(buf.records, 1 / 3)
-        assert len(kept) == 1 and kept[0].ret == 5.0
+        assert topk_mask(buf.records).tolist() == [False, True, False]
 
     def test_topk_tie_prefers_newer(self):
         buf = TrajectoryBuffer()
-        first = add_episode(buf, [2.0])
-        second = add_episode(buf, [2.0])
-        kept = topk_filter(buf.records, 0.5)
-        assert kept[0].traj_id == second
+        add_episode(buf, [2.0])
+        add_episode(buf, [2.0])
+        assert topk_mask(buf.records).tolist() == [False, True]
 
     def test_pool_single_transition_buffer(self):
         buf = TrajectoryBuffer()
@@ -535,33 +561,30 @@ class TestSamplers:
         assert pool.shape == (6, 4)
         assert np.all(pool[:, 0] == 4.0)
 
+    # The hr pool tests keep every episode in one task cell (starts and goals
+    # within one TASK_CELL_SIZE square), so their returns differ after
+    # normalization.
+
     def test_pool_hr_dirac(self):
         buf = TrajectoryBuffer()
-        add_episode(buf, [100.0], start=(7.0, 7.0))
+        add_episode(buf, [100.0], start=(0.5, 0.0))
         for i in range(4):
-            add_episode(buf, [0.0], start=(0.0, float(i)))
-        pool = sample_pool(buf, "hr", 40, np.random.default_rng(0), alpha=1e-3, normalize=False)
-        assert np.all(pool[:, 0] == 7.0)
+            add_episode(buf, [0.0], start=(0.0, 0.1 * i))
+        pool = sample_pool(buf, "hr", 40, np.random.default_rng(0), alpha=1e-3)
+        assert np.all(pool[:, 0] == 0.5)
 
     def test_pool_histogram_matches_weights(self):
         buf = TrajectoryBuffer()
         add_episode(buf, [0.0] * 2, start=(0.0, 0.0))
-        add_episode(buf, [2.0] * 2, start=(50.0, 0.0))
-        w = compute_weights(buf, alpha=1.0, cell_size=0.75, normalize=False)
+        add_episode(buf, [2.0] * 2, start=(0.3, 0.0))
+        w = compute_weights(buf, alpha=1.0)
+        assert w[1] > w[0]
         n = 20_000
-        pool = sample_pool(buf, "hr", n, np.random.default_rng(3), alpha=1.0, normalize=False)
-        frac_high = np.mean(pool[:, 0] >= 50.0)
+        pool = sample_pool(buf, "hr", n, np.random.default_rng(3), alpha=1.0)
+        frac_high = np.mean(pool[:, 0] >= 0.25)
         p = 2 * w[1]
         sigma = np.sqrt(p * (1 - p) / n)
         assert abs(frac_high - p) <= 3 * sigma
-
-    def test_pool_mixed_sampler_runs(self):
-        buf = TrajectoryBuffer()
-        for r in (-4.0, -2.0, 0.0):
-            add_episode(buf, [r] * 3)
-        for sampler in ("hr+uniform", "hr+topk"):
-            pool = sample_pool(buf, sampler, 32, np.random.default_rng(0))
-            assert pool.shape == (32, 4)
 
     def test_unknown_sampler_rejected(self):
         buf = TrajectoryBuffer()
@@ -595,7 +618,7 @@ class ListModel:
         self.next_id += 1
         self.episodes.append(ep)
         self.records.append(
-            TrajectoryRecord(traj_id, len(ep["r"]), episodic_return(ep["r"]), ep["s"][0].copy(),
+            TrajectoryRecord(traj_id, len(ep["r"]), float(np.sum(ep["r"])), ep["s"][0].copy(),
                              np.asarray(goal, dtype=np.float64), offset=-1)
         )
         while len(self) > self.capacity and len(self.episodes) > 1:
@@ -620,35 +643,22 @@ class ListModel:
         return states[len(states) - min(window, len(states)):]
 
     def _draw(self, episodes, mass, n, rng):
-        ti = weighted_indices(mass, n, rng)
+        """One rng.choice of n episodes by mass, then one scalar step draw per state."""
+        mass = np.asarray(mass, dtype=np.float64)
+        ti = rng.choice(len(mass), size=n, p=mass / mass.sum())
         return np.array([episodes[t]["s"][int(rng.integers(0, len(episodes[t]["r"])))] for t in ti])
 
     def sample_pool(self, sampler, n, rng):
-        def lengths(eps):
-            return np.array([len(ep["r"]) for ep in eps], dtype=np.float64)
-
-        def uniform(k):
-            return self.rows([int(i) for i in rng.integers(0, len(self), size=k)], "s")
-
-        def hr(k):
-            w = compute_weights(self, alpha=0.1, cell_size=0.75)
-            return self._draw(self.episodes, lengths(self.episodes) * w, k, rng)
-
-        def topk(k):
-            ids = {rec.traj_id for rec in topk_filter(self.records, 0.1)}
-            eps = [ep for ep, rec in zip(self.episodes, self.records) if rec.traj_id in ids]
-            return self._draw(eps, lengths(eps), k, rng)
-
-        if sampler in ("uniform", "hr", "topk"):
-            return {"uniform": uniform, "hr": hr, "topk": topk}[sampler](n)
-        n_hr = int(rng.binomial(n, 0.5))
-        other = uniform if sampler == "hr+uniform" else topk
-        parts = []
-        if n_hr:
-            parts.append(hr(n_hr))
-        if n - n_hr:
-            parts.append(other(n - n_hr))
-        return np.concatenate(parts)
+        if sampler == "uniform":
+            return self.rows([int(i) for i in rng.integers(0, len(self), size=n)], "s")
+        if sampler == "hr":
+            lengths = np.array([len(ep["r"]) for ep in self.episodes])
+            return self._draw(self.episodes, lengths * compute_weights(self, alpha=0.1), n, rng)
+        assert sampler == "topk"
+        ranked = sorted(self.records, key=lambda rec: (-rec.ret, -rec.traj_id))
+        ids = {rec.traj_id for rec in ranked[: math.ceil(TOPK_FRACTION * len(ranked))]}
+        eps = [ep for ep, rec in zip(self.episodes, self.records) if rec.traj_id in ids]
+        return self._draw(eps, [len(ep["r"]) for ep in eps], n, rng)
 
 
 def random_episode(rng, length):
