@@ -138,7 +138,6 @@ class LandmarkSet:
     def __init__(self, coverage_states, novelty_states, goal_map):
         cov = np.asarray(coverage_states, dtype=np.float64)
         nov = np.asarray(novelty_states, dtype=np.float64)
-        self.goal_map = goal_map
         parts = [np.atleast_2d(a) for a in (cov, nov) if a.size]
         if parts:
             all_states = np.concatenate(parts, axis=0)

@@ -200,25 +200,17 @@ class Mlp:
             raise ValueError(f"upstream shape {u.shape} != {(n, self.out_dim)}")
         return u
 
-    def _backward(self, cache, upstream, want_params=True, want_inputs=True, want_zgrads=False):
-        acts, zs = cache["acts"], cache["zs"]
-        u = self._upstream(cache, upstream)
-        param_grads = [None] * (2 * len(self.weights)) if want_params else None
-        zgrads = [None] * len(self.weights) if want_zgrads else None
-        delta = u * self._head_deriv(zs[-1])
+    def _backward(self, cache, upstream):
+        """Reverse sweep of ``upstream . output``: (input grad, layer pre-activation grads)."""
+        zs = cache["zs"]
+        zgrads = [None] * len(self.weights)
+        delta = self._upstream(cache, upstream) * self._head_deriv(zs[-1])
         for i in range(len(self.weights) - 1, -1, -1):
-            if want_zgrads:
-                zgrads[i] = delta
-            if want_params:
-                param_grads[2 * i] = delta.T @ acts[i]
-                param_grads[2 * i + 1] = delta.sum(axis=0)
-            if i == 0 and not want_inputs:
-                break
+            zgrads[i] = delta
             delta = delta @ self.weights[i]
             if i > 0:
                 delta = delta * (zs[i - 1] > 0.0)
-        input_grads = delta if want_inputs else None
-        return input_grads, param_grads, zgrads
+        return delta, zgrads
 
     def grad_params(self, x, upstream):
         """Gradient of ``upstream . forward(x)`` w.r.t. params (summed over batch)."""
@@ -231,21 +223,17 @@ class Mlp:
         upstream times that layer's gradient under upstream ones, so this
         reuses the sweep :meth:`input_grad_scalar` memoises in ``cache``.
         """
-        if self.out_dim != 1 or self.output_activation != "identity":
-            _, grads, _ = self._backward(cache, upstream, want_params=True, want_inputs=False)
-            return grads
-        u = self._upstream(cache, upstream)
-        _, zgrads = self.input_grad_scalar(cache)
-        grads = []
-        for zg, a in zip(zgrads, cache["acts"]):
-            delta = u * zg
-            grads += [delta.T @ a, delta.sum(axis=0)]
-        return grads
+        if self.out_dim == 1 and self.output_activation == "identity":
+            u = self._upstream(cache, upstream)
+            deltas = [u * zg for zg in self.input_grad_scalar(cache)[1]]
+        else:
+            deltas = self._backward(cache, upstream)[1]
+        return [g for d, a in zip(deltas, cache["acts"]) for g in (d.T @ a, d.sum(axis=0))]
 
     def grad_input_vjp(self, x, upstream):
         """Per-sample input gradients J(x)^T upstream; shape matches x."""
         cache = self.forward_cache(x)
-        g, _, _ = self._backward(cache, upstream, want_params=False, want_inputs=True)
+        g = self._backward(cache, upstream)[0]
         return g[0] if cache["squeeze"] else g
 
     def input_grad_scalar(self, cache):
@@ -262,7 +250,7 @@ class Mlp:
         sweep = cache.get("unit_sweep")
         if sweep is None:
             ones = np.ones((cache["acts"][0].shape[0], 1), dtype=self.dtype)
-            g, _, zgrads = self._backward(cache, ones, want_params=False, want_zgrads=True)
+            g, zgrads = self._backward(cache, ones)
             for a in (g, *zgrads):
                 a.setflags(write=False)
             sweep = cache["unit_sweep"] = (g, tuple(zgrads))

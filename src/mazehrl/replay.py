@@ -2,11 +2,15 @@
 
 The low-level buffer keeps whole episodes in a ring of preallocated
 columns, one per name in ``FIELDS`` (``capacity`` rows each), and an
-episode table, ``TrajectoryBuffer.records``, with one
-``TrajectoryRecord`` per stored episode, oldest first. An episode occupies
-``length`` consecutive ring rows from ``record.offset``, wrapping past the
-last row. Storing an episode evicts whole oldest episodes (FIFO) until it
-fits; an episode longer than ``capacity`` is rejected.
+episode table, ``TrajectoryBuffer.records``: an ``np.recarray`` with one
+row per stored episode, oldest first, and the fields ``traj_id``,
+``length``, ``offset``, ``ret`` (undiscounted return), ``weight``, ``start``
+(the first state) and ``goal``. An episode occupies ``length`` consecutive
+ring rows from ``offset``, wrapping past the last row. Storing an episode
+evicts whole oldest episodes (FIFO) until it fits; an episode longer than
+``capacity`` is rejected. ``store_episode`` replaces the table with a new
+array, so a reference to ``records`` held across a store is a stale
+snapshot.
 
 ``sample_pool`` draws landmark candidates under one of ``SAMPLER_CHOICES``:
 
@@ -14,8 +18,8 @@ fits; an episode longer than ``capacity`` is rejected.
   max-min normalized per task (start and goal cells of side
   ``TASK_CELL_SIZE``), debiased by their in-sample expected-return fit
   (``expected_returns``) and Boltzmann-weighted at temperature ``alpha``;
-  ``compute_weights`` writes each episode's transition weight to
-  ``record.weight``, the only field it writes.
+  ``compute_weights`` writes each episode's transition weight to the
+  ``weight`` column, the only column it writes.
 - ``"uniform"``: every stored transition equally likely.
 - ``"topk"``: uniform over the transitions of the ``TOPK_FRACTION``
   highest-return episodes.
@@ -57,21 +61,17 @@ class Transition:
     t: int = -1
 
 
-@dataclass
-class TrajectoryRecord:
-    """Per-episode bookkeeping feeding the weighting pipeline.
-
-    ``offset`` is the ring row of the episode's first step; step ``i`` sits
-    at row ``(offset + i) % capacity``.
-    """
-
-    traj_id: int
-    length: int
-    ret: float
-    start: np.ndarray
-    goal: np.ndarray
-    offset: int
-    weight: float = 0.0
+def _table_dtype(state_shape, goal_shape):
+    """Row type of the episode table for the given start-state and goal shapes."""
+    return [
+        ("traj_id", np.int64),
+        ("length", np.int64),
+        ("offset", np.int64),  # ring row of the episode's first step
+        ("ret", np.float64),
+        ("weight", np.float64),
+        ("start", np.float64, state_shape),
+        ("goal", np.float64, goal_shape),
+    ]
 
 
 class TrajectoryBuffer:
@@ -83,20 +83,28 @@ class TrajectoryBuffer:
     unfilled (``np.empty``), so memory pages are touched only as rows are
     written; no read reaches a row that no stored episode holds.
     Flat index ``i`` (0 is the oldest stored step) is ring row
-    ``(head + i) % capacity``. ``records`` is the episode table, oldest
-    first; ``compute_weights`` writes its weights into it in place.
+    ``(head + i) % capacity``.
+
+    ``records`` is the episode table, an ``np.recarray`` with one row per
+    stored episode, oldest first, and the fields ``traj_id``, ``length``,
+    ``offset`` (ring row of the first step), ``ret``, ``weight``, ``start``
+    and ``goal``. It is built at the first ``store_episode`` with the start
+    and goal shapes of that episode; ``compute_weights`` writes its
+    ``weight`` column in place.
+    ``store_episode`` replaces the table with a new array, so a reference
+    to ``records`` held across a store is a stale snapshot.
 
     ``store_episode`` raises ``ValueError``, leaving the buffer unchanged,
     for an empty episode, non-consecutive step indices, ``done`` before the
-    last step, more steps than ``capacity``, or row shapes that differ from
-    the columns.
+    last step, more steps than ``capacity``, or row or goal shapes that
+    differ from the columns and the table.
     """
 
     def __init__(self, capacity=200_000):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self.records: list[TrajectoryRecord] = []
+        self.records = np.recarray(0, dtype=_table_dtype((0,), (0,)))
         self._cols = None  # field -> (capacity, ...) array, made at the first store
         self._head = 0  # ring row of the oldest stored step
         self._size = 0
@@ -128,32 +136,29 @@ class TrajectoryBuffer:
         episode = {f: np.array([getattr(tr, f) for tr in transitions], dtype=np.float64) for f in FIELDS}
         goal = np.array(goal, dtype=np.float64)
         if self._cols is not None:
-            for f, col in self._cols.items():
-                shape = episode[f].shape[1:]
-                if shape != col.shape[1:]:
-                    raise ValueError(f"{f} rows of shape {shape}, buffer has {col.shape[1:]}")
+            shapes = {f: (v.shape[1:], self._cols[f].shape[1:]) for f, v in episode.items()}
+            shapes["goal"] = (goal.shape, self.records.goal.shape[1:])
+            for f, (shape, have) in shapes.items():
+                if shape != have:
+                    raise ValueError(f"{f} rows of shape {shape}, buffer has {have}")
         else:
             self._cols = {f: np.empty((self.capacity,) + v.shape[1:]) for f, v in episode.items()}
+            self.records = np.recarray(0, dtype=_table_dtype(episode["s"].shape[1:], goal.shape))
+        gone = 0
         while self._size + length > self.capacity:
-            gone = self.records.pop(0)
-            self._head = (self._head + gone.length) % self.capacity
-            self._size -= gone.length
+            freed = int(self.records.length[gone])
+            self._head = (self._head + freed) % self.capacity
+            self._size -= freed
+            gone += 1
         rows = self._rows(np.arange(self._size, self._size + length))
         for f, values in episode.items():
             self._cols[f][rows] = values
         self._size += length
         traj_id = self._next_id
         self._next_id += 1
-        self.records.append(
-            TrajectoryRecord(
-                traj_id=traj_id,
-                length=length,
-                ret=float(np.sum(episode["r"])),  # undiscounted
-                start=episode["s"][0].copy(),
-                goal=goal,
-                offset=int(rows[0]),
-            )
-        )
+        ret = np.sum(episode["r"])  # undiscounted
+        row = np.array([(traj_id, length, rows[0], ret, 0.0, episode["s"][0], goal)], self.records.dtype)
+        self.records = np.concatenate([self.records[gone:], row]).view(np.recarray)
         return traj_id
 
     def sample_batch(self, n, rng):
@@ -180,7 +185,8 @@ class TrajectoryBuffer:
                 cols["done"] = [bool(d) for d in cols["done"]]
                 goal = rec.goal.tolist()
                 for i in range(rec.length):
-                    row = {"traj": rec.traj_id, "t": i, **{f: cols[f][i] for f in FIELDS}, "goal": goal}
+                    row = {"traj": int(rec.traj_id), "t": i, **{f: cols[f][i] for f in FIELDS},
+                           "goal": goal}
                     fh.write(json.dumps(row) + "\n")
 
     @classmethod
@@ -207,16 +213,17 @@ def normalize_returns(records):
     A task is a pair of grid cells, floor(coordinate / TASK_CELL_SIZE), of
     the start position and the goal; the start position is the first
     ``len(goal)`` coordinates of the start state. A degenerate task
-    (max == min) maps to 0.5. The records are left untouched.
+    (max == min) maps to 0.5. ``records`` is an episode table; it is left
+    untouched.
     """
-    if not records:
+    if len(records) == 0:
         return np.empty(0)
-    goals = np.array([rec.goal for rec in records], dtype=np.float64)
-    starts = np.array([rec.start[: goals.shape[1]] for rec in records], dtype=np.float64)
+    goals = records.goal
+    starts = records.start[:, : goals.shape[1]]
     cells = np.floor(np.concatenate([starts, goals], axis=1) / TASK_CELL_SIZE)
     tasks, task = np.unique(cells, axis=0, return_inverse=True)
     task = task.reshape(-1)
-    rets = np.array([rec.ret for rec in records], dtype=np.float64)
+    rets = records.ret
     lo = np.full(len(tasks), np.inf)
     hi = np.full(len(tasks), -np.inf)
     np.minimum.at(lo, task, rets)
@@ -240,7 +247,7 @@ def expected_returns(X, y):
     if len(y) < 1:
         raise ValueError("need at least one sample")
     mean = np.full(len(y), float(y.mean()))
-    if len(y) < FIT_MIN_SAMPLES or np.unique(X, axis=0).shape[0] < 2 or y.std() == 0:
+    if len(y) < FIT_MIN_SAMPLES or (X == X[0]).all() or y.std() == 0:
         return mean
     std = X.std(axis=0)
     informative = np.nonzero(std > 0)[0]
@@ -280,21 +287,19 @@ def hr_weights(corrected_returns, lengths, alpha):
 
 
 def compute_weights(buffer, alpha):
-    """Full weighting pipeline over the buffer's trajectory records.
+    """Full weighting pipeline over the buffer's episode table.
 
     Normalizes returns per task, subtracts their expected-return fit, and
-    Boltzmann-weights the residuals. Writes each ``record.weight`` and
-    returns the per-trajectory weights.
+    Boltzmann-weights the residuals. Writes the table's ``weight`` column
+    and returns the per-trajectory weights.
     """
     records = buffer.records
-    if not records:
+    if len(records) == 0:
         raise ValueError("empty buffer")
     norm = normalize_returns(records)
-    feats = np.stack([np.concatenate([rec.start, rec.goal]) for rec in records])
-    lengths = np.array([rec.length for rec in records], dtype=np.float64)
-    weights = hr_weights(norm - expected_returns(feats, norm), lengths, alpha)
-    for rec, w in zip(records, weights):
-        rec.weight = float(w)
+    feats = np.concatenate([records.start, records.goal], axis=1)
+    weights = hr_weights(norm - expected_returns(feats, norm), records.length, alpha)
+    records.weight = weights
     return weights
 
 
@@ -316,8 +321,7 @@ def weighted_sample(buffer, traj_weights, n, rng):
     a trajectory is chosen with probability proportional to T_i * w_i, then
     a step within it uniformly. All-zero weights raise ``ValueError``.
     """
-    lengths = np.array([rec.length for rec in buffer.records])
-    offsets = np.array([rec.offset for rec in buffer.records])
+    lengths, offsets = buffer.records.length, buffer.records.offset
     mass = lengths * np.asarray(traj_weights, dtype=np.float64)
     total = mass.sum()
     if total <= 0:
@@ -328,11 +332,10 @@ def weighted_sample(buffer, traj_weights, n, rng):
 
 
 def topk_mask(records):
-    """Mask of the ceil(TOPK_FRACTION * N) highest-return records; ties favor newer."""
-    rets = np.array([rec.ret for rec in records], dtype=np.float64)
-    ids = np.array([rec.traj_id for rec in records])
+    """Mask of the ceil(TOPK_FRACTION * N) highest-return table rows; ties favor newer."""
     mask = np.zeros(len(records), dtype=bool)
-    mask[np.lexsort((-ids, -rets))[: math.ceil(TOPK_FRACTION * len(records))]] = True
+    order = np.lexsort((-records.traj_id, -records.ret))
+    mask[order[: math.ceil(TOPK_FRACTION * len(records))]] = True
     return mask
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from mazehrl.replay import (
     TASK_CELL_SIZE,
     TOPK_FRACTION,
     TrajectoryBuffer,
-    TrajectoryRecord,
     Transition,
     compute_weights,
     expected_returns,
@@ -206,9 +206,54 @@ class TestRingStore:
         buf = TrajectoryBuffer(capacity=2)
         with pytest.raises(ValueError):
             add_episode(buf, [-1, -1, -1])
-        assert len(buf) == 0 and buf.records == []
+        assert len(buf) == 0 and len(buf.records) == 0
         add_episode(buf, [-1, -1])
         assert len(buf) == 2
+
+
+class TestEpisodeTable:
+    GOALS = [(0.3 * k, -0.2 * k) for k in range(8)]
+
+    def _wrapped_buffer(self):
+        """Capacity 7: the stores evict, and later episodes wrap the ring end."""
+        buf = TrajectoryBuffer(capacity=7)
+        for k, n in enumerate((3, 2, 4, 1, 3, 2, 4, 3)):
+            buf.store_episode([distinct_step(t, k, t == n - 1) for t in range(n)], self.GOALS[k])
+        assert isinstance(buf.records, np.recarray)
+        assert buf.records.traj_id[0] > 0
+        assert np.any(buf.records.offset + buf.records.length > buf.capacity)
+        return buf
+
+    def test_weights_sum_to_one_row_by_row(self):
+        buf = self._wrapped_buffer()
+        compute_weights(buf, alpha=0.3)
+        assert abs(float(sum(rec.length * rec.weight for rec in buf.records)) - 1.0) < 1e-9
+
+    def test_columns_agree_with_rows(self):
+        buf = self._wrapped_buffer()
+        compute_weights(buf, alpha=0.3)
+        for name in buf.records.dtype.names:
+            rows = np.array([getattr(rec, name) for rec in buf.records])
+            np.testing.assert_array_equal(rows, getattr(buf.records, name))
+        for rec, nxt in zip(buf.records, buf.records[1:]):
+            assert nxt.offset == (rec.offset + rec.length) % buf.capacity
+        for rec in buf.records:
+            k = int(rec.traj_id)
+            assert rec.ret == -sum(1.0 + t for t in range(rec.length))
+            np.testing.assert_array_equal(rec.start, distinct_step(0, k, False).s)
+            np.testing.assert_array_equal(rec.goal, self.GOALS[k])
+
+    def test_rejected_store_leaves_table_unchanged(self):
+        buf = self._wrapped_buffer()
+        compute_weights(buf, alpha=0.3)
+        before = (len(buf), buf.recent_states(7).tobytes(), buf.records.tobytes())
+        too_long = [distinct_step(t, 9, t == 7) for t in range(8)]
+        early_done = [distinct_step(0, 9, True), distinct_step(1, 9, True)]
+        for bad, goal in ((too_long, (0.0, 0.0)), (early_done, (0.0, 0.0)),
+                          ([distinct_step(0, 9, True)], (0.0, 0.0, 0.0))):
+            with pytest.raises(ValueError):
+                buf.store_episode(bad, goal)
+            assert (len(buf), buf.recent_states(7).tobytes(), buf.records.tobytes()) == before
 
 
 def episodic_return(rewards):
@@ -267,18 +312,15 @@ class TestNormalizeReturns:
         np.testing.assert_array_equal(normalize_returns(buf.records), [0.0, 1.0])
 
     def test_empty(self):
-        assert normalize_returns([]).shape == (0,)
+        assert normalize_returns(TrajectoryBuffer().records).shape == (0,)
 
     def test_records_left_untouched(self):
         buf = TrajectoryBuffer()
         add_episode(buf, [-10.0])
         add_episode(buf, [0.0], start=(0.1, 0.0))
-        before = [dict(vars(rec)) for rec in buf.records]
+        before = buf.records.tobytes()
         normalize_returns(buf.records)
-        for rec, old in zip(buf.records, before):
-            assert vars(rec).keys() == old.keys()
-            for key, value in old.items():
-                assert np.array_equal(getattr(rec, key), value)
+        assert buf.records.tobytes() == before
 
 
 def reference_normalize_returns(records, cell_size):
@@ -304,13 +346,17 @@ CELL_COORDS = st.sampled_from(
 @st.composite
 def task_records(draw):
     n = draw(st.integers(1, 30))
-    records = []
-    for i in range(n):
-        start = draw(st.tuples(CELL_COORDS, CELL_COORDS, st.floats(-1, 1), st.floats(-1, 1)))
-        goal = draw(st.tuples(CELL_COORDS, CELL_COORDS))
-        ret = draw(st.sampled_from([-50.0, -10.0, -7.25, -3.0, 0.0]) | st.floats(-100, 0))
-        records.append(TrajectoryRecord(i, 1, ret, np.array(start), np.array(goal), i))
-    return records
+    starts, goals, rets = [], [], []
+    for _ in range(n):
+        starts.append(draw(st.tuples(CELL_COORDS, CELL_COORDS, st.floats(-1, 1), st.floats(-1, 1))))
+        goals.append(draw(st.tuples(CELL_COORDS, CELL_COORDS)))
+        rets.append(draw(st.sampled_from([-50.0, -10.0, -7.25, -3.0, 0.0]) | st.floats(-100, 0)))
+    ids = np.arange(n)
+    return np.rec.fromarrays(
+        [ids, np.ones(n, dtype=int), ids, np.array(rets), np.zeros(n), np.array(starts), np.array(goals)],
+        dtype=[("traj_id", int), ("length", int), ("offset", int), ("ret", float), ("weight", float),
+               ("start", float, 4), ("goal", float, 2)],
+    )
 
 
 class TestNormalizeMatchesDictReference:
@@ -599,8 +645,9 @@ class TestSamplers:
 
 class ListModel:
     """Reference semantics of the buffer: one array per field per episode,
-    FIFO whole-episode eviction, cumsum/searchsorted row location, and one
-    scalar step draw per sampled state."""
+    one object per episode record, FIFO whole-episode eviction,
+    cumsum/searchsorted row location, weights from list-comprehension
+    gathers, and one scalar step draw per sampled state."""
 
     def __init__(self, capacity):
         self.capacity = capacity
@@ -618,8 +665,8 @@ class ListModel:
         self.next_id += 1
         self.episodes.append(ep)
         self.records.append(
-            TrajectoryRecord(traj_id, len(ep["r"]), float(np.sum(ep["r"])), ep["s"][0].copy(),
-                             np.asarray(goal, dtype=np.float64), offset=-1)
+            SimpleNamespace(traj_id=traj_id, length=len(ep["r"]), ret=float(np.sum(ep["r"])),
+                            start=ep["s"][0].copy(), goal=np.asarray(goal, dtype=np.float64))
         )
         while len(self) > self.capacity and len(self.episodes) > 1:
             self.episodes.pop(0)
@@ -652,8 +699,11 @@ class ListModel:
         if sampler == "uniform":
             return self.rows([int(i) for i in rng.integers(0, len(self), size=n)], "s")
         if sampler == "hr":
-            lengths = np.array([len(ep["r"]) for ep in self.episodes])
-            return self._draw(self.episodes, lengths * compute_weights(self, alpha=0.1), n, rng)
+            lengths = np.array([rec.length for rec in self.records])
+            norm = reference_normalize_returns(self.records, TASK_CELL_SIZE)
+            feats = np.stack([np.concatenate([rec.start, rec.goal]) for rec in self.records])
+            weights = hr_weights(norm - expected_returns(feats, norm), lengths, 0.1)
+            return self._draw(self.episodes, lengths * weights, n, rng)
         assert sampler == "topk"
         ranked = sorted(self.records, key=lambda rec: (-rec.ret, -rec.traj_id))
         ids = {rec.traj_id for rec in ranked[: math.ceil(TOPK_FRACTION * len(ranked))]}
