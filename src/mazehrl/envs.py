@@ -174,14 +174,17 @@ def _resolve_axis(spec, pos, new, axis):
 def step_state(spec: MazeSpec, state: EnvState, action):
     """Advance one step. Returns (new_state, reward, done, clamped).
 
-    Out-of-bound actions are clamped componentwise; ``clamped`` reports
-    whether that happened so callers can count warnings.
+    Out-of-bound actions, ±inf included, are clamped componentwise;
+    ``clamped`` reports whether that happened so callers can count
+    warnings. An action with a NaN component raises ``ValueError``.
     """
     a = np.asarray(action, dtype=np.float64)
     if a.shape != (2,):
         raise ValueError(f"action must be a 2-vector, got shape {a.shape}")
     clipped = np.clip(a, -ACTION_BOUND, ACTION_BOUND)
     clamped = bool(np.any(clipped != a))
+    if clamped and np.isnan(a).any():  # NaN != NaN, so only this path can see one
+        raise ValueError(f"action has a NaN component: {a}")
 
     vel = DAMPING * state.velocity + ACCEL_SCALE * clipped
     pos = state.position.copy()

@@ -26,14 +26,20 @@ NOVELTY_OUT_DIM = 16
 
 
 def dedup_points(points, aux=None):
-    """Drop rows equal after rounding to ``DEDUP_DECIMALS`` decimals.
+    """Drop (n, d) rows equal after rounding to ``DEDUP_DECIMALS`` decimals.
 
     Keeps the first occurrence of each row, in input order; ``aux`` is
-    filtered alongside.
+    filtered alongside. Rows are compared with ``==``, so +0.0 equals -0.0
+    and a row holding a NaN is never a duplicate. One stable lexicographic
+    sort puts equal rows next to each other, first occurrence first.
     """
     points = np.asarray(points, dtype=np.float64)
-    _, first = np.unique(np.round(points, DEDUP_DECIMALS), axis=0, return_index=True)
-    keep = np.sort(first)
+    rounded = np.round(points, DEDUP_DECIMALS)
+    order = np.lexsort(rounded[:, ::-1].T)
+    rows = rounded[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    keep = np.sort(order[first])
     if aux is None:
         return points[keep]
     return points[keep], np.asarray(aux)[keep]
@@ -45,7 +51,9 @@ def fps(pool, m, rng):
     The first point is drawn randomly from the pool; each subsequent
     point maximizes the minimum distance to the chosen set, ties broken by
     lowest index. The pool is deduplicated first; asking for more points
-    than remain returns the whole deduplicated pool.
+    than remain returns the whole deduplicated pool. Each of the m - 1
+    rounds computes one row of distances, ``np.linalg.norm``'s arithmetic
+    in one reused buffer, and lowers the running minimum in place.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -56,13 +64,14 @@ def fps(pool, m, rng):
     n = unique.shape[0]
     if m >= n:
         return unique.copy()
-    start = int(rng.integers(0, n))
-    chosen = [start]
-    dists = np.linalg.norm(unique - unique[start], axis=1)
+    chosen = [int(rng.integers(0, n))]
+    dists = np.full(n, np.inf)
+    diff = np.empty_like(unique)
     for _ in range(m - 1):
-        nxt = int(np.argmax(dists))  # argmax takes the lowest index on ties
-        chosen.append(nxt)
-        dists = np.minimum(dists, np.linalg.norm(unique - unique[nxt], axis=1))
+        np.subtract(unique, unique[chosen[-1]], out=diff)
+        diff *= diff
+        np.minimum(dists, np.sqrt(np.add.reduce(diff, axis=1)), out=dists)
+        chosen.append(int(np.argmax(dists)))  # argmax takes the lowest index on ties
     return unique[chosen]
 
 

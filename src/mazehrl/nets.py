@@ -207,7 +207,14 @@ class Mlp:
         delta = self._upstream(cache, upstream) * self._head_deriv(zs[-1])
         for i in range(len(self.weights) - 1, -1, -1):
             zgrads[i] = delta
-            delta = delta @ self.weights[i]
+            w = self.weights[i]
+            if w.shape[0] == 1:
+                # A one-column product is an outer product, and numpy's K=1 matmul
+                # is slow; + 0.0 turns a -0.0 product into the +0.0 matmul returns.
+                delta = delta * w[0]
+                delta += 0.0
+            else:
+                delta = delta @ w
             if i > 0:
                 delta = delta * (zs[i - 1] > 0.0)
         return delta, zgrads

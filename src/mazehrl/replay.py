@@ -10,16 +10,20 @@ ring rows from ``offset``, wrapping past the last row. Storing an episode
 evicts whole oldest episodes (FIFO) until it fits; an episode longer than
 ``capacity`` is rejected. ``store_episode`` replaces the table with a new
 array, so a reference to ``records`` held across a store is a stale
-snapshot.
+snapshot. Only ``store_episode`` (a new table) and ``compute_weights`` (its
+``weight`` column) may write the table; ``sample_pool`` relies on that when
+it reuses the weights.
 
 ``sample_pool`` draws landmark candidates under one of ``SAMPLER_CHOICES``:
 
-- ``"hr"``: high-return sampling. At every call the episodic returns are
-  max-min normalized per task (start and goal cells of side
-  ``TASK_CELL_SIZE``), debiased by their in-sample expected-return fit
-  (``expected_returns``) and Boltzmann-weighted at temperature ``alpha``;
-  ``compute_weights`` writes each episode's transition weight to the
-  ``weight`` column, the only column it writes.
+- ``"hr"``: high-return sampling. Once per table version and ``alpha``
+  the episodic returns are max-min normalized per task (start and goal
+  cells of side ``TASK_CELL_SIZE``), debiased by their in-sample
+  expected-return fit (``expected_returns``) and Boltzmann-weighted at
+  temperature ``alpha``; ``compute_weights`` writes each episode's
+  transition weight to the ``weight`` column, the only column it writes.
+  Later draws at the same ``alpha`` reuse that column until the next
+  ``store_episode``.
 - ``"uniform"``: every stored transition equally likely.
 - ``"topk"``: uniform over the transitions of the ``TOPK_FRACTION``
   highest-return episodes.
@@ -109,6 +113,8 @@ class TrajectoryBuffer:
         self._head = 0  # ring row of the oldest stored step
         self._size = 0
         self._next_id = 0
+        self._version = 0  # advanced by every store_episode
+        self._weighted = None  # (version, alpha) the weight column holds
 
     def __len__(self):
         return self._size
@@ -159,6 +165,7 @@ class TrajectoryBuffer:
         ret = np.sum(episode["r"])  # undiscounted
         row = np.array([(traj_id, length, rows[0], ret, 0.0, episode["s"][0], goal)], self.records.dtype)
         self.records = np.concatenate([self.records[gone:], row]).view(np.recarray)
+        self._version += 1
         return traj_id
 
     def sample_batch(self, n, rng):
@@ -221,11 +228,17 @@ def normalize_returns(records):
     goals = records.goal
     starts = records.start[:, : goals.shape[1]]
     cells = np.floor(np.concatenate([starts, goals], axis=1) / TASK_CELL_SIZE)
-    tasks, task = np.unique(cells, axis=0, return_inverse=True)
-    task = task.reshape(-1)
+    # One stable row sort brings each task's rows together; a task starts
+    # where a row differs from its predecessor (NaN cells never match).
+    order = np.lexsort(cells[:, ::-1].T)
+    rows = cells[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    task = np.empty(len(rows), dtype=np.intp)
+    task[order] = np.cumsum(new) - 1
     rets = records.ret
-    lo = np.full(len(tasks), np.inf)
-    hi = np.full(len(tasks), -np.inf)
+    lo = np.full(np.count_nonzero(new), np.inf)
+    hi = np.full(len(lo), -np.inf)
     np.minimum.at(lo, task, rets)
     np.maximum.at(hi, task, rets)
     span = (hi - lo)[task]
@@ -290,8 +303,9 @@ def compute_weights(buffer, alpha):
     """Full weighting pipeline over the buffer's episode table.
 
     Normalizes returns per task, subtracts their expected-return fit, and
-    Boltzmann-weights the residuals. Writes the table's ``weight`` column
-    and returns the per-trajectory weights.
+    Boltzmann-weights the residuals. Writes the table's ``weight`` column,
+    records the table version and ``alpha`` it weighted, and returns the
+    per-trajectory weights.
     """
     records = buffer.records
     if len(records) == 0:
@@ -300,6 +314,7 @@ def compute_weights(buffer, alpha):
     feats = np.concatenate([records.start, records.goal], axis=1)
     weights = hr_weights(norm - expected_returns(feats, norm), records.length, alpha)
     records.weight = weights
+    buffer._weighted = (buffer._version, alpha)
     return weights
 
 
@@ -340,11 +355,18 @@ def topk_mask(records):
 
 
 def sample_pool(buffer, sampler, pool_size, rng, alpha=0.1):
-    """Draw the landmark candidate pool of states under the chosen sampler."""
+    """Draw the landmark candidate pool of states under the chosen sampler.
+
+    ``"hr"`` runs ``compute_weights`` only when the table or ``alpha``
+    differs from its last run, and otherwise draws with the ``weight``
+    column that run wrote.
+    """
     if len(buffer) == 0:
         raise ValueError("empty buffer")
     if sampler == "hr":
-        return weighted_sample(buffer, compute_weights(buffer, alpha), pool_size, rng)
+        if buffer._weighted != (buffer._version, alpha):
+            compute_weights(buffer, alpha)
+        return weighted_sample(buffer, buffer.records.weight, pool_size, rng)
     if sampler == "uniform":
         return buffer._cols["s"][buffer._rows(rng.integers(0, len(buffer), size=pool_size))]
     if sampler == "topk":

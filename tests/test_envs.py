@@ -4,8 +4,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mazehrl.envs import (
+    ACCEL_SCALE,
+    ACTION_BOUND,
+    DAMPING,
+    MAZE_BUILDERS,
     EnvState,
     MazeSpec,
     PointMazeEnv,
@@ -14,6 +20,7 @@ from mazehrl.envs import (
     make_maze,
     phi,
     reset_state,
+    sample_free_point,
     spec_from_dict,
     spec_to_dict,
     step_state,
@@ -107,6 +114,24 @@ class TestStep:
         env.step(np.array([5.0, 0.0]))
         assert env.clamp_warnings == 1
 
+    def test_nan_action_rejected_and_nothing_written(self):
+        env = PointMazeEnv(umaze12(), np.random.default_rng(0))
+        env.reset()
+        env.step(np.array([0.5, 2.0]))
+        state, warnings = env.state, env.clamp_warnings
+        before = (state.position.tobytes(), state.velocity.tobytes(), state.t)
+        for bad in ([np.nan, 0.0], [0.0, np.nan], [np.nan, np.inf]):
+            with pytest.raises(ValueError, match="NaN"):
+                env.step(np.array(bad))
+            assert env.state is state and env.clamp_warnings == warnings
+            assert (state.position.tobytes(), state.velocity.tobytes(), state.t) == before
+        # infinities are clamped like any out-of-bound component
+        env.step(np.array([np.inf, -np.inf]))
+        assert env.clamp_warnings == warnings + 1
+        np.testing.assert_array_equal(
+            env.state.velocity, DAMPING * state.velocity + ACCEL_SCALE * np.array([1.0, -1.0])
+        )
+
     def test_step_limit_terminates(self):
         spec = embossed()
         state = reset_state(spec, np.random.default_rng(0))
@@ -165,6 +190,41 @@ class TestCollision:
         state = EnvState(np.array([0.0, 0.0]), np.array([3.0, 0.0]), 0, np.array([5.25, 0.0]))
         new, _, _, _ = step_state(spec, state, np.array([1.0, 0.0]))
         assert new.position[0] == pytest.approx(1.0)
+
+
+# in-bound, huge and infinite components, so both clamping and wall contact are common
+ACTION_COMPONENTS = st.floats(-1.0, 1.0) | st.floats(allow_nan=False)
+
+
+class TestStepProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        maze=st.sampled_from(sorted(MAZE_BUILDERS)),
+        seed=st.integers(0, 2**32 - 1),
+        # each action is held for a run of steps, so the point builds speed into walls
+        runs=st.lists(
+            st.tuples(ACTION_COMPONENTS, ACTION_COMPONENTS, st.integers(1, 40)), min_size=1, max_size=8
+        ),
+    )
+    def test_free_positions_and_blocked_axes_stop(self, maze, seed, runs):
+        spec = make_maze(maze)
+        rng = np.random.default_rng(seed)
+        goal = reset_state(spec, rng).goal
+        state = EnvState(sample_free_point(spec, spec.extent, rng), np.zeros(2), 0, goal)
+        for a in (np.array([ax, ay]) for ax, ay, steps in runs for _ in range(steps)):
+            vel = DAMPING * state.velocity + ACCEL_SCALE * np.clip(a, -ACTION_BOUND, ACTION_BOUND)
+            unblocked = state.position + vel
+            new, _, _, clamped = step_state(spec, state, a)
+            assert clamped == bool(np.any(np.abs(a) > ACTION_BOUND))
+            p = new.position
+            assert spec.extent.x0 <= p[0] <= spec.extent.x1
+            assert spec.extent.y0 <= p[1] <= spec.extent.y1
+            assert not any(w.contains_interior(p) for w in spec.walls)
+            for axis in (0, 1):
+                # an axis is blocked exactly when it ends short of its unblocked move
+                blocked = p[axis] != unblocked[axis]
+                assert new.velocity[axis] == (0.0 if blocked else vel[axis])
+            state = new
 
 
 class TestPhiSuccess:

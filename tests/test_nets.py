@@ -539,7 +539,8 @@ def scalar_critic_batches(draw):
 
     Hidden units are live (random row), dead (zero row, bias -1, so z < 0)
     or on the kink (zero row and bias, so z == 0 and the mask is off). Some
-    inputs are replaced by +0.0 or -0.0.
+    inputs and last-layer weights are replaced by +0.0 or -0.0; a signed-zero
+    last-layer weight makes a -0.0 product in the first backward step.
     """
     sizes = draw(LAYER_SIZES)
     n = draw(st.integers(1, 9))
@@ -549,6 +550,8 @@ def scalar_critic_batches(draw):
         net.weights[i][...] = rng.normal(0.0, 0.8, size=net.weights[i].shape)
         net.biases[i][...] = rng.normal(0.0, 0.3, size=net.biases[i].shape)
         if i == len(net.weights) - 1:
+            signed = draw(st.sampled_from([0.0, 0.5])) > rng.random(net.weights[i].shape)
+            net.weights[i][signed] = np.where(rng.random(signed.shape) < 0.5, 0.0, -0.0)[signed]
             continue
         states = draw(st.lists(UNIT_STATES, min_size=sizes[i + 1], max_size=sizes[i + 1]))
         for j, state in enumerate(states):

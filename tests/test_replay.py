@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mazehrl import replay
 from mazehrl.replay import (
     FIELDS,
     SAMPLER_CHOICES,
@@ -324,8 +325,13 @@ class TestNormalizeReturns:
 
 
 def reference_normalize_returns(records, cell_size):
-    """Dict of quantized (start cell, goal cell) tuples, one group at a time."""
-    q = lambda v: tuple(int(math.floor(x / cell_size)) for x in np.asarray(v, dtype=float))
+    """Dict of quantized (start cell, goal cell) tuples, one group at a time.
+
+    A non-finite coordinate is its own cell value: an infinity matches
+    itself, and a NaN (a new float object each time) matches nothing.
+    """
+    q = lambda v: tuple(math.floor(y) if math.isfinite(y) else y
+                        for y in np.asarray(v, dtype=float) / cell_size)
     groups = {}
     for i, rec in enumerate(records):
         groups.setdefault((q(rec.start[: len(rec.goal)]), q(rec.goal)), []).append(i)
@@ -337,9 +343,11 @@ def reference_normalize_returns(records, cell_size):
     return out
 
 
-# cell boundaries (multiples of 0.75), both sides of them, negatives and signed zeros
+# cell boundaries (multiples of 0.75), both sides of them, negatives, signed zeros
+# and non-finite values
 CELL_COORDS = st.sampled_from(
-    [-1.5, -0.75, -0.7499999999999999, -1e-300, -0.0, 0.0, 0.3, 0.75, 0.7500000000000001, 1.5, 2.25, 40.0]
+    [-1.5, -0.75, -0.7499999999999999, -1e-300, -0.0, 0.0, 0.3, 0.75, 0.7500000000000001, 1.5, 2.25, 40.0,
+     np.nan, np.inf, -np.inf]
 )
 
 
@@ -479,6 +487,24 @@ class TestHrWeights:
 
         kls = [kl(a) for a in (0.01, 1.0, 100.0)]
         assert kls[0] > kls[1] > kls[2]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        episodes=st.lists(st.tuples(st.floats(-1e6, 1e6), st.integers(1, 1000)), min_size=1, max_size=30),
+        shift=st.floats(-1e6, 1e6),
+        alpha=st.floats(1e-2, 1e2),
+    )
+    def test_sum_and_shift_invariance_for_any_returns(self, episodes, shift, alpha):
+        A, T = (np.array(c) for c in zip(*episodes))
+        w = hr_weights(A, T, alpha)
+        assert np.all(w >= 0) and abs(np.dot(T, w) - 1.0) < 1e-9
+        # A + shift rounds each return by half an ulp of the larger magnitude, which
+        # moves every exponent by up to ~eps * M / alpha; the weights carry that
+        # relative error (and underflowing ones an absolute one)
+        M = np.max(np.abs(A)) + abs(shift)
+        eps = np.finfo(np.float64).eps
+        rtol = 8 * eps * (M / alpha + 1000.0)
+        np.testing.assert_allclose(hr_weights(A + shift, T, alpha), w, rtol=rtol, atol=1e-300)
 
     def test_stability_under_huge_returns(self):
         w = hr_weights([1e6, 1e6 - 1.0], [1, 1], alpha=1.0)
@@ -641,6 +667,71 @@ class TestSamplers:
     def test_empty_buffer_rejected(self):
         with pytest.raises(ValueError):
             sample_pool(TrajectoryBuffer(), "uniform", 4, np.random.default_rng(0))
+
+
+class TestWeightReuse:
+    """``sample_pool("hr")`` reuses the weight column until the table or alpha changes."""
+
+    def test_compute_weights_once_per_table_version(self, monkeypatch):
+        calls = []
+        real = replay.compute_weights
+        monkeypatch.setattr(replay, "compute_weights", lambda buf, alpha: calls.append(alpha) or real(buf, alpha))
+        buf = one_step_buffer(4)
+        rng = np.random.default_rng(0)
+        draw = lambda alpha=0.1: sample_pool(buf, "hr", 3, rng, alpha=alpha)
+        for _ in range(5):
+            draw()
+        sample_pool(buf, "uniform", 3, rng)
+        sample_pool(buf, "topk", 3, rng)
+        assert calls == [0.1]
+        add_episode(buf, [1.0])
+        draw()
+        draw()
+        assert calls == [0.1, 0.1]
+        draw(0.5)
+        draw(0.5)
+        draw(0.1)
+        assert calls == [0.1, 0.1, 0.5, 0.1]
+        with pytest.raises(ValueError):  # a rejected store leaves the table version alone
+            add_episode(buf, [1.0], goal=(1.0, 1.0, 1.0))
+        draw()
+        assert calls == [0.1, 0.1, 0.5, 0.1]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        ops=st.lists(
+            st.tuples(st.just("store"), st.integers(1, 6))
+            | st.tuples(st.sampled_from(["draw", "weigh"]), st.sampled_from([0.1, 0.5, 2.0]))
+            | st.tuples(st.just("other"), st.sampled_from(["uniform", "topk"])),
+            min_size=1,
+            max_size=60,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_draws_equal_freshly_weighted_draws(self, ops, seed):
+        """Stores (with eviction), hr draws, other draws and direct weightings at
+        changing alphas; ``ref`` weights afresh before each of its draws. The
+        episodes share two tasks, so their weights differ and depend on alpha."""
+        rng = np.random.default_rng(seed)
+        buf, ref = TrajectoryBuffer(capacity=30), TrajectoryBuffer(capacity=30)
+        for op, arg in ops:
+            if op == "store":
+                start = (rng.uniform(0.0, 0.7), rng.uniform(0.0, 0.7))
+                episode = make_episode(rng.normal(size=arg), start, drift=(0.0, 0.0))
+                goal = ((1.0, 1.0), (2.0, 2.0))[int(rng.integers(2))]
+                assert buf.store_episode(episode, goal) == ref.store_episode(episode, goal)
+            elif len(buf) == 0:
+                continue
+            elif op == "weigh":
+                compute_weights(buf, arg)
+            elif op == "other":
+                sample_pool(buf, arg, 4, rng)
+            else:
+                draw_seed = int(rng.integers(2**32))
+                ours = sample_pool(buf, "hr", 8, np.random.default_rng(draw_seed), alpha=arg)
+                want = weighted_sample(ref, compute_weights(ref, arg), 8, np.random.default_rng(draw_seed))
+                assert ours.tobytes() == want.tobytes()
+                assert buf.records.tobytes() == ref.records.tobytes()
 
 
 class ListModel:
