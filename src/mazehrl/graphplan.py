@@ -5,8 +5,13 @@ high-return-weighted) state pool; novelty landmarks from RND scores over
 a recent-state window. Graph edges carry negated low-level Q-values as
 distance estimates; planning returns the first hop of the shortest path
 toward the goal. A built graph is a pure function of its inputs and is
-read-only; the landmark->landmark weights it reuses are cached on the
-``LandmarkSet`` under a key covering everything they depend on.
+read-only. The weights out of the landmarks (to every other landmark and
+to the goal) are cached on the ``LandmarkSet`` under a key covering
+everything they depend on, the goal included; a decision scores only the
+edges out of the current state. Node 0, the state, has no in-edges: no
+planner reads them. The cached block and the state row are each always
+scored in one batch of their own shape, so a graph built from the cache
+equals a cold build byte for byte.
 
 Every tie in planning, between shortest-path frontier nodes at equal
 distance and between equally cheap fallback landmarks, is broken by one
@@ -76,7 +81,13 @@ def fps(pool, m, rng):
 
 
 class NoveltyScorer:
-    """Random-network-distillation novelty: prediction error against a frozen net."""
+    """Random-network-distillation novelty: prediction error against a frozen net.
+
+    ``scores`` keeps the forward passes it ran, keyed on the exact input
+    bytes and shape, until the next ``train``; a ``train`` on the same
+    states reuses them instead of running both nets again. Every ``train``
+    drops them, because its step changes the predictor.
+    """
 
     def __init__(self, state_dim, rng, lr=3e-4):
         sizes = [state_dim, *NOVELTY_HIDDEN, NOVELTY_OUT_DIM]
@@ -86,19 +97,27 @@ class NoveltyScorer:
         last[...] = rng.normal(0.0, 0.5, size=last.shape)
         self.predictor = Mlp(sizes, rng=rng)
         self.opt = Adam(self.predictor.params, lr=lr)
+        self._scored = None  # (input bytes, shape, predictor cache, target output)
 
     def scores(self, states):
         """Nonnegative novelty per state: mean squared predictor-target error."""
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-        diff = self.predictor.forward(states) - self.target.forward(states)
+        cache = self.predictor.forward_cache(states)
+        target = self.target.forward(states)
+        self._scored = (states.tobytes(), states.shape, cache, target)
+        diff = self.predictor.output(cache) - target
         return np.mean(diff * diff, axis=1)
 
     def train(self, states):
         """One predictor step toward the frozen target; returns the batch loss."""
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-        cache = self.predictor.forward_cache(states)
+        scored, self._scored = self._scored, None
+        if scored is not None and scored[1] == states.shape and scored[0] == states.tobytes():
+            cache, target = scored[2], scored[3]
+        else:
+            cache, target = self.predictor.forward_cache(states), self.target.forward(states)
         pred = self.predictor.output(cache)
-        diff = pred - self.target.forward(states)
+        diff = pred - target
         loss = float(np.mean(diff * diff))
         grads = self.predictor.grad_params_cached(cache, 2.0 * diff / diff.size)
         self.opt.step(self.predictor.params, grads)
@@ -115,6 +134,7 @@ class NoveltyScorer:
         self.target = Mlp.from_state_dict(state["target"])
         self.predictor = Mlp.from_state_dict(state["predictor"])
         self.opt = Adam.from_state_dict(state["opt"], self.predictor.params)
+        self._scored = None
 
 
 def select_novel(candidate_states, scorer, m):
@@ -141,7 +161,7 @@ class LandmarkSet:
     """Coverage and novelty landmarks with their backing full states.
 
     ``points`` and ``states`` are read-only, because ``build_graph`` caches
-    the landmark->landmark edge weights of this set on it.
+    the weights of the edges out of these landmarks on it.
     """
 
     def __init__(self, coverage_states, novelty_states, goal_map):
@@ -168,16 +188,24 @@ class LandmarkSet:
     def __len__(self):
         return len(self.points)
 
-    def _edge_block(self, critic, actor, goal_map, eta):
-        """L x L landmark->landmark weights (inf diagonal), scored once per key."""
-        key = (critic, actor, goal_map, eta, param_epoch())
+    def _edge_block(self, critic, actor, goal_map, eta, goal_point):
+        """L x (L + 1) weights from each landmark to every landmark and the goal.
+
+        Column j < L is landmark j and column L the goal; the diagonal is
+        inf (no self-loops). The L * L finite-candidate pairs are scored in
+        one batch, once per key ``(critic, actor, goal_map, eta,
+        nets.param_epoch(), goal bytes)``, so a new episode goal or any
+        parameter step re-scores the whole block.
+        """
+        key = (critic, actor, goal_map, eta, param_epoch(), goal_point.tobytes())
         if self._block_key != key:
             n = len(self)
-            block = np.full((n, n), np.inf)
-            if n > 1:
-                src, dst = np.nonzero(~np.eye(n, dtype=bool))
+            block = np.full((n, n + 1), np.inf)
+            if n:
+                src, dst = np.nonzero(~np.eye(n, n + 1, dtype=bool))
+                targets = np.vstack([self.points, goal_point])
                 block[src, dst] = edge_weights(
-                    critic, actor, self.states[src], self.points[dst], goal_map, eta
+                    critic, actor, self.states[src], targets[dst], goal_map, eta
                 )
             self._block_key, self._block = key, block
         return self._block
@@ -211,6 +239,9 @@ class LandmarkGraph:
     Node 0 is the current state, nodes 1..L are landmarks, node L+1 is
     the goal. ``w_cut`` holds cutoff-filtered weights (inf = no edge);
     ``w_raw`` keeps unfiltered estimates for the unreachable-goal fallback.
+    Node 0 has no in-edges and the goal no out-edges (column 0 and the
+    last row are inf): a search from node 0 never relaxes its source, and
+    the fallback reads only ``w_raw[0, 1:dst]`` and ``w_raw[1:dst, dst]``.
     """
 
     def __init__(self, points, w_cut, w_raw, cutoff):
@@ -227,30 +258,27 @@ class LandmarkGraph:
 def build_graph(state, goal_point, landmarks: LandmarkSet, critic, actor, goal_map, eta, cutoff):
     """Assemble the planning graph for one high-level decision.
 
-    The landmark->landmark weights depend only on the landmarks and the
-    nets, so they are scored once and kept on ``landmarks``, keyed on
-    ``(critic, actor, goal_map, eta, nets.param_epoch())``: the objects by
-    identity, ``eta`` by value, and the epoch, which every ``Adam.step``
-    and ``polyak_update`` raises. Parameters written any other way leave
-    the cached block stale. Each decision scores the 3L + 1 remaining
-    pairs (state -> every other node, landmark -> state, landmark -> goal)
-    in one batch of the same shape whether the block was cached or not, so
-    a graph built from a cached block is byte-identical to a cold build.
+    The weights out of the landmarks depend only on the landmarks, the
+    goal and the nets, so they are scored once and kept on ``landmarks``
+    (see ``LandmarkSet._edge_block``), keyed on ``(critic, actor,
+    goal_map, eta, nets.param_epoch(), goal bytes)``: the objects by
+    identity, ``eta`` by value, the epoch, which every ``Adam.step`` and
+    ``polyak_update`` raises, and the goal by value. Parameters written
+    any other way leave the cached block stale. Each decision scores only
+    the L + 1 pairs from the state to every other node, in a batch of
+    their own; no edge enters node 0. The block and the state row are
+    each always scored in a batch of the same shape, cached or not, so a
+    graph built from a cached block is byte-identical to a cold build.
     """
     state = np.asarray(state, dtype=np.float64)
-    n_lm = len(landmarks)
-    src_states = np.vstack([state, landmarks.states.reshape(n_lm, state.size)])
-    points = np.vstack(
-        [goal_map(state[None, :]), landmarks.points, np.asarray(goal_point, dtype=np.float64)]
-    )
+    goal_point = np.asarray(goal_point, dtype=np.float64)
+    points = np.vstack([goal_map(state[None, :]), landmarks.points, goal_point])
     n = len(points)
-    lm = np.arange(1, n - 1)
-    # the goal node (n - 1) has no outgoing edges and no node has a self-loop
-    src = np.concatenate([np.zeros(n - 1, dtype=np.intp), lm, lm])
-    dst = np.concatenate([np.arange(1, n), np.zeros(n_lm, dtype=np.intp), np.full(n_lm, n - 1)])
     w_raw = np.full((n, n), np.inf)
-    w_raw[1:-1, 1:-1] = landmarks._edge_block(critic, actor, goal_map, eta)
-    w_raw[src, dst] = edge_weights(critic, actor, src_states[src], points[dst], goal_map, eta)
+    w_raw[0, 1:] = edge_weights(
+        critic, actor, np.broadcast_to(state, (n - 1, state.size)), points[1:], goal_map, eta
+    )
+    w_raw[1:-1, 1:] = landmarks._edge_block(critic, actor, goal_map, eta, goal_point)
     w_cut = np.where(w_raw <= cutoff, w_raw, np.inf)
     return LandmarkGraph(points, w_cut, w_raw, cutoff)
 
@@ -269,37 +297,45 @@ def dijkstra_first_hop(weights, points, src, dst):
     Dense O(n^2) Dijkstra: each round settles the open node with the
     smallest finite distance, ties broken by lexicographic node
     coordinates, then node index, so the result is invariant to node
-    ordering. Returns (None, inf) when dst is unreachable.
+    ordering. Returns (None, inf) when dst is unreachable. Non-finite
+    weights are no edge.
+
+    The nodes are relabelled once in ``coordinate_rank`` order, so
+    ``np.argmin``'s lowest-index rule is the tie-break. ``frontier`` is
+    the distance of each open node (inf once settled). A settled node has
+    ``dist <= dist[u] <= dist[u] + w`` under nonnegative weights, so a
+    relaxation can never select it.
     """
     n = weights.shape[0]
     rank = coordinate_rank(points)
+    order = np.empty_like(rank)
+    order[rank] = np.arange(n)
+    w = weights[np.ix_(order, order)]
+    w[~np.isfinite(w)] = np.inf
+    s, t = rank[src], rank[dst]
     dist = np.full(n, np.inf)
-    pred = np.full(n, -1, dtype=int)
-    dist[src] = 0.0
-    open_ = np.ones(n, dtype=bool)
+    pred = np.full(n, -1, dtype=np.intp)
+    dist[s] = 0.0
+    frontier = dist.copy()
     for _ in range(n):
-        frontier = np.where(open_, dist, np.inf)
-        best = frontier.min()
-        if not np.isfinite(best):
+        u = frontier.argmin()
+        if frontier[u] == np.inf:
             break
-        tied = np.flatnonzero(frontier == best)
-        u = tied[np.argmin(rank[tied])]
-        open_[u] = False
-        if u == dst:
+        frontier[u] = np.inf
+        if u == t:
             break
-        row = weights[u]
-        nd = dist[u] + row
-        better = np.isfinite(row) & open_ & (nd < dist)
-        dist[better] = nd[better]
+        nd = dist[u] + w[u]
+        better = nd < dist
+        dist[better] = frontier[better] = nd[better]
         pred[better] = u
-    if not np.isfinite(dist[dst]):
+    if dist[t] == np.inf:
         return None, np.inf
-    node = dst
-    while pred[node] != src:
+    node = t
+    while pred[node] != s:
         node = pred[node]
         if node == -1:
             return None, np.inf
-    return int(node), float(dist[dst])
+    return int(order[node]), float(dist[t])
 
 
 def plan_subgoal(graph: LandmarkGraph):
