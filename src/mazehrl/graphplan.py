@@ -218,9 +218,9 @@ def edge_weights(critic, actor, src_states, dst_points, goal_map, eta):
     below at zero. Non-finite estimates come back as +inf (edge rejected).
     Values are computed in the nets' dtype; ``build_graph`` writes them
     into float64 graph arrays, which hold every float32 value exactly.
-    A pair's value can differ in the last bits between batches of
-    different sizes (BLAS blocks the products by batch shape), so the
-    same pair scored in another batch is equal only to within a few ulp.
+    A pair's value can differ in its low bits between batches of
+    different sizes (BLAS blocks the products by batch shape); where
+    ``-q`` is near zero that can be many ulp of the result.
     """
     src_states = np.atleast_2d(src_states)
     dst_points = np.atleast_2d(dst_points)

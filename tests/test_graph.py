@@ -632,7 +632,12 @@ def landmark_inputs(rng, n_lm):
 
 
 def all_pairs_build_graph(state, goal_point, landmarks, critic, actor, goal_map, eta, cutoff):
-    """Every ordered pair into a node other than the state, scored in one batch."""
+    """Every ordered pair into a node other than the state, from one pair mask.
+
+    A pair's float32 value depends on the shape of the batch it is scored
+    in, so the pairs out of the state and the pairs out of the landmarks
+    are scored as two batches, as ``build_graph`` scores them.
+    """
     state = np.asarray(state, dtype=np.float64)
     src_states = np.vstack([state, landmarks.states.reshape(-1, state.size)])
     points = np.vstack([goal_map(state[None, :]), landmarks.points, np.asarray(goal_point)])
@@ -641,7 +646,9 @@ def all_pairs_build_graph(state, goal_point, landmarks, critic, actor, goal_map,
     pairs[:, 0] = False  # no edge enters the state node
     src, dst = np.nonzero(pairs)
     w_raw = np.full((n, n), np.inf)
-    w_raw[src, dst] = edge_weights(critic, actor, src_states[src], points[dst], goal_map, eta)
+    for batch in (src == 0, src > 0):
+        s, d = src[batch], dst[batch]
+        w_raw[s, d] = edge_weights(critic, actor, src_states[s], points[d], goal_map, eta)
     return LandmarkGraph(points, np.where(w_raw <= cutoff, w_raw, np.inf), w_raw, cutoff)
 
 
@@ -707,9 +714,8 @@ class TestCachedLandmarkBlock:
             assert got.points.tobytes() == ref.points.tobytes()
             for w, w_ref in ((got.w_raw, ref.w_raw), (got.w_cut, ref.w_cut)):
                 np.testing.assert_array_equal(np.isinf(w), np.isinf(w_ref))
-                # a pair scored in a batch of another shape may differ in the last float32 bits
                 np.testing.assert_allclose(w[np.isfinite(w)], w_ref[np.isfinite(w_ref)],
-                                           rtol=4 * np.finfo(np.float32).eps)
+                                           rtol=1e-12)
             assert plan_subgoal(got).tobytes() == plan_subgoal(ref).tobytes()
             kept += np.count_nonzero(np.isfinite(got.w_cut))
         if n_lm == 29:
