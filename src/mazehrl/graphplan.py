@@ -58,7 +58,9 @@ def fps(pool, m, rng):
     lowest index. The pool is deduplicated first; asking for more points
     than remain returns the whole deduplicated pool. Each of the m - 1
     rounds computes one row of distances, ``np.linalg.norm``'s arithmetic
-    in one reused buffer, and lowers the running minimum in place.
+    coordinate-major (one contiguous row per coordinate, summed left to
+    right as the row norm does) in reused buffers, and lowers the running
+    minimum in place.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -71,11 +73,15 @@ def fps(pool, m, rng):
         return unique.copy()
     chosen = [int(rng.integers(0, n))]
     dists = np.full(n, np.inf)
-    diff = np.empty_like(unique)
+    cols = np.ascontiguousarray(unique.T)
+    diff = np.empty_like(cols)
+    d = np.empty(n)
     for _ in range(m - 1):
-        np.subtract(unique, unique[chosen[-1]], out=diff)
+        np.subtract(cols, cols[:, [chosen[-1]]], out=diff)
         diff *= diff
-        np.minimum(dists, np.sqrt(np.add.reduce(diff, axis=1)), out=dists)
+        np.add.reduce(diff, axis=0, out=d)
+        np.sqrt(d, out=d)
+        np.minimum(dists, d, out=dists)
         chosen.append(int(np.argmax(dists)))  # argmax takes the lowest index on ties
     return unique[chosen]
 

@@ -12,6 +12,13 @@ that dtype, and every array it accepts is cast to it; Adam moments follow
 their params. Initial weights are drawn in float64 and then cast, so a
 seed consumes the same draws in either dtype.
 
+A weight matrix keeps the shape ``(fan_out, fan_in)`` but is stored
+column-major (input-major in memory), so the forward product ``a @ W.T``
+is a plain NN GEMM that BLAS need not repack. Weight gradients, Adam
+moments and Polyak targets share that order. ``W.reshape(-1)`` is
+therefore a copy; ``W.ravel(order="K")`` or ``W.reshape(-1, order="A")``
+is a flat view. Checkpoints list each weight row by row, as before.
+
 Nets are immutable during inference; parameter updates go through the
 optimizer (``Adam.step``) or ``polyak_update`` on the training thread only.
 Both bump ``param_epoch()`` before their first in-place write, and caches of
@@ -42,6 +49,7 @@ __all__ = [
 ]
 
 CHECKPOINT_FORMAT = "mazehrl-net-v1"
+MOMENT_FLUSH_EVERY = 32  # Adam steps between flushes of subnormal moments to zero
 
 _param_epoch = 0  # in-place parameter writes so far, process-wide
 
@@ -88,7 +96,7 @@ class Mlp:
             else:
                 # small final layer keeps initial outputs near zero
                 w = rng.uniform(-3e-3, 3e-3, size=(fan_out, fan_in))
-            weights.append(w.astype(self.dtype, copy=False))
+            weights.append(np.asfortranarray(w, dtype=self.dtype))
         self.weights = tuple(weights)
         self.biases = tuple(np.zeros(n, dtype=self.dtype) for n in self.layer_sizes[1:])
 
@@ -116,7 +124,12 @@ class Mlp:
 
     @property
     def params(self):
-        """Flat parameter list [W0, b0, W1, b1, ...]; arrays are live views."""
+        """Flat parameter list [W0, b0, W1, b1, ...]; arrays are live views.
+
+        Weights are column-major, so ``reshape(-1)`` copies them; flatten a
+        weight with ``ravel(order="K")`` or ``reshape(-1, order="A")`` to
+        write through it.
+        """
         out = []
         for w, b in zip(self.weights, self.biases):
             out.append(w)
@@ -129,7 +142,7 @@ class Mlp:
         dup.output_activation = self.output_activation
         dup.bound = self.bound
         dup.dtype = self.dtype
-        dup.weights = tuple(w.copy() for w in self.weights)
+        dup.weights = tuple(w.copy(order="F") for w in self.weights)
         dup.biases = tuple(b.copy() for b in self.biases)
         return dup
 
@@ -200,24 +213,31 @@ class Mlp:
             raise ValueError(f"upstream shape {u.shape} != {(n, self.out_dim)}")
         return u
 
+    def _through_layer(self, delta, i):
+        """``delta @ weights[i]``: the gradient at layer i's input from its pre-activation's."""
+        w = self.weights[i]
+        if w.shape[0] == 1:
+            # A one-column product is an outer product, and numpy's K=1 matmul
+            # is slow; + 0.0 turns a -0.0 product into the +0.0 matmul returns.
+            out = delta * w[0]
+            out += 0.0
+            return out
+        return delta @ w
+
     def _backward(self, cache, upstream):
-        """Reverse sweep of ``upstream . output``: (input grad, layer pre-activation grads)."""
+        """Reverse sweep of ``upstream . output``: the layer pre-activation grads.
+
+        The sweep stops at layer 0's pre-activation; the input gradient is
+        ``_through_layer(zgrads[0], 0)``, which only its callers pay for.
+        """
         zs = cache["zs"]
         zgrads = [None] * len(self.weights)
         delta = self._upstream(cache, upstream) * self._head_deriv(zs[-1])
-        for i in range(len(self.weights) - 1, -1, -1):
-            zgrads[i] = delta
-            w = self.weights[i]
-            if w.shape[0] == 1:
-                # A one-column product is an outer product, and numpy's K=1 matmul
-                # is slow; + 0.0 turns a -0.0 product into the +0.0 matmul returns.
-                delta = delta * w[0]
-                delta += 0.0
-            else:
-                delta = delta @ w
-            if i > 0:
-                delta = delta * (zs[i - 1] > 0.0)
-        return delta, zgrads
+        zgrads[-1] = delta
+        for i in range(len(self.weights) - 1, 0, -1):
+            delta = self._through_layer(delta, i) * (zs[i - 1] > 0.0)
+            zgrads[i - 1] = delta
+        return zgrads
 
     def grad_params(self, x, upstream):
         """Gradient of ``upstream . forward(x)`` w.r.t. params (summed over batch)."""
@@ -234,13 +254,14 @@ class Mlp:
             u = self._upstream(cache, upstream)
             deltas = [u * zg for zg in self.input_grad_scalar(cache)[1]]
         else:
-            deltas = self._backward(cache, upstream)[1]
-        return [g for d, a in zip(deltas, cache["acts"]) for g in (d.T @ a, d.sum(axis=0))]
+            deltas = self._backward(cache, upstream)
+        # (a.T @ d).T is d.T @ a written column-major, the order of the weights
+        return [g for d, a in zip(deltas, cache["acts"]) for g in ((a.T @ d).T, d.sum(axis=0))]
 
     def grad_input_vjp(self, x, upstream):
         """Per-sample input gradients J(x)^T upstream; shape matches x."""
         cache = self.forward_cache(x)
-        g = self._backward(cache, upstream)[0]
+        g = self._through_layer(self._backward(cache, upstream)[0], 0)
         return g[0] if cache["squeeze"] else g
 
     def input_grad_scalar(self, cache):
@@ -257,7 +278,8 @@ class Mlp:
         sweep = cache.get("unit_sweep")
         if sweep is None:
             ones = np.ones((cache["acts"][0].shape[0], 1), dtype=self.dtype)
-            g, zgrads = self._backward(cache, ones)
+            zgrads = self._backward(cache, ones)
+            g = self._through_layer(zgrads[0], 0)
             for a in (g, *zgrads):
                 a.setflags(write=False)
             sweep = cache["unit_sweep"] = (g, tuple(zgrads))
@@ -282,16 +304,18 @@ class Mlp:
         last = len(w) - 1
         grads = [None] * (2 * len(w))
         grads[1::2] = [np.zeros_like(b) for b in self.biases]
+        # weight gradients are formed transposed, (r.T @ zgrad).T, so that they
+        # come out column-major like the weights
         if last == 0:
-            grads[0] = zgrads[0].T @ q
+            grads[0] = (q.T @ zgrads[0]).T
             return grads
         r = q
         for i in range(last - 1):
-            grads[2 * i] = zgrads[i].T @ r
+            grads[2 * i] = (r.T @ zgrads[i]).T
             r = (r @ w[i].T) * (zs[i] > 0.0)
         # Under upstream ones the last hidden layer's zgrad is w[last][0] * mask, so
         # both remaining weight gradients follow from one product c.
-        c = (zs[last - 1] > 0.0).T.astype(self.dtype) @ r
+        c = (r.T @ (zs[last - 1] > 0.0).astype(self.dtype)).T
         grads[2 * last - 2] = w[last][0][:, None] * c
         grads[2 * last] = (w[last - 1] * c).sum(axis=1)[None]
         return grads
@@ -325,7 +349,7 @@ class Mlp:
         dtype = np.dtype(name)
         net = cls.__new__(cls)
         net._configure(state["layer_sizes"], state["output_activation"], state["bound"], dtype)
-        net.weights = tuple(np.asarray(w, dtype=dtype) for w in state["weights"])
+        net.weights = tuple(np.asfortranarray(w, dtype=dtype) for w in state["weights"])
         net.biases = tuple(np.asarray(b, dtype=dtype) for b in state["biases"])
         sizes = net.layer_sizes
         if not len(net.weights) == len(net.biases) == len(sizes) - 1 or any(
@@ -337,7 +361,20 @@ class Mlp:
 
 
 class Adam:
-    """Adam with bias correction over a flat parameter list."""
+    """Adam with bias correction over a flat parameter list.
+
+    Every ``MOMENT_FLUSH_EVERY`` steps, moments below the dtype's smallest
+    normal number are set to zero. Under a zero gradient, ``m *= beta1``
+    has fixed points among the subnormals (one ulp times 0.9 rounds back to
+    one ulp), so a dead unit's moments would stay subnormal for good, and
+    on x86 every vector operation that touches a subnormal takes a slow
+    microcode assist. In column-major weights a dead unit's row is spread
+    over every column, so it slows the whole step. A flushed moment is
+    below 1e-38, so its part of an update is far below a parameter's last
+    bit. The flush costs three passes over the moments, so it runs only
+    now and then: a moment is then subnormal for at most
+    ``MOMENT_FLUSH_EVERY - 1`` steps at a time, not for the rest of the run.
+    """
 
     def __init__(self, params, lr=3e-4, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = float(lr)
@@ -369,11 +406,16 @@ class Adam:
         self.step_count += 1
         b1c = 1.0 - self.beta1 ** self.step_count
         b2c = 1.0 - self.beta2 ** self.step_count
+        flush = self.step_count % MOMENT_FLUSH_EVERY == 0
         for p, g, m, v in zip(params, grads, self.m, self.v):
             m *= self.beta1
             m += (1.0 - self.beta1) * g
             v *= self.beta2
             v += (1.0 - self.beta2) * (g * g)
+            if flush:
+                tiny = np.finfo(p.dtype).tiny
+                m *= np.abs(m) >= tiny
+                v *= v >= tiny
             p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
 
     def state_dict(self):
@@ -392,9 +434,9 @@ class Adam:
     def from_state_dict(cls, state, params):
         """The optimizer ``state`` describes, for ``params``.
 
-        Each moment is cast to its param's dtype. A moment count or shape
-        that does not match ``params`` raises ``ValueError`` here, not at
-        the next ``step``.
+        Each moment takes its param's dtype and memory order. A moment
+        count or shape that does not match ``params`` raises ``ValueError``
+        here, not at the next ``step``.
         """
         if state.get("format") != "mazehrl-adam-v1":
             raise ValueError("unsupported optimizer checkpoint format")
@@ -405,11 +447,12 @@ class Adam:
                 raise ValueError(
                     f"optimizer checkpoint has {len(state[key])} {key} slots for {len(params)} params"
                 )
-            moments = [np.asarray(a, dtype=p.dtype) for a, p in zip(state[key], params)]
-            for i, (a, p) in enumerate(zip(moments, params)):
-                if a.shape != p.shape:
+            # written into the zeros_like moments, which keep their param's order
+            for i, (dst, a) in enumerate(zip(getattr(opt, key), state[key])):
+                a = np.asarray(a, dtype=dst.dtype)
+                if a.shape != dst.shape:
                     raise ValueError(f"optimizer checkpoint {key} shape mismatch in slot {i}")
-            setattr(opt, key, moments)
+                dst[...] = a
         return opt
 
 

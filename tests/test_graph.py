@@ -77,7 +77,34 @@ class StubCritic:
         return np.full(n, self.value)
 
 
+def reference_fps(pool, m, rng):
+    """``fps`` with one ``np.linalg.norm`` over the rows per round."""
+    unique = dedup_points(pool)
+    if m >= len(unique):
+        return unique.copy()
+    chosen = [int(rng.integers(0, len(unique)))]
+    dists = np.full(len(unique), np.inf)
+    for _ in range(m - 1):
+        dists = np.minimum(dists, np.linalg.norm(unique - unique[chosen[-1]], axis=1))
+        chosen.append(int(np.argmax(dists)))
+    return unique[chosen]
+
+
 class TestFps:
+    def test_bytes_match_row_norm_reference(self):
+        rng = np.random.default_rng(21)
+        for k in range(200):
+            n, d = int(rng.integers(1, 120)), int(rng.integers(1, 6))
+            pool = [
+                rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3),
+                rng.integers(-2, 3, size=(n, d)).astype(float),  # ties and duplicates
+                rng.choice([0.0, -0.0, 1.0, 1.0 + 1e-12, -1.0], size=(n, d)),
+            ][k % 3]
+            m = int(rng.integers(1, 30))
+            got = fps(pool, m, np.random.default_rng(k))
+            want = reference_fps(pool, m, np.random.default_rng(k))
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_m_one_returns_seed(self):
         pool = np.array([[0.0, 0.0], [5.0, 5.0], [9.0, 9.0]])
         starts = set()
@@ -137,6 +164,17 @@ class TestNovelty:
             scorer.train(states)
         after = scorer.scores(states).mean()
         assert after < before
+
+    def test_nets_are_column_major_after_construction_and_load(self):
+        rng = np.random.default_rng(5)
+        scorer = NoveltyScorer(4, rng)
+        scorer.train(rng.normal(size=(16, 4)))
+        loaded = NoveltyScorer(4, np.random.default_rng(6))
+        loaded.load_state_dict(scorer.state_dict())
+        for s in (scorer, loaded):
+            moments = s.opt.m[::2] + s.opt.v[::2]
+            for a in (*s.target.weights, *s.predictor.weights, *moments):
+                assert a.flags.f_contiguous
 
     def test_out_of_distribution_scores_higher(self):
         rng = np.random.default_rng(4)

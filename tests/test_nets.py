@@ -1,5 +1,6 @@
 """Unit and oracle tests for the differentiable-function kernel."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -10,23 +11,38 @@ from hypothesis import strategies as st
 from mazehrl.nets import Adam, Mlp, param_epoch, polyak_update
 
 
-def fd_param_grads(net, x, upstream, h=1e-5):
-    """Central finite differences of upstream . forward(x) w.r.t. every parameter."""
+def flat_view(a):
+    """A 1-D view of ``a`` in its memory order, so a write through it reaches ``a``.
+
+    Weights are column-major, where ``reshape(-1)`` would be a copy and a
+    perturbation through it would never reach the net.
+    """
+    flat = a.reshape(-1, order="A")
+    assert np.shares_memory(flat, a)
+    return flat
+
+
+def central_differences(net, loss, h):
+    """Central finite differences of the scalar ``loss()`` w.r.t. every parameter of ``net``."""
     grads = []
     for p in net.params:
         g = np.zeros_like(p)
-        flat = p.reshape(-1)
-        gflat = g.reshape(-1)
+        flat, gflat = flat_view(p), flat_view(g)
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            plus = float(np.dot(upstream, net.forward(x)))
+            plus = loss()
             flat[i] = orig - h
-            minus = float(np.dot(upstream, net.forward(x)))
+            minus = loss()
             flat[i] = orig
             gflat[i] = (plus - minus) / (2 * h)
         grads.append(g)
     return grads
+
+
+def fd_param_grads(net, x, upstream, h=1e-5):
+    """Central finite differences of upstream . forward(x) w.r.t. every parameter."""
+    return central_differences(net, lambda: float(np.dot(upstream, net.forward(x))), h)
 
 
 def fd_jacobian(net, x, h=1e-5):
@@ -224,20 +240,7 @@ class TestDoubleBackprop:
             xs = rng.normal(size=(4, 3))
             bound = 0.1  # low enough that the hinge is active
             _, grads = self.penalty_and_grads(net, xs, bound)
-            h = 1e-6
-            fd = []
-            for p in net.params:
-                gp = np.zeros_like(p)
-                flat, gflat = p.reshape(-1), gp.reshape(-1)
-                for i in range(flat.size):
-                    orig = flat[i]
-                    flat[i] = orig + h
-                    plus, _ = self.penalty_and_grads(net, xs, bound)
-                    flat[i] = orig - h
-                    minus, _ = self.penalty_and_grads(net, xs, bound)
-                    flat[i] = orig
-                    gflat[i] = (plus - minus) / (2 * h)
-                fd.append(gp)
+            fd = central_differences(net, lambda: self.penalty_and_grads(net, xs, bound)[0], 1e-6)
             weight_slots = [i for i in range(len(grads)) if grads[i].ndim == 2]
             a = [grads[i] for i in weight_slots]
             b = [fd[i] for i in weight_slots]
@@ -288,6 +291,18 @@ class TestAdam:
             opt.step([x], [np.array([x[0]])])
             assert x[0] == pytest.approx(xs_hand, abs=1e-14)
         assert opt.step_count == 3
+
+    @pytest.mark.parametrize("dtype, steps", [(np.float32, 1000), (np.float64, 7000)])
+    def test_decayed_moments_reach_zero(self, dtype, steps):
+        """``m *= 0.9`` alone would stop at a subnormal fixed point, a few ulps above zero."""
+        p = [np.zeros(3, dtype=dtype)]
+        opt = Adam(p, lr=1e-3)
+        opt.step(p, [np.array([1.0, -1e-3, 1e-20], dtype=dtype)])
+        for _ in range(steps):
+            opt.step(p, [np.zeros(3, dtype=dtype)])
+        assert not np.any(opt.m[0])
+        tiny = np.finfo(dtype).tiny
+        assert np.all((opt.v[0] == 0) | (opt.v[0] >= tiny))
 
     def test_nonfinite_gradient_rejected(self):
         p = [np.zeros(2)]
@@ -752,3 +767,126 @@ class TestFloat32Agreement:
             want = np.quantile(np.concatenate(norms[net64]), p)
             assert np.quantile(np.concatenate(norms[net32]), p) == pytest.approx(want, rel=0.01)
         assert 0 < active[net32] == active[net64] < 100 * n
+
+
+# ---- column-major weight storage ----
+
+# The JSON of Mlp([8, 16, 16, 1], rng=default_rng(0)) in each dtype, and a
+# net and optimizer checkpoint, as written while weights were stored row-major.
+ROW_MAJOR_JSON_SHA256 = {
+    np.float32: "9b74d79696a229ce18a42d6c5ce7e8d50c6e5fb805d4550c1feee2bf025dd897",
+    np.float64: "124dddbff6831ebdd1ef68b3b888de97584ccdac605615b296464a44849018c9",
+}
+ROW_MAJOR_NET = (
+    '{"format": "mazehrl-net-v1", "layer_sizes": [2, 3, 1], "output_activation": "identity", '
+    '"bound": 1.0, "dtype": "float32", "weights": [[[0.34528419375419617, 0.8213181495666504], '
+    "[0.33073705434799194, -1.303457260131836], [0.9050558805465698, 0.44667455554008484]], "
+    "[[0.0016662157140672207, -0.0008448052685707808, -2.4378823582082987e-06]]], "
+    '"biases": [[-0.0002999984717462212, 0.000299997249385342, -0.0002999949792865664], '
+    "[-0.0003000000142492354]]}"
+)
+ROW_MAJOR_ADAM = (
+    '{"format": "mazehrl-adam-v1", "lr": 0.0003, "beta1": 0.9, "beta2": 0.999, "eps": 1e-08, '
+    '"step_count": 1, "m": [[[0.00039324312820099294, 4.915539102512412e-05], '
+    "[-0.0001362012990284711, 4.086039189132862e-05], "
+    "[7.439053297275677e-05, -2.2317160983220674e-05]], "
+    "[0.00019662156410049647, -0.00010896103776758537, 5.951242565060966e-05], "
+    "[[0.08965729176998138, 0.1803460568189621, 0.19286087155342102]], [0.20000000298023224]], "
+    '"v": [[[1.546401762198002e-08, 2.416252753434378e-10], '
+    "[1.855079312385044e-09, 1.6695715643333386e-10], "
+    "[5.53395163027659e-10, 4.9805565921490214e-11]], "
+    "[3.866004405495005e-09, 1.1872509642074647e-09, 3.5417291321948596e-10], "
+    "[[0.00080384302418679, 0.0032524699345231056, 0.0037195314653217793]], "
+    "[0.004000000189989805]]}"
+)
+
+
+def assert_column_major(arrays):
+    for a in arrays:
+        assert a.flags.f_contiguous
+
+
+def row_major_copy(net):
+    """``net`` with the same weights stored row-major."""
+    dup = net.copy()
+    dup.weights = tuple(np.ascontiguousarray(w) for w in net.weights)
+    assert not any(w.flags.f_contiguous for w in dup.weights if min(w.shape) > 1)
+    return dup
+
+
+class TestColumnMajorWeights:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_every_weight_is_column_major(self, dtype):
+        rng = np.random.default_rng(10)
+        net = Mlp([5, 7, 6, 1], rng=rng, dtype=dtype)
+        assert not any(w.flags.c_contiguous for w in net.weights[:-1])
+        x, u = rng.normal(size=(4, 5)), rng.normal(size=(4, 1))
+        target = net.copy()
+        loaded = Mlp.from_state_dict(json.loads(json.dumps(net.state_dict())))
+        Adam(net.params).step(net.params, net.grad_params(x, u))
+        polyak_update(target.params, net.params, 0.5)
+        for made in (net, target, loaded, target.copy()):
+            assert_column_major(made.weights)
+
+    @pytest.mark.parametrize("sizes", [[3, 1], [3, 5, 1], [8, 16, 16, 1], [4, 7, 6, 5, 1]])
+    def test_gradients_and_moments_share_the_weight_order(self, sizes):
+        rng = np.random.default_rng(11)
+        net = Mlp(sizes, rng=rng, dtype=np.float64)
+        x = rng.normal(size=(6, sizes[0]))
+        cache = net.forward_cache(x)
+        td = net.grad_params_cached(cache, rng.normal(size=(6, 1)))
+        g, zgrads = net.input_grad_scalar(cache)
+        pen = net.double_backprop(cache, zgrads, rng.normal(size=x.shape))
+        actor = Mlp([sizes[0], 9, 2], "scaled_tanh", rng=rng, dtype=np.float64)
+        assert_column_major(td[::2] + pen[::2] + actor.grad_params(x, rng.normal(size=(6, 2)))[::2])
+        opt = Adam(net.params)
+        opt.step(net.params, [a + b for a, b in zip(td, pen)])
+        loaded = Adam.from_state_dict(json.loads(json.dumps(opt.state_dict())), net.params)
+        for o in (opt, loaded):
+            assert_column_major(o.m[::2] + o.v[::2])
+        assert_bit_identical(loaded.m + loaded.v, opt.m + opt.v)
+
+    @pytest.mark.parametrize("n", [1, 2, 31, 256])
+    def test_agrees_with_row_major_storage(self, n):
+        """Column-major and row-major weights give the same values to 1e-12.
+
+        BLAS picks its kernel per layout, so sums round differently and only
+        a tolerance holds: 1e-12 of each entry, or of the array's largest
+        entry where an entry is a near-cancelling sum (such entries reach
+        ~1e-12 relative at n = 2).
+        """
+        rng = np.random.default_rng(n)
+        critic = Mlp([8, 256, 256, 1], rng=rng, dtype=np.float64)
+        actor = Mlp([6, 256, 256, 2], "scaled_tanh", rng=rng, dtype=np.float64)
+        for net in (critic, actor):
+            for w, b in zip(net.weights, net.biases):
+                w[...] = rng.normal(0.0, np.sqrt(2.0 / w.shape[1]), size=w.shape)
+                b[...] = rng.normal(0.0, 0.1, size=b.shape)
+        x, u, q = rng.normal(size=(n, 8)), rng.normal(size=(n, 1)), rng.normal(size=(n, 8))
+        got, want = [], []
+        for c, a, out in ((critic, actor, got), (row_major_copy(critic), row_major_copy(actor), want)):
+            cache = c.forward_cache(x)
+            g, zgrads = c.input_grad_scalar(cache)
+            out += [c.forward(x), g, *zgrads, *c.grad_params_cached(cache, u)]
+            out += c.double_backprop(cache, zgrads, q)
+            out += [a.forward(x[:, :6]), *a.grad_params(x[:, :6], q[:, :2])]
+            out.append(a.grad_input_vjp(x[:, :6], q[:, :2]))
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.max(np.abs(b)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_checkpoint_json_is_unchanged(self, dtype):
+        net = Mlp([8, 16, 16, 1], rng=np.random.default_rng(0), dtype=dtype)
+        text = json.dumps(net.state_dict()).encode()
+        assert hashlib.sha256(text).hexdigest() == ROW_MAJOR_JSON_SHA256[dtype]
+
+    def test_row_major_checkpoint_loads_column_major(self):
+        net = Mlp.from_state_dict(json.loads(ROW_MAJOR_NET))
+        opt = Adam.from_state_dict(json.loads(ROW_MAJOR_ADAM), net.params)
+        assert_column_major(net.weights + tuple(opt.m[::2]) + tuple(opt.v[::2]))
+        want = json.loads(ROW_MAJOR_NET)["weights"][0]
+        np.testing.assert_array_equal(net.weights[0], np.array(want, dtype=np.float32))
+        assert json.dumps(net.state_dict()) == ROW_MAJOR_NET
+        assert json.dumps(opt.state_dict()) == ROW_MAJOR_ADAM
