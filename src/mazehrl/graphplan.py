@@ -77,7 +77,7 @@ def fps(pool, m, rng):
     diff = np.empty_like(cols)
     d = np.empty(n)
     for _ in range(m - 1):
-        np.subtract(cols, cols[:, [chosen[-1]]], out=diff)
+        np.subtract(cols, cols[:, chosen[-1], None], out=diff)
         diff *= diff
         np.add.reduce(diff, axis=0, out=d)
         np.sqrt(d, out=d)
