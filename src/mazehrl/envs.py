@@ -35,6 +35,9 @@ class Rect:
     def contains_interior(self, p) -> bool:
         return self.x0 < p[0] < self.x1 and self.y0 < p[1] < self.y1
 
+    def contains(self, p) -> bool:
+        return self.x0 <= p[0] <= self.x1 and self.y0 <= p[1] <= self.y1
+
     def as_list(self):
         return [self.x0, self.y0, self.x1, self.y1]
 
@@ -45,7 +48,9 @@ class MazeSpec:
 
     ``start`` and ``goal`` are either a fixed point (len-2 tuple) or a
     Rect region sampled uniformly over its free space. ``eval_goal`` is
-    the fixed goal used by evaluation episodes.
+    the fixed goal used by evaluation episodes. Fixed points must lie in
+    the closed ``extent`` and outside every wall interior; regions must
+    lie inside ``extent``.
     """
 
     name: str
@@ -59,12 +64,16 @@ class MazeSpec:
     max_episode_steps: int = 500
 
     def __post_init__(self):
-        if self.success_radius <= 0:
+        if not self.success_radius > 0:  # NaN fails too
             raise ValueError("success_radius must be positive")
         if self.reward_mode not in ("sparse", "dense"):
             raise ValueError(f"unknown reward_mode {self.reward_mode!r}")
         if self.max_episode_steps <= 0:
             raise ValueError("max_episode_steps must be positive")
+        regions = [r for r in (self.start, self.goal) if isinstance(r, Rect)]
+        for p in self._fixed_points() + [c for r in regions for c in ((r.x0, r.y0), (r.x1, r.y1))]:
+            if not self.extent.contains(p):  # a NaN coordinate fails too
+                raise ValueError(f"point {p} lies outside extent {self.extent}")
         for p in self._fixed_points():
             for w in self.walls:
                 if w.contains_interior(p):

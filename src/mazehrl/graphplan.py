@@ -166,6 +166,8 @@ def select_novel(candidate_states, scorer, m):
 class LandmarkSet:
     """Coverage and novelty landmarks with their backing full states.
 
+    The coverage states come first, then the novelty states; a state whose
+    goal point duplicates an earlier one is dropped (``dedup_points``).
     ``points`` and ``states`` are read-only, because ``build_graph`` caches
     the weights of the edges out of these landmarks on it.
     """
@@ -176,16 +178,12 @@ class LandmarkSet:
         parts = [np.atleast_2d(a) for a in (cov, nov) if a.size]
         if parts:
             all_states = np.concatenate(parts, axis=0)
-            n_cov = np.atleast_2d(cov).shape[0] if cov.size else 0
-            tags = ["coverage"] * n_cov + ["novelty"] * (len(all_states) - n_cov)
             pts = goal_map(all_states)
             self.points, kept_aux = dedup_points(pts, np.arange(len(pts)))
             self.states = all_states[kept_aux]
-            self.tags = [tags[i] for i in kept_aux]
         else:
             self.points = np.zeros((0, 2))
             self.states = np.zeros((0, 0))
-            self.tags = []
         self.points.setflags(write=False)
         self.states.setflags(write=False)
         self._block_key = None
@@ -302,9 +300,9 @@ def dijkstra_first_hop(weights, points, src, dst):
 
     Dense O(n^2) Dijkstra: each round settles the open node with the
     smallest finite distance, ties broken by lexicographic node
-    coordinates, then node index, so the result is invariant to node
-    ordering. Returns (None, inf) when dst is unreachable. Non-finite
-    weights are no edge.
+    coordinates, then node index, so the result is invariant to the order
+    of nodes with distinct coordinates. Returns (None, inf) when dst is
+    unreachable. Non-finite weights are no edge.
 
     The nodes are relabelled once in ``coordinate_rank`` order, so
     ``np.argmin``'s lowest-index rule is the tie-break. ``frontier`` is
@@ -356,8 +354,6 @@ def plan_subgoal(graph: LandmarkGraph):
     option the goal point is returned.
     """
     dst = graph.n_nodes - 1
-    if graph.n_nodes <= 2:
-        return graph.points[dst].copy()
     hop, _ = dijkstra_first_hop(graph.w_cut, graph.points, 0, dst)
     if hop is not None:
         return graph.points[hop].copy()

@@ -138,10 +138,7 @@ class Mlp:
 
     def copy(self):
         dup = Mlp.__new__(Mlp)
-        dup.layer_sizes = list(self.layer_sizes)
-        dup.output_activation = self.output_activation
-        dup.bound = self.bound
-        dup.dtype = self.dtype
+        dup._configure(self.layer_sizes, self.output_activation, self.bound, self.dtype)
         dup.weights = tuple(w.copy(order="F") for w in self.weights)
         dup.biases = tuple(b.copy() for b in self.biases)
         return dup

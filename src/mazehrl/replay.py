@@ -16,7 +16,7 @@ it reuses the weights.
 
 ``sample_pool`` draws landmark candidates under one of ``SAMPLER_CHOICES``:
 
-- ``"hr"``: high-return sampling. Once per table version and ``alpha``
+- ``"hr"``: high-return sampling. Once per stored table and ``alpha``
   the episodic returns are max-min normalized per task (start and goal
   cells of side ``TASK_CELL_SIZE``), debiased by their in-sample
   expected-return fit (``expected_returns``) and Boltzmann-weighted at
@@ -31,24 +31,22 @@ it reuses the weights.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 SAMPLER_CHOICES = ("hr", "uniform", "topk")
-# Per-step columns of the buffer, in Transition and export order.
+# Per-step columns of the buffer, in Transition order.
 FIELDS = ("s", "sg", "a", "r", "s_next", "sg_next", "done")
 # Side of the grid cells that quantize start and goal positions into tasks.
 TASK_CELL_SIZE = 0.75
 # Share of the episodes, by episodic return, that the topk sampler keeps.
 TOPK_FRACTION = 0.1
 # Expected-return fit: at most this many features, the mean below this many
-# episodes, and the ridge that regularizes a rank-deficient design.
+# episodes.
 FIT_MAX_FEATURES = 6
 FIT_MIN_SAMPLES = 20
-FIT_RIDGE = 1e-8
 
 
 @dataclass
@@ -113,8 +111,7 @@ class TrajectoryBuffer:
         self._head = 0  # ring row of the oldest stored step
         self._size = 0
         self._next_id = 0
-        self._version = 0  # advanced by every store_episode
-        self._weighted = None  # (version, alpha) the weight column holds
+        self._weighted = None  # alpha the weight column holds; None until weighted
 
     def __len__(self):
         return self._size
@@ -165,7 +162,7 @@ class TrajectoryBuffer:
         ret = np.sum(episode["r"])  # undiscounted
         row = np.array([(traj_id, length, rows[0], ret, 0.0, episode["s"][0], goal)], self.records.dtype)
         self.records = np.concatenate([self.records[gone:], row]).view(np.recarray)
-        self._version += 1
+        self._weighted = None
         return traj_id
 
     def sample_batch(self, n, rng):
@@ -181,34 +178,6 @@ class TrajectoryBuffer:
             return np.zeros((0, 0))
         take = max(0, min(window, self._size))
         return self._cols["s"][self._rows(np.arange(self._size - take, self._size))]
-
-    # ---- line-delimited export/import ----
-
-    def export_lines(self, path):
-        with open(path, "w") as fh:
-            for rec in self.records:
-                rows = (rec.offset + np.arange(rec.length)) % self.capacity
-                cols = {f: self._cols[f][rows].tolist() for f in FIELDS}
-                cols["done"] = [bool(d) for d in cols["done"]]
-                goal = rec.goal.tolist()
-                for i in range(rec.length):
-                    row = {"traj": int(rec.traj_id), "t": i, **{f: cols[f][i] for f in FIELDS},
-                           "goal": goal}
-                    fh.write(json.dumps(row) + "\n")
-
-    @classmethod
-    def import_lines(cls, path, capacity=200_000):
-        buf = cls(capacity)
-        groups = {}
-        with open(path) as fh:
-            for line in fh:
-                row = json.loads(line)
-                groups.setdefault(row["traj"], []).append(row)
-        for rows in groups.values():
-            goal = rows[0]["goal"]
-            rows.sort(key=lambda r: r["t"])
-            buf.store_episode([Transition(**{f: r[f] for f in FIELDS}, t=r["t"]) for r in rows], goal)
-        return buf
 
 
 # ---- task normalization and expected-return regression ----
@@ -252,8 +221,9 @@ def expected_returns(X, y):
     Linear least squares on the ``FIT_MAX_FEATURES`` features with the
     largest absolute correlation with ``y``; the mean of ``y`` below
     ``FIT_MIN_SAMPLES`` rows or when the design is uninformative (fewer
-    than two distinct rows, constant ``y`` or no varying feature).
-    Rank-deficient solves are ridge-regularized by ``FIT_RIDGE``.
+    than two distinct rows, constant ``y`` or no varying feature). A
+    rank-deficient design takes the minimum-norm solution, whose fitted
+    values are the same projection of ``y``.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64)
@@ -271,10 +241,7 @@ def expected_returns(X, y):
     corr = np.abs(xc.T @ yc) / (std[informative] * y.std() * len(y))
     idx = informative[np.argsort(-corr, kind="stable")[:FIT_MAX_FEATURES]]
     A = np.column_stack([X[:, idx], np.ones(len(y))])
-    if np.linalg.matrix_rank(A) < A.shape[1]:
-        sol = np.linalg.solve(A.T @ A + FIT_RIDGE * np.eye(A.shape[1]), A.T @ y)
-    else:
-        sol, *_ = np.linalg.lstsq(A, y, rcond=None)
+    sol, *_ = np.linalg.lstsq(A, y, rcond=None)
     return X[:, idx] @ sol[:-1] + float(sol[-1])
 
 
@@ -304,8 +271,8 @@ def compute_weights(buffer, alpha):
 
     Normalizes returns per task, subtracts their expected-return fit, and
     Boltzmann-weights the residuals. Writes the table's ``weight`` column,
-    records the table version and ``alpha`` it weighted, and returns the
-    per-trajectory weights.
+    records the ``alpha`` it weighted, and returns the per-trajectory
+    weights.
     """
     records = buffer.records
     if len(records) == 0:
@@ -314,7 +281,7 @@ def compute_weights(buffer, alpha):
     feats = np.concatenate([records.start, records.goal], axis=1)
     weights = hr_weights(norm - expected_returns(feats, norm), records.length, alpha)
     records.weight = weights
-    buffer._weighted = (buffer._version, alpha)
+    buffer._weighted = alpha
     return weights
 
 
@@ -364,7 +331,7 @@ def sample_pool(buffer, sampler, pool_size, rng, alpha=0.1):
     if len(buffer) == 0:
         raise ValueError("empty buffer")
     if sampler == "hr":
-        if buffer._weighted != (buffer._version, alpha):
+        if buffer._weighted != alpha:
             compute_weights(buffer, alpha)
         return weighted_sample(buffer, buffer.records.weight, pool_size, rng)
     if sampler == "uniform":

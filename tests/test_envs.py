@@ -324,6 +324,32 @@ class TestSpecIO:
         )
         assert json_roundtrip(spec) == spec
 
+    @pytest.mark.parametrize("name", sorted(MAZE_BUILDERS))
+    def test_builtin_mazes_roundtrip(self, name):
+        assert json_roundtrip(make_maze(name)) == make_maze(name)
+
+    def test_points_on_the_extent_boundary_load(self):
+        obj = {**spec_to_dict(umaze12()), "start": {"point": [6.0, -6.0]}, "eval_goal": [-6.0, 6.0]}
+        assert spec_from_dict(obj).start == (6.0, -6.0)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("start", {"point": [10.0, 10.0]}),  # the first step would jump it to (6, 6)
+            ("eval_goal", [50.0, 0.0]),  # never reachable
+            ("goal", {"point": [0.0, -6.5]}),
+            ("start", {"point": [float("nan"), 0.0]}),
+            ("goal", {"rect": [-6.0, -6.0, 6.5, 6.0]}),
+            ("start", {"rect": [-7.0, -7.0, -5.0, -5.0]}),
+            ("success_radius", float("nan")),  # episodes could never succeed
+            ("success_radius", 0.0),
+        ],
+    )
+    def test_spec_from_dict_rejects(self, key, value):
+        obj = {**spec_to_dict(umaze12()), key: value}
+        with pytest.raises(ValueError):
+            spec_from_dict(obj)
+
     def test_unknown_maze_name(self):
         with pytest.raises(ValueError):
             make_maze("NoSuchMaze")

@@ -136,17 +136,16 @@ class TestFps:
         np.testing.assert_array_equal(a, b)
         assert min_pairwise(a) > 0
 
-    def test_greedy_two_approximation(self):
-        rng = np.random.default_rng(2)
-        for _ in range(40):
-            n = int(rng.integers(3, 9))
-            m = int(rng.integers(2, n + 1))
-            pool = rng.uniform(-5, 5, size=(n, 2))
-            got = fps(pool, m, rng)
-            if len(got) < 2:
-                continue
-            opt = brute_force_max_min(pool, m)
-            assert min_pairwise(got) >= 0.5 * opt - 1e-12
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.integers(0, 2**32 - 1))
+    def test_greedy_two_approximation(self, data, seed):
+        """The greedy max-min spread is at least half the best m-subset's.
+        Grid coordinates give duplicate points and equal distances."""
+        n = data.draw(st.integers(3, 8))
+        m = data.draw(st.integers(2, n))
+        pool = np.array(data.draw(st.lists(st.tuples(GRID, GRID), min_size=n, max_size=n)))
+        got = fps(pool, m, np.random.default_rng(seed))
+        assert min_pairwise(got) >= 0.5 * brute_force_max_min(pool, m) - 1e-12
 
 
 class TestNovelty:
@@ -418,20 +417,18 @@ class TestPlanning:
                 assert hop == path[1]
                 assert dist == pytest.approx(cost)
 
-    def test_permutation_invariance(self):
-        rng = np.random.default_rng(12)
-        n = 7
-        points = rng.uniform(-5, 5, size=(n, 2))
-        w = rng.uniform(0.1, 5.0, size=(n, n))
-        np.fill_diagonal(w, np.inf)
-        w[n - 1, :] = np.inf
-        base = plan_subgoal(LandmarkGraph(points, w, w.copy(), np.inf))
-        for _ in range(5):
-            perm = np.concatenate([[0], 1 + rng.permutation(n - 2), [n - 1]])
-            pp = points[perm]
-            wp = w[np.ix_(perm, perm)]
-            got = plan_subgoal(LandmarkGraph(pp, wp, wp.copy(), np.inf))
-            np.testing.assert_array_equal(got, base)
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.sampled_from([0.0, 1.0, 2.0, np.inf]), st.booleans())
+    def test_permutation_invariance(self, data, cutoff, cut_goal):
+        """Reordering the landmark nodes (node 0 and the goal stay put) keeps
+        the waypoint, on 2-node graphs and in the two-hop fallback too. Points
+        are distinct: duplicate landmarks at equal distance tie by index."""
+        points, weights = data.draw(tie_heavy_graphs(distinct=True))
+        n = len(points)
+        perm = np.array([0, *data.draw(st.permutations(range(1, n - 1))), n - 1])
+        want = plan_subgoal(planner_graph(points, weights, cutoff, cut_goal))
+        got = plan_subgoal(planner_graph(points[perm], weights[np.ix_(perm, perm)], cutoff, cut_goal))
+        assert got.tobytes() == want.tobytes()
 
 
 class TestPseudoLandmark:
@@ -540,6 +537,8 @@ def reference_select_novel(candidates, scores, m):
     return candidates[np.array(order[:m])]
 
 
+# a 0.1 grid: duplicate points and equal distances, never a near-duplicate
+GRID = st.integers(-50, 50).map(lambda k: k / 10)
 # few distinct values, so equal distances, duplicate points and signed zeros are common
 COORDS = st.sampled_from([-1.0, -0.0, 0.0, 1.0, 2.0, 1e-12, -1e-12, 1.0 + 1e-12])
 WEIGHTS = st.sampled_from([-0.0, 0.0, 1.0, 2.0, 3.0, np.inf, np.nan])
@@ -548,11 +547,24 @@ DEDUP_COORDS = COORDS | st.sampled_from([np.nan, np.inf, -np.inf])
 
 
 @st.composite
-def tie_heavy_graphs(draw):
+def tie_heavy_graphs(draw, distinct=False):
     n = draw(st.integers(2, 7))
-    points = np.array(draw(st.lists(st.tuples(COORDS, COORDS), min_size=n, max_size=n)))
+    points = np.array(draw(st.lists(st.tuples(COORDS, COORDS), min_size=n, max_size=n, unique=distinct)))
     weights = np.array(draw(st.lists(WEIGHTS, min_size=n * n, max_size=n * n))).reshape(n, n)
     return points, weights
+
+
+def planner_graph(points, weights, cutoff, cut_goal):
+    """The graph as ``build_graph`` leaves it: no NaN, no self-loops, no edges
+    out of the goal. ``cut_goal`` cuts every edge into the goal, forcing the
+    two-hop fallback, where equal-cost landmarks are common."""
+    w_raw = np.where(np.isnan(weights), np.inf, weights)
+    np.fill_diagonal(w_raw, np.inf)
+    w_raw[-1, :] = np.inf
+    w_cut = np.where(w_raw <= cutoff, w_raw, np.inf)
+    if cut_goal:
+        w_cut[:, -1] = np.inf
+    return LandmarkGraph(points, w_cut, w_raw, cutoff)
 
 
 @st.composite
@@ -596,15 +608,7 @@ class TestMatchesLoopReference:
     @settings(max_examples=300, deadline=None)
     @given(tie_heavy_graphs(), st.sampled_from([0.0, 1.0, 2.0, np.inf]), st.booleans())
     def test_plan_subgoal_including_fallback(self, graph, cutoff, cut_goal):
-        points, weights = graph
-        # as build_graph leaves them: no NaN, no self-loops, no edges out of the goal
-        w_raw = np.where(np.isnan(weights), np.inf, weights)
-        np.fill_diagonal(w_raw, np.inf)
-        w_raw[-1, :] = np.inf
-        w_cut = np.where(w_raw <= cutoff, w_raw, np.inf)
-        if cut_goal:  # force the two-hop fallback, where equal-cost landmarks are common
-            w_cut[:, -1] = np.inf
-        g = LandmarkGraph(points, w_cut, w_raw, cutoff)
+        g = planner_graph(*graph, cutoff, cut_goal)
         got, ref = plan_subgoal(g), reference_plan_subgoal(g)
         assert got.tobytes() == ref.tobytes()
 

@@ -1,6 +1,5 @@
 """Tests for hierarchical replay and high-return weighting."""
 
-import json
 import math
 from types import SimpleNamespace
 
@@ -113,18 +112,6 @@ class TestBuffer:
         assert recent.shape == (4, 4)
         np.testing.assert_allclose(recent[-1][:2], [9.2, 9.0])
 
-    def test_export_import_roundtrip(self, tmp_path):
-        buf = TrajectoryBuffer()
-        add_episode(buf, [-1, 0], start=(1, 2), goal=(3, 4))
-        add_episode(buf, [-2, -3, -4], start=(5, 6), goal=(7, 8))
-        path = tmp_path / "buffer.jsonl"
-        buf.export_lines(path)
-        loaded = TrajectoryBuffer.import_lines(path)
-        assert len(loaded) == len(buf)
-        assert [rec.ret for rec in loaded.records] == [rec.ret for rec in buf.records]
-        loaded.export_lines(tmp_path / "again.jsonl")
-        assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
-
 
 def distinct_step(t, k, done):
     """Step t of episode k, with a different value in every field."""
@@ -141,52 +128,17 @@ def distinct_step(t, k, done):
     )
 
 
-GOLDEN_LINES = [
-    '{"traj": 0, "t": 0, "s": [0.0, 0.5, 0.25, -0.25], "sg": [1.0, -1.5], "a": [0.75, -0.125], '
-    '"r": -1.0, "s_next": [1.0, 1.5, 0.5, 0.0], "sg_next": [0.0, -2.5], "done": false, "goal": [3.0, 4.0]}',
-    '{"traj": 0, "t": 1, "s": [1.0, 1.5, 0.25, -0.25], "sg": [2.0, -1.5], "a": [0.75, -0.125], '
-    '"r": -2.0, "s_next": [2.0, 2.5, 0.5, 0.0], "sg_next": [1.0, -2.5], "done": true, "goal": [3.0, 4.0]}',
-    '{"traj": 1, "t": 0, "s": [10.0, 10.5, 0.25, -0.25], "sg": [11.0, -1.5], "a": [0.75, -0.125], '
-    '"r": -1.0, "s_next": [11.0, 11.5, 0.5, 0.0], "sg_next": [10.0, -2.5], "done": false, "goal": [7.5, -8.0]}',
-]
-
-
-def record_summary(buf):
-    return [(r.traj_id, r.length, r.ret, r.offset, r.start.tolist(), r.goal.tolist()) for r in buf.records]
-
-
 class TestRingStore:
-    def test_export_golden_lines(self, tmp_path):
-        buf = TrajectoryBuffer()
-        buf.store_episode([distinct_step(0, 0, False), distinct_step(1, 0, True)], (3.0, 4.0))
-        buf.store_episode([distinct_step(0, 1, False)], (7.5, -8.0))
-        path = tmp_path / "buffer.jsonl"
-        buf.export_lines(path)
-        assert path.read_text() == "".join(line + "\n" for line in GOLDEN_LINES)
-
-    def test_roundtrip_across_ring_end(self, tmp_path):
-        buf = TrajectoryBuffer(capacity=7)
-        for k, n in enumerate((3, 3, 3)):
-            buf.store_episode([distinct_step(t, k, t == n - 1) for t in range(n)], (k, -k))
-        assert any(r.offset + r.length > buf.capacity for r in buf.records)
-        path = tmp_path / "buffer.jsonl"
-        buf.export_lines(path)
-        loaded = TrajectoryBuffer.import_lines(path, capacity=7)
-        loaded.export_lines(tmp_path / "again.jsonl")
-        # import numbers episodes afresh; every other key must survive as is
-        strip = lambda p: [
-            {k: v for k, v in json.loads(l).items() if k != "traj"} for l in p.read_text().splitlines()
-        ]
-        assert strip(tmp_path / "again.jsonl") == strip(path)
-        np.testing.assert_array_equal(loaded.recent_states(6), buf.recent_states(6))
-
-    def test_rejected_episode_leaves_buffer_unchanged(self, tmp_path):
+    def test_rejected_episode_leaves_buffer_unchanged(self):
         buf = TrajectoryBuffer(capacity=5)
         for k, n in enumerate((3, 2, 2)):  # the third store wraps the ring end
             buf.store_episode([distinct_step(t, k, t == n - 1) for t in range(n)], (k, k))
-        before_path = tmp_path / "before.jsonl"
-        buf.export_lines(before_path)
-        before = (len(buf), record_summary(buf), before_path.read_text())
+        # the live ring rows of every column, and the whole episode table
+        snapshot = lambda: (
+            {f: buf._cols[f][buf._rows(np.arange(len(buf)))].tobytes() for f in FIELDS},
+            buf.records.tobytes(),
+        )
+        before = snapshot()
 
         too_long = [distinct_step(t, 9, t == 5) for t in range(6)]
         gap = [distinct_step(0, 9, False), distinct_step(2, 9, True)]
@@ -198,9 +150,7 @@ class TestRingStore:
         for bad in ([], too_long, gap, early_done, wide, ragged):
             with pytest.raises(ValueError):
                 buf.store_episode(bad, (0.0, 0.0))
-            after_path = tmp_path / "after.jsonl"
-            buf.export_lines(after_path)
-            assert (len(buf), record_summary(buf), after_path.read_text()) == before
+            assert snapshot() == before
         assert add_episode(buf, [-1]) == 3
 
     def test_episode_longer_than_capacity_rejected_when_empty(self):
@@ -414,13 +364,17 @@ class TestReturnRegressor:
         assert np.max(np.abs(expected_returns(X, y) - y)) > 1e-3
 
     def test_rank_deficient_ridge_path(self):
-        rng = np.random.default_rng(4)
-        base = rng.normal(size=(30, 1))
-        X = np.hstack([base, base, base])  # perfectly collinear
-        y = base[:, 0] * 2.0
-        fit = expected_returns(X, y)
-        assert np.all(np.isfinite(fit))
-        np.testing.assert_allclose(fit, y, atol=1e-4)
+        """A collinear design is fitted like its de-duplicated columns: the
+        minimum-norm solution spans the same projection of ``y``."""
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            base = rng.normal(size=(30, 2))
+            X = np.hstack([base, base, base])  # perfectly collinear, six features
+            y = base @ rng.normal(size=2) + rng.normal(size=30)
+            want = expected_returns(base, y)
+            # relative to the fit's scale: a fitted value near zero has no relative precision
+            tol = 1e-12 * np.abs(want).max()
+            np.testing.assert_allclose(expected_returns(X, y), want, rtol=1e-12, atol=tol)
 
 
 class TestHrWeights:
