@@ -29,7 +29,7 @@ class Rect:
     y1: float
 
     def __post_init__(self):
-        if self.x0 >= self.x1 or self.y0 >= self.y1:
+        if not (self.x0 < self.x1 and self.y0 < self.y1):  # NaN fails too
             raise ValueError(f"degenerate rect {self}")
 
     def contains_interior(self, p) -> bool:
@@ -48,9 +48,9 @@ class MazeSpec:
 
     ``start`` and ``goal`` are either a fixed point (len-2 tuple) or a
     Rect region sampled uniformly over its free space. ``eval_goal`` is
-    the fixed goal used by evaluation episodes. Fixed points must lie in
-    the closed ``extent`` and outside every wall interior; regions must
-    lie inside ``extent``.
+    the fixed goal used by evaluation episodes. Fixed points must have two
+    coordinates and lie in the closed ``extent`` and outside every wall
+    interior; regions must lie inside ``extent``.
     """
 
     name: str
@@ -70,11 +70,14 @@ class MazeSpec:
             raise ValueError(f"unknown reward_mode {self.reward_mode!r}")
         if self.max_episode_steps <= 0:
             raise ValueError("max_episode_steps must be positive")
+        fixed = self._fixed_points()
+        if any(len(p) != 2 for p in fixed):
+            raise ValueError(f"fixed points must have 2 coordinates, got {fixed}")
         regions = [r for r in (self.start, self.goal) if isinstance(r, Rect)]
-        for p in self._fixed_points() + [c for r in regions for c in ((r.x0, r.y0), (r.x1, r.y1))]:
+        for p in fixed + [c for r in regions for c in ((r.x0, r.y0), (r.x1, r.y1))]:
             if not self.extent.contains(p):  # a NaN coordinate fails too
                 raise ValueError(f"point {p} lies outside extent {self.extent}")
-        for p in self._fixed_points():
+        for p in fixed:
             for w in self.walls:
                 if w.contains_interior(p):
                     raise ValueError(f"point {p} lies inside wall {w}")

@@ -25,23 +25,21 @@ import numpy as np
 
 from .nets import Adam, Mlp, param_epoch
 
-DEDUP_DECIMALS = 9  # rows equal after rounding to this many decimals are duplicates
 NOVELTY_HIDDEN = (64, 64)
 NOVELTY_OUT_DIM = 16
 
 
 def dedup_points(points, aux=None):
-    """Drop (n, d) rows equal after rounding to ``DEDUP_DECIMALS`` decimals.
+    """Drop (n, d) rows exactly equal (``==``) to an earlier row.
 
     Keeps the first occurrence of each row, in input order; ``aux`` is
-    filtered alongside. Rows are compared with ``==``, so +0.0 equals -0.0
+    filtered alongside. +0.0 equals -0.0, rows 1e-12 apart both survive,
     and a row holding a NaN is never a duplicate. One stable lexicographic
     sort puts equal rows next to each other, first occurrence first.
     """
     points = np.asarray(points, dtype=np.float64)
-    rounded = np.round(points, DEDUP_DECIMALS)
-    order = np.lexsort(rounded[:, ::-1].T)
-    rows = rounded[order]
+    order = np.lexsort(points[:, ::-1].T)
+    rows = points[order]
     first = np.ones(len(rows), dtype=bool)
     first[1:] = np.any(rows[1:] != rows[:-1], axis=1)
     keep = np.sort(order[first])
@@ -55,12 +53,12 @@ def fps(pool, m, rng):
 
     The first point is drawn randomly from the pool; each subsequent
     point maximizes the minimum distance to the chosen set, ties broken by
-    lowest index. The pool is deduplicated first; asking for more points
-    than remain returns the whole deduplicated pool. Each of the m - 1
-    rounds computes one row of distances, ``np.linalg.norm``'s arithmetic
-    coordinate-major (one contiguous row per coordinate, summed left to
-    right as the row norm does) in reused buffers, and lowers the running
-    minimum in place.
+    lowest index. Exact duplicate rows are dropped first; asking for more
+    points than remain returns the whole deduplicated pool. Each of the
+    m - 1 rounds computes one row of distances, ``np.linalg.norm``'s
+    arithmetic coordinate-major (one contiguous row per coordinate, summed
+    left to right as the row norm does) in reused buffers, and lowers the
+    running minimum in place.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -167,7 +165,7 @@ class LandmarkSet:
     """Coverage and novelty landmarks with their backing full states.
 
     The coverage states come first, then the novelty states; a state whose
-    goal point duplicates an earlier one is dropped (``dedup_points``).
+    goal point exactly equals an earlier one is dropped (``dedup_points``).
     ``points`` and ``states`` are read-only, because ``build_graph`` caches
     the weights of the edges out of these landmarks on it.
     """

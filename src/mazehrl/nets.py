@@ -25,8 +25,10 @@ Both bump ``param_epoch()`` before their first in-place write, and caches of
 net outputs (``graphplan.LandmarkSet``'s edge block) rely on that: a
 parameter written any other way leaves such a cache stale.
 
-Reverse-mode calls read a forward cache (``Mlp.forward_cache``) and keep
-three rules:
+Reverse-mode calls read a forward cache (``Mlp.forward_cache``), which keeps
+every layer's output but only the output layer's pre-activation: a hidden
+ReLU mask is read as ``a > 0``, the same bits as ``z > 0`` for ±0 and NaN.
+They keep three rules:
 
 - A forward cache is valid only for the parameters it was built with; after
   any parameter write, build a new one.
@@ -156,14 +158,7 @@ class Mlp:
 
     def forward(self, x):
         """Deterministic forward map; accepts a vector or an (n, in_dim) batch."""
-        x, squeeze = self._check_input(x)
-        a = x
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = a @ w.T
-            z += b
-            a = np.maximum(z, 0.0, out=z) if i < last else self._head(z)
-        return a[0] if squeeze else a
+        return self.output(self.forward_cache(x))
 
     def _head(self, z):
         if self.output_activation == "identity":
@@ -173,21 +168,20 @@ class Mlp:
     def forward_cache(self, x):
         """Forward pass retaining activations for subsequent backward calls.
 
-        The cache holds only for the current parameters (see the module
-        docstring); reverse-mode calls may memoise results in it.
+        Returns ``{"acts", "z_out", "squeeze"}``: the input and every layer's
+        output, and the output layer's pre-activation. Hidden ReLUs run in
+        place, so reverse sweeps take their masks from ``acts``. The cache
+        holds only for the current parameters (see the module docstring);
+        reverse-mode calls may memoise results in it.
         """
         x, squeeze = self._check_input(x)
         acts = [x]
-        zs = []
-        a = x
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = a @ w.T
+            z = acts[-1] @ w.T
             z += b
-            zs.append(z)
-            a = np.maximum(z, 0.0) if i < last else self._head(z)
-            acts.append(a)
-        return {"acts": acts, "zs": zs, "squeeze": squeeze}
+            acts.append(np.maximum(z, 0.0, out=z) if i < last else self._head(z))
+        return {"acts": acts, "z_out": z, "squeeze": squeeze}
 
     def output(self, cache):
         out = cache["acts"][-1]
@@ -227,12 +221,12 @@ class Mlp:
         The sweep stops at layer 0's pre-activation; the input gradient is
         ``_through_layer(zgrads[0], 0)``, which only its callers pay for.
         """
-        zs = cache["zs"]
+        acts = cache["acts"]
         zgrads = [None] * len(self.weights)
-        delta = self._upstream(cache, upstream) * self._head_deriv(zs[-1])
+        delta = self._upstream(cache, upstream) * self._head_deriv(cache["z_out"])
         zgrads[-1] = delta
         for i in range(len(self.weights) - 1, 0, -1):
-            delta = self._through_layer(delta, i) * (zs[i - 1] > 0.0)
+            delta = self._through_layer(delta, i) * (acts[i] > 0.0)
             zgrads[i - 1] = delta
         return zgrads
 
@@ -293,7 +287,7 @@ class Mlp:
         """
         if self.output_activation != "identity" or self.out_dim != 1:
             raise ValueError("double_backprop requires a scalar identity output")
-        acts, zs = cache["acts"], cache["zs"]
+        acts = cache["acts"]
         q = np.asarray(q, dtype=self.dtype)
         if q.shape != acts[0].shape:
             raise ValueError("q must match the input batch shape")
@@ -309,10 +303,10 @@ class Mlp:
         r = q
         for i in range(last - 1):
             grads[2 * i] = (r.T @ zgrads[i]).T
-            r = (r @ w[i].T) * (zs[i] > 0.0)
+            r = (r @ w[i].T) * (acts[i + 1] > 0.0)
         # Under upstream ones the last hidden layer's zgrad is w[last][0] * mask, so
         # both remaining weight gradients follow from one product c.
-        c = (r.T @ (zs[last - 1] > 0.0).astype(self.dtype)).T
+        c = (r.T @ (acts[last] > 0.0).astype(self.dtype)).T
         grads[2 * last - 2] = w[last][0][:, None] * c
         grads[2 * last] = (w[last - 1] * c).sum(axis=1)[None]
         return grads

@@ -343,6 +343,9 @@ class TestSpecIO:
             ("start", {"rect": [-7.0, -7.0, -5.0, -5.0]}),
             ("success_radius", float("nan")),  # episodes could never succeed
             ("success_radius", 0.0),
+            ("start", {"point": [-4.5, -4.5, 7.0]}),  # reset_state would return 3 coordinates
+            ("eval_goal", [0.0]),  # must raise ValueError, not IndexError
+            ("walls", [[float("nan"), -0.75, 3.0, 0.75]]),  # a NaN wall blocks nothing
         ],
     )
     def test_spec_from_dict_rejects(self, key, value):

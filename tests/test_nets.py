@@ -131,6 +131,22 @@ class TestForward:
         with pytest.raises(ValueError):
             net.forward(np.zeros(4))
 
+    @pytest.mark.parametrize("head", ["identity", "scaled_tanh"])
+    def test_cache_keeps_one_array_per_layer(self, head):
+        rng = np.random.default_rng(3)
+        net = Mlp([4, 8, 8, 1], head, rng=rng)
+        cache = net.forward_cache(rng.normal(size=(5, 4)))
+        assert set(cache) == {"acts", "z_out", "squeeze"}
+        acts = cache["acts"]
+        assert len(acts) == len(net.weights) + 1
+        # the identity head's output is its pre-activation; a hidden ReLU
+        # output is the pre-activation array rewritten in place, kept once
+        assert (cache["z_out"] is acts[-1]) == (head == "identity")
+        arrays = acts + [cache["z_out"]]
+        for i in range(1, len(acts) - 1):
+            assert np.all(acts[i] >= 0.0)
+            assert sum(np.shares_memory(acts[i], a) for a in arrays) == 1
+
     def test_scaled_tanh_within_bound(self):
         rng = np.random.default_rng(11)
         net = Mlp([2, 8, 2], output_activation="scaled_tanh", bound=1.5, rng=rng)
@@ -595,7 +611,7 @@ class TestSharedUnitSweep:
         cache = net.forward_cache(x)
         ref = reference_forward_cache(net, x)
         assert net.forward(x).tobytes() == ref["acts"][-1].tobytes()
-        assert_bit_identical(cache["acts"] + cache["zs"], ref["acts"] + ref["zs"])
+        assert_bit_identical(cache["acts"] + [cache["z_out"]], ref["acts"] + ref["zs"][-1:])
 
         td = net.grad_params_cached(cache, u)
         g, zgrads = net.input_grad_scalar(cache)
@@ -700,7 +716,7 @@ class TestDtype:
         cache = critic.forward_cache(x)
         g, zgrads = critic.input_grad_scalar(cache)
         arrays = [
-            critic.forward(x), *cache["acts"], *cache["zs"], g, *zgrads,
+            critic.forward(x), *cache["acts"], cache["z_out"], g, *zgrads,
             *critic.grad_params_cached(cache, rng.normal(size=(6, 1))),
             *critic.double_backprop(cache, zgrads, rng.normal(size=(6, 5))),
             *actor.grad_params(x[:, :4], rng.normal(size=(6, 2))),
