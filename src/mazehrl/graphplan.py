@@ -3,20 +3,27 @@
 Coverage landmarks come from farthest-point sampling over the (possibly
 high-return-weighted) state pool; novelty landmarks from RND scores over
 a recent-state window. Graph edges carry negated low-level Q-values as
-distance estimates; planning returns the first hop of the shortest path
+distance estimates; planning returns the first hop of a shortest path
 toward the goal. A built graph is a pure function of its inputs and is
 read-only. The weights out of the landmarks (to every other landmark and
 to the goal) are cached on the ``LandmarkSet`` under a key covering
 everything they depend on, the goal included; a decision scores only the
-edges out of the current state. Node 0, the state, has no in-edges: no
-planner reads them. The cached block and the state row are each always
-scored in one batch of their own shape, so a graph built from the cache
-equals a cold build byte for byte.
+edges out of the current state. Node 0, the state, has no in-edges, so
+every path from it is one state-row edge ``w(0, j)`` followed by a path
+from ``j`` to the goal inside the cached block. The shortest distance
+``D[j]`` from each landmark and the goal to the goal is therefore cached
+too, keyed on the block key plus ``cutoff``, and a warm decision is the
+state-row scoring plus one argmin over ``w(0, j) + D[j]``. ``D`` sums
+each path goal-outward, ``w(u, v1) + (w(v1, v2) + (... + 0))``. The
+cached block and the state row are each always scored in one batch of
+their own shape, so a graph built from the cache equals a cold build
+byte for byte.
 
-Every tie in planning, between shortest-path frontier nodes at equal
-distance and between equally cheap fallback landmarks, is broken by one
-rule: lexicographic node coordinates, then node index
-(``coordinate_rank``). Plans are therefore invariant to landmark order.
+Every tie in planning is broken by one rule: lexicographic node
+coordinates, then node index (``coordinate_rank``). Among the first hops
+of all shortest paths (exactly equal totals) the lowest-ranked wins, and
+so does the lowest-ranked of equally cheap fallback landmarks. Plans are
+therefore invariant to landmark order.
 """
 
 from __future__ import annotations
@@ -167,7 +174,10 @@ class LandmarkSet:
     The coverage states come first, then the novelty states; a state whose
     goal point exactly equals an earlier one is dropped (``dedup_points``).
     ``points`` and ``states`` are read-only, because ``build_graph`` caches
-    the weights of the edges out of these landmarks on it.
+    on it the weights of the edges out of these landmarks (``_edge_block``)
+    and, for the last block and cutoff, each landmark's and the goal's
+    shortest distance to the goal with their coordinate ranks
+    (``_goal_plan``).
     """
 
     def __init__(self, coverage_states, novelty_states, goal_map):
@@ -186,6 +196,8 @@ class LandmarkSet:
         self.states.setflags(write=False)
         self._block_key = None
         self._block = None
+        self._plan_key = None
+        self._plan = None
 
     def __len__(self):
         return len(self.points)
@@ -211,6 +223,18 @@ class LandmarkSet:
                 )
             self._block_key, self._block = key, block
         return self._block
+
+    def _goal_plan(self, cutoff, w_cut_block, points):
+        """(D, rank) of the landmarks and the goal for the last block and ``cutoff``.
+
+        ``w_cut_block`` and ``points`` are the graph's ``w_cut[1:, 1:]`` and
+        ``points[1:]``, both built from the block ``_edge_block`` returned
+        last, so the pair is keyed on that block's key plus ``cutoff``.
+        """
+        key = (self._block_key, cutoff)
+        if self._plan_key != key:
+            self._plan_key, self._plan = key, goal_plan(w_cut_block, points)
+        return self._plan
 
 
 def edge_weights(critic, actor, src_states, dst_points, goal_map, eta):
@@ -242,8 +266,11 @@ class LandmarkGraph:
     the goal. ``w_cut`` holds cutoff-filtered weights (inf = no edge);
     ``w_raw`` keeps unfiltered estimates for the unreachable-goal fallback.
     Node 0 has no in-edges and the goal no out-edges (column 0 and the
-    last row are inf): a search from node 0 never relaxes its source, and
-    the fallback reads only ``w_raw[0, 1:dst]`` and ``w_raw[1:dst, dst]``.
+    last row are inf): the planner reads only row 0 and ``w_cut[1:, 1:]``,
+    and the fallback only ``w_raw[0, 1:dst]`` and ``w_raw[1:dst, dst]``.
+    ``build_graph`` hands over the cached ``goal_plan`` of ``w_cut[1:, 1:]``;
+    a graph built by hand computes its own from its ``w_cut`` on the first
+    ``plan_subgoal``.
     """
 
     def __init__(self, points, w_cut, w_raw, cutoff):
@@ -251,10 +278,16 @@ class LandmarkGraph:
         self.w_cut = w_cut
         self.w_raw = w_raw
         self.cutoff = cutoff
+        self._plan = None
 
     @property
     def n_nodes(self):
         return len(self.points)
+
+    def _goal_plan(self):
+        if self._plan is None:
+            self._plan = goal_plan(self.w_cut[1:, 1:], self.points[1:])
+        return self._plan
 
 
 def build_graph(state, goal_point, landmarks: LandmarkSet, critic, actor, goal_map, eta, cutoff):
@@ -271,6 +304,10 @@ def build_graph(state, goal_point, landmarks: LandmarkSet, critic, actor, goal_m
     their own; no edge enters node 0. The block and the state row are
     each always scored in a batch of the same shape, cached or not, so a
     graph built from a cached block is byte-identical to a cold build.
+    The landmarks' and the goal's distances to the goal over
+    ``w_cut[1:, 1:]`` (``goal_plan``) are cached next to the block, keyed
+    on the block key plus ``cutoff``, and handed to the graph, so a warm
+    ``plan_subgoal`` is one argmin.
     """
     state = np.asarray(state, dtype=np.float64)
     goal_point = np.asarray(goal_point, dtype=np.float64)
@@ -282,7 +319,9 @@ def build_graph(state, goal_point, landmarks: LandmarkSet, critic, actor, goal_m
     )
     w_raw[1:-1, 1:] = landmarks._edge_block(critic, actor, goal_map, eta, goal_point)
     w_cut = np.where(w_raw <= cutoff, w_raw, np.inf)
-    return LandmarkGraph(points, w_cut, w_raw, cutoff)
+    graph = LandmarkGraph(points, w_cut, w_raw, cutoff)
+    graph._plan = landmarks._goal_plan(cutoff, w_cut[1:, 1:], points[1:])
+    return graph
 
 
 def coordinate_rank(points):
@@ -293,74 +332,67 @@ def coordinate_rank(points):
     return rank
 
 
-def dijkstra_first_hop(weights, points, src, dst):
-    """Shortest path under nonnegative weights; returns (first_hop, dist).
+def distances_to(weights, dst):
+    """Shortest distance from every node to ``dst``; inf where unreachable.
 
-    Dense O(n^2) Dijkstra: each round settles the open node with the
-    smallest finite distance, ties broken by lexicographic node
-    coordinates, then node index, so the result is invariant to the order
-    of nodes with distinct coordinates. Returns (None, inf) when dst is
-    unreachable. Non-finite weights are no edge.
-
-    The nodes are relabelled once in ``coordinate_rank`` order, so
-    ``np.argmin``'s lowest-index rule is the tie-break. ``frontier`` is
-    the distance of each open node (inf once settled). A settled node has
-    ``dist <= dist[u] <= dist[u] + w`` under nonnegative weights, so a
-    relaxation can never select it.
+    Vectorised Bellman-Ford from ``dst``: ``d[u] = min(d[u], min_v w[u, v]
+    + d[v])`` for all u at once until ``d`` stops changing, at most n
+    rounds. Non-finite
+    weights are no edge; weights are nonnegative (``edge_weights`` clamps
+    at zero). Each path's sum runs goal-outward, ``w(u, v1) + (w(v1, v2)
+    + (... + 0))``, and ``fl(w + x)`` is monotone in ``x``, so ``d`` is
+    the least fixed point: the minimum of those float sums over all
+    paths, whatever the node order.
     """
-    n = weights.shape[0]
-    rank = coordinate_rank(points)
-    order = np.empty_like(rank)
-    order[rank] = np.arange(n)
-    w = weights[np.ix_(order, order)]
-    w[~np.isfinite(w)] = np.inf
-    s, t = rank[src], rank[dst]
-    dist = np.full(n, np.inf)
-    pred = np.full(n, -1, dtype=np.intp)
-    dist[s] = 0.0
-    frontier = dist.copy()
-    for _ in range(n):
-        u = frontier.argmin()
-        if frontier[u] == np.inf:
+    w = np.where(np.isfinite(weights), weights, np.inf)
+    d = np.full(len(w), np.inf)
+    d[dst] = 0.0
+    for _ in range(len(w)):
+        nd = np.minimum(d, (w + d).min(axis=1))
+        if not (nd < d).any():
             break
-        frontier[u] = np.inf
-        if u == t:
-            break
-        nd = dist[u] + w[u]
-        better = nd < dist
-        dist[better] = frontier[better] = nd[better]
-        pred[better] = u
-    if dist[t] == np.inf:
-        return None, np.inf
-    node = t
-    while pred[node] != s:
-        node = pred[node]
-        if node == -1:
-            return None, np.inf
-    return int(order[node]), float(dist[t])
+        d = nd
+    return d
+
+
+def goal_plan(w_cut_block, points):
+    """(D, rank): each node's distance to the last node and its coordinate rank.
+
+    ``w_cut_block`` and ``points`` cover the landmarks and the goal (a
+    graph's ``w_cut[1:, 1:]`` and ``points[1:]``); the ranks order them as
+    ``coordinate_rank`` of the whole graph does.
+    """
+    return distances_to(w_cut_block, len(w_cut_block) - 1), coordinate_rank(points)
 
 
 def plan_subgoal(graph: LandmarkGraph):
     """First waypoint toward the goal.
 
-    Runs the shortest-path search from the current state (node 0) to the
-    goal (last node) and returns the first landmark on that path (the
-    goal point itself if the direct edge wins). If the goal is
+    Every path from the state (node 0) is one edge ``w_cut[0, j]`` and
+    then a shortest path from ``j`` to the goal, of length ``D[j]``
+    (``goal_plan``; the goal's own ``D`` is 0). The waypoint is the node
+    ``j`` minimizing ``w_cut[0, j] + D[j]``, and among exactly equal
+    totals the one with the lowest ``coordinate_rank``: the lowest-ranked
+    first hop of all shortest paths (the goal point itself if the direct
+    edge wins). A non-finite total is no route. If the goal is
     unreachable under the cutoff, falls back to the landmark minimizing
     the raw two-hop estimate w(s, L) + w(L, g), ties broken by
     ``coordinate_rank``; a NaN sum counts as no route. With no finite
     option the goal point is returned.
     """
     dst = graph.n_nodes - 1
-    hop, _ = dijkstra_first_hop(graph.w_cut, graph.points, 0, dst)
-    if hop is not None:
-        return graph.points[hop].copy()
+    dist, rank = graph._goal_plan()
+    total = graph.w_cut[0, 1:] + dist
+    total[~np.isfinite(total)] = np.inf
+    best = total.min()
+    if best < np.inf:
+        cand = np.flatnonzero(total == best)
+        return graph.points[1 + cand[np.argmin(rank[cand])]].copy()
     two_hop = graph.w_raw[0, 1:dst] + graph.w_raw[1:dst, dst]
     two_hop[np.isnan(two_hop)] = np.inf
     if np.any(np.isfinite(two_hop)):
-        cand = np.flatnonzero(two_hop == np.min(two_hop)) + 1
-        best = cand[np.argmin(coordinate_rank(graph.points)[cand])]
-        return graph.points[best].copy()
+        cand = np.flatnonzero(two_hop == np.min(two_hop))
+        return graph.points[1 + cand[np.argmin(rank[cand])]].copy()
     return graph.points[dst].copy()
 
 

@@ -2,6 +2,7 @@
 
 import heapq
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -15,13 +16,14 @@ from mazehrl.graphplan import (
     NoveltyScorer,
     build_graph,
     dedup_points,
-    dijkstra_first_hop,
+    distances_to,
     edge_weights,
     fps,
     plan_subgoal,
     pseudo_landmark,
     select_novel,
 )
+from mazehrl import graphplan
 from mazehrl.nets import Adam, Mlp, polyak_update
 
 
@@ -409,14 +411,30 @@ class TestPlanning:
             w = rng.uniform(0.1, 5.0, size=(n, n))
             w[rng.random((n, n)) < 0.25] = np.inf
             np.fill_diagonal(w, np.inf)
+            w[:, 0] = np.inf  # nothing enters the state
             w[n - 1, :] = np.inf  # goal is a sink
             cost, path = brute_force_shortest_path(w, 0, n - 1)
-            hop, dist = dijkstra_first_hop(w, points, 0, n - 1)
+            to_goal = distances_to(w[1:, 1:], n - 2)
             if path is None:
-                assert hop is None
-            else:
-                assert hop == path[1]
-                assert dist == pytest.approx(cost)
+                assert np.all(np.isinf(w[0, 1:] + to_goal))
+                continue
+            got = plan_subgoal(LandmarkGraph(points, w, w.copy(), np.inf))
+            hop = int(np.flatnonzero(np.all(points == got, axis=1))[0])
+            assert hop > 0
+            assert w[0, hop] + to_goal[hop - 1] == pytest.approx(cost)
+
+    def test_first_hop_of_any_shortest_path_by_coordinates(self):
+        """Both landmarks start a zero-cost path. The lower-ranked landmark
+        (-1, -1) reaches the goal only through (-1, -0); a search that
+        settles by (distance, rank) records (-1, -0) as the goal's
+        predecessor and would return it."""
+        points = np.array([[-1.0, -1.0], [-1.0, -0.0], [-1.0, -1.0], [-1.0, -1.0]])
+        weights = np.zeros((4, 4))
+        weights[0, 3] = weights[2, 3] = 1.0
+        g = planner_graph(points, weights, 0.0, False)
+        want = np.array([-1.0, -1.0])
+        assert plan_subgoal(g).tobytes() == want.tobytes()
+        assert reference_plan_subgoal(g).tobytes() == want.tobytes()
 
     @settings(max_examples=300, deadline=None)
     @given(st.data(), st.sampled_from([0.0, 1.0, 2.0, np.inf]), st.booleans())
@@ -470,47 +488,43 @@ class TestExports:
 # ---- loop-form references for the array-form planner ----
 
 
-def reference_dijkstra_first_hop(weights, points, src, dst):
-    """Heap Dijkstra keyed on (dist, coordinate tuple, index)."""
+def reference_distances_to(weights, dst):
+    """Heap Dijkstra from ``dst`` over reversed edges: each node's distance
+    to ``dst``, every sum ``w(u, v) + d(v)`` taken goal-outward."""
     n = weights.shape[0]
-    keys = [tuple(p) for p in points]
-    dist = np.full(n, np.inf)
-    pred = np.full(n, -1, dtype=int)
-    dist[src] = 0.0
-    heap = [(0.0, keys[src], src)]
-    done = np.zeros(n, dtype=bool)
+    w = weights.tolist()
+    dist = [math.inf] * n
+    dist[dst] = 0.0
+    heap = [(0.0, dst)]
+    done = [False] * n
     while heap:
-        d, _, u = heapq.heappop(heap)
-        if done[u]:
+        d, v = heapq.heappop(heap)
+        if done[v]:
             continue
-        done[u] = True
-        if u == dst:
-            break
-        for v in range(n):
-            w = weights[u, v]
-            if not np.isfinite(w) or done[v]:
+        done[v] = True
+        for u in range(n):
+            if done[u] or not math.isfinite(w[u][v]):
                 continue
-            nd = d + w
-            if nd < dist[v]:
-                dist[v] = nd
-                pred[v] = u
-                heapq.heappush(heap, (nd, keys[v], v))
-    if not np.isfinite(dist[dst]):
-        return None, np.inf
-    node = dst
-    while pred[node] != src:
-        node = pred[node]
-        if node == -1:
-            return None, np.inf
-    return int(node), float(dist[dst])
+            nd = w[u][v] + d
+            if nd < dist[u]:
+                dist[u] = nd
+                heapq.heappush(heap, (nd, u))
+    return dist
 
 
 def reference_plan_subgoal(graph):
+    """The lowest (coordinates, index) first hop among exactly shortest
+    totals, else the two-hop fallback."""
     dst = graph.n_nodes - 1
-    if graph.n_nodes <= 2:
-        return graph.points[dst].copy()
-    hop, _ = reference_dijkstra_first_hop(graph.w_cut, graph.points, 0, dst)
-    if hop is not None:
+    to_goal = reference_distances_to(graph.w_cut[1:, 1:], dst - 1)
+    totals = {}
+    for j in range(1, dst + 1):
+        w = float(graph.w_cut[0, j])
+        if math.isfinite(w) and math.isfinite(w + to_goal[j - 1]):
+            totals[j] = w + to_goal[j - 1]
+    if totals:
+        best = min(totals.values())
+        hop = min((j for j in totals if totals[j] == best), key=lambda j: (tuple(graph.points[j]), j))
         return graph.points[hop].copy()
     two_hop = graph.w_raw[0, 1:dst] + graph.w_raw[1:dst, dst]
     if two_hop.size and np.any(np.isfinite(two_hop)):
@@ -587,27 +601,27 @@ def planner_scale_graphs(draw):
     return points, weights
 
 
-class TestFirstHopAtPlannerScale:
+def assert_distances_match_reference(weights, goals):
+    for dst in goals:
+        got = distances_to(weights, dst)
+        want = reference_distances_to(weights, dst)
+        assert [x.hex() for x in got.tolist()] == [x.hex() for x in want]  # -0.0 != 0.0
+
+
+class TestDistancesAtPlannerScale:
     @settings(max_examples=200, deadline=None)
     @given(planner_scale_graphs())
     def test_matches_loop_reference(self, graph):
-        points, weights = graph
-        n = len(points)
-        hop, dist = dijkstra_first_hop(weights, points, 0, n - 1)
-        ref_hop, ref_dist = reference_dijkstra_first_hop(weights, points, 0, n - 1)
-        assert hop == ref_hop and dist.hex() == ref_dist.hex()
+        _, weights = graph
+        assert_distances_match_reference(weights, range(len(weights)))
 
 
 class TestMatchesLoopReference:
     @settings(max_examples=300, deadline=None)
     @given(tie_heavy_graphs())
-    def test_dijkstra_every_source(self, graph):
-        points, weights = graph
-        n = len(points)
-        for src, dst in itertools.product(range(n), repeat=2):
-            hop, dist = dijkstra_first_hop(weights, points, src, dst)
-            ref_hop, ref_dist = reference_dijkstra_first_hop(weights, points, src, dst)
-            assert hop == ref_hop and dist.hex() == ref_dist.hex()  # -0.0 != 0.0
+    def test_distances_every_goal(self, graph):
+        _, weights = graph
+        assert_distances_match_reference(weights, range(len(weights)))
 
     @settings(max_examples=300, deadline=None)
     @given(tie_heavy_graphs(), st.sampled_from([0.0, 1.0, 2.0, np.inf]), st.booleans())
@@ -797,3 +811,75 @@ class TestCachedLandmarkBlock:
                 landmarks.points[...] = 0.0
             with pytest.raises(ValueError, match="read-only"):
                 landmarks.states[...] = 0.0
+
+
+def count_goal_plans(monkeypatch):
+    """Count the ``goal_plan`` computations, cached or hand-built."""
+    calls = []
+    real = graphplan.goal_plan
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(graphplan, "goal_plan", counted)
+    return calls
+
+
+class TestCachedGoalDistances:
+    CUTOFF = 5.0
+
+    def nets(self, rng):
+        return TwinCritic(spread_critic(rng), spread_critic(rng)), Mlp([6, 16, 16, 2], "scaled_tanh", rng=rng)
+
+    def test_recomputed_on_new_cutoff_goal_or_epoch(self, monkeypatch):
+        rng = np.random.default_rng(61)
+        landmarks = LandmarkSet(*landmark_inputs(rng, 12), phi)
+        critic, actor = self.nets(rng)
+        calls = count_goal_plans(monkeypatch)
+
+        def computed(goal, cutoff):
+            calls.clear()
+            graph = build_graph(random_states(rng, 1)[0], goal, landmarks, critic, actor, phi, 1.0,
+                                cutoff)
+            plan_subgoal(graph)
+            return len(calls)
+
+        goal, other = rng.uniform(-5, 5, (2, 2))
+        assert [computed(goal, 5.0), computed(goal, 5.0)] == [1, 0]
+        assert [computed(goal, 3.0), computed(goal, 3.0)] == [1, 0]  # a new cutoff
+        assert [computed(other, 3.0), computed(other.copy(), 3.0)] == [1, 0]  # a new goal, by value
+        polyak_update([np.zeros(1)], [np.zeros(1)], 0.5)  # any parameter write
+        assert [computed(other, 3.0), computed(other, 3.0)] == [1, 0]
+        assert computed(other, 5.0) == 1  # back to an earlier cutoff: only the last is kept
+
+    @pytest.mark.parametrize("n_lm", [0, 1, 29])
+    def test_warm_plan_equals_cold_plan(self, n_lm):
+        rng = np.random.default_rng(71 + n_lm)
+        cov, nov = landmark_inputs(rng, n_lm)
+        landmarks = LandmarkSet(cov, nov, phi)
+        critic, actor = self.nets(rng)
+        goal = rng.uniform(-5, 5, 2)
+        for cutoff in (5.0, 5.0, 2.0, np.inf, 5.0):
+            for state in random_states(rng, 4):
+                args = (state, goal)
+                rest = (critic, actor, phi, 1.0, cutoff)
+                warm = build_graph(*args, landmarks, *rest)
+                cold = build_graph(*args, LandmarkSet(cov, nov, phi), *rest)
+                assert plan_subgoal(warm).tobytes() == plan_subgoal(cold).tobytes()
+
+    @pytest.mark.parametrize("n_lm", [0, 1, 29])
+    def test_built_graph_plans_like_hand_built(self, n_lm, monkeypatch):
+        rng = np.random.default_rng(81 + n_lm)
+        landmarks = LandmarkSet(*landmark_inputs(rng, n_lm), phi)
+        critic, actor = self.nets(rng)
+        calls = count_goal_plans(monkeypatch)
+        for cutoff in (self.CUTOFF, 2.0, np.inf):
+            for state, goal in zip(random_states(rng, 5), rng.uniform(-5, 5, (5, 2))):
+                built = build_graph(state, goal, landmarks, critic, actor, phi, 1.0, cutoff)
+                hand = LandmarkGraph(built.points.copy(), built.w_cut.copy(), built.w_raw.copy(), cutoff)
+                calls.clear()
+                assert plan_subgoal(hand).tobytes() == plan_subgoal(built).tobytes()
+                assert len(calls) == 1  # the hand-built graph computed its own
+                for got, want in zip(built._goal_plan(), hand._goal_plan()):
+                    assert got.tobytes() == want.tobytes()
