@@ -50,7 +50,10 @@ class MazeSpec:
     Rect region sampled uniformly over its free space. ``eval_goal`` is
     the fixed goal used by evaluation episodes. Fixed points must have two
     coordinates and lie in the closed ``extent`` and outside every wall
-    interior; regions must lie inside ``extent``.
+    interior; regions must lie inside ``extent``. No wall face may lie on
+    the extent's edge: a ball clamped to that edge is never strictly
+    inside the wall's span, so the wall would not block it. A wall that
+    meets the edge is built past it instead.
     """
 
     name: str
@@ -81,6 +84,10 @@ class MazeSpec:
             for w in self.walls:
                 if w.contains_interior(p):
                     raise ValueError(f"point {p} lies inside wall {w}")
+        ext = self.extent
+        for w in self.walls:
+            if w.x0 == ext.x0 or w.x1 == ext.x1 or w.y0 == ext.y0 or w.y1 == ext.y1:
+                raise ValueError(f"wall {w} has a face on the edge of extent {ext}")
 
     def _fixed_points(self):
         pts = [self.eval_goal]
@@ -247,12 +254,14 @@ def umaze12(reward_mode="sparse") -> MazeSpec:
     """12x12 U-shaped corridor: start bottom left, eval goal top left.
 
     Training goals are uniform over free space; the eval goal is fixed.
+    The wall reaches past the extent's left edge (x0 = -7 < -6), so a
+    ball clamped to that edge is inside its span and is blocked.
     """
     extent = Rect(-6.0, -6.0, 6.0, 6.0)
     return MazeSpec(
         name="UMaze12",
         extent=extent,
-        walls=(Rect(-6.0, -0.75, 3.0, 0.75),),
+        walls=(Rect(-7.0, -0.75, 3.0, 0.75),),
         start=(-4.5, -4.5),
         goal=extent,
         eval_goal=(-4.5, 4.5),
@@ -263,12 +272,12 @@ def umaze12(reward_mode="sparse") -> MazeSpec:
 
 
 def umaze24(reward_mode="sparse") -> MazeSpec:
-    """24x24 variant of the U-shaped corridor."""
+    """24x24 variant of the U-shaped corridor; its wall too reaches past the left edge."""
     extent = Rect(-12.0, -12.0, 12.0, 12.0)
     return MazeSpec(
         name="UMaze24",
         extent=extent,
-        walls=(Rect(-12.0, -1.5, 6.0, 1.5),),
+        walls=(Rect(-13.0, -1.5, 6.0, 1.5),),
         start=(-9.0, -9.0),
         goal=extent,
         eval_goal=(-9.0, 9.0),

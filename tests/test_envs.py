@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mazehrl.envs import (
@@ -184,6 +184,16 @@ class TestCollision:
             for w in spec.walls:
                 assert not w.contains_interior(p)
 
+    @pytest.mark.parametrize("maze, start, stop", [("UMaze12", (-6.0, -2.0), -0.75),
+                                                   ("UMaze24", (-12.0, -3.0), -1.5)])
+    def test_push_along_the_extent_edge_stops_at_the_wall(self, maze, start, stop):
+        # pressed into the left edge, the ball used to slide up through the U wall
+        spec = make_maze(maze)
+        state = EnvState(np.array(start), np.zeros(2), 0, np.array(spec.eval_goal))
+        for _ in range(40):
+            state, _, _, _ = step_state(spec, state, np.array([-1.0, 1.0]))
+        np.testing.assert_array_equal(state.position, [start[0], stop])
+
     def test_fast_crossing_blocked(self):
         spec = embossed()
         # artificial high velocity straight at the pocket's inner bar
@@ -224,6 +234,39 @@ class TestStepProperties:
                 # an axis is blocked exactly when it ends short of its unblocked move
                 blocked = p[axis] != unblocked[axis]
                 assert new.velocity[axis] == (0.0 if blocked else vel[axis])
+            state = new
+
+
+def edge_biased(lo, hi, faces=()):
+    """Coordinates in [lo, hi], often exactly on an edge or wall face or one ulp inside."""
+    exact = [lo, hi, np.nextafter(lo, hi), np.nextafter(hi, lo)]
+    exact += [f for face in faces for f in (face, np.nextafter(face, lo), np.nextafter(face, hi))]
+    return st.sampled_from(exact) | st.floats(lo, hi)
+
+
+# mostly full pushes, so the ball is pinned to edges and faces and slides along them
+PUSH = st.sampled_from([-1.0, 0.0, 1.0]) | st.floats(-1.0, 1.0)
+
+
+class TestUWallSealed:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(["UMaze12", "UMaze24"]), st.data(),
+           st.lists(st.tuples(PUSH, PUSH, st.integers(1, 40)), min_size=1, max_size=8))
+    def test_never_crosses_the_wall_band_left_of_its_open_end(self, maze, data, runs):
+        spec = make_maze(maze)
+        ext, (wall,) = spec.extent, spec.walls
+        x = data.draw(edge_biased(ext.x0, wall.x1))
+        y = data.draw(edge_biased(ext.y0, ext.y1, (wall.y0, wall.y1)))
+        assume(not wall.contains_interior((x, y)))
+
+        def side(p):  # -1 below the band, +1 above it, 0 inside it
+            return -1 if p[1] <= wall.y0 else (1 if p[1] >= wall.y1 else 0)
+
+        state = EnvState(np.array([x, y]), np.zeros(2), 0, np.array(spec.eval_goal))
+        for a in (np.array([ax, ay]) for ax, ay, steps in runs for _ in range(steps)):
+            new, _, _, _ = step_state(spec, state, a)
+            if state.position[0] < wall.x1 and new.position[0] < wall.x1:
+                assert side(new.position) == side(state.position) != 0
             state = new
 
 
@@ -346,6 +389,10 @@ class TestSpecIO:
             ("start", {"point": [-4.5, -4.5, 7.0]}),  # reset_state would return 3 coordinates
             ("eval_goal", [0.0]),  # must raise ValueError, not IndexError
             ("walls", [[float("nan"), -0.75, 3.0, 0.75]]),  # a NaN wall blocks nothing
+            ("walls", [[-6.0, -0.75, 3.0, 0.75]]),  # a face on the extent's edge leaks
+            ("walls", [[-3.0, -0.75, 6.0, 0.75]]),
+            ("walls", [[-3.0, -6.0, -2.0, 0.0]]),
+            ("walls", [[-3.0, 0.0, -2.0, 6.0]]),
         ],
     )
     def test_spec_from_dict_rejects(self, key, value):
