@@ -177,7 +177,7 @@ class LandmarkSet:
     on it the weights of the edges out of these landmarks (``_edge_block``)
     and, for the last block and cutoff, each landmark's and the goal's
     shortest distance to the goal with their coordinate ranks
-    (``_goal_plan``).
+    (``_goal_plan``), keyed on the block key plus ``cutoff``.
     """
 
     def __init__(self, coverage_states, novelty_states, goal_map):
@@ -224,16 +224,15 @@ class LandmarkSet:
             self._block_key, self._block = key, block
         return self._block
 
-    def _goal_plan(self, cutoff, w_cut_block, points):
-        """(D, rank) of the landmarks and the goal for the last block and ``cutoff``.
+    def _goal_plan(self, graph):
+        """``graph``'s (D, rank), kept for the last block key and ``graph.cutoff``.
 
-        ``w_cut_block`` and ``points`` are the graph's ``w_cut[1:, 1:]`` and
-        ``points[1:]``, both built from the block ``_edge_block`` returned
-        last, so the pair is keyed on that block's key plus ``cutoff``.
+        ``graph`` is built from the block ``_edge_block`` returned last,
+        so its ``w_cut[1:, 1:]`` and ``points[1:]`` depend on nothing else.
         """
-        key = (self._block_key, cutoff)
+        key = (self._block_key, graph.cutoff)
         if self._plan_key != key:
-            self._plan_key, self._plan = key, goal_plan(w_cut_block, points)
+            self._plan_key, self._plan = key, graph._goal_plan()
         return self._plan
 
 
@@ -268,9 +267,9 @@ class LandmarkGraph:
     Node 0 has no in-edges and the goal no out-edges (column 0 and the
     last row are inf): the planner reads only row 0 and ``w_cut[1:, 1:]``,
     and the fallback only ``w_raw[0, 1:dst]`` and ``w_raw[1:dst, dst]``.
-    ``build_graph`` hands over the cached ``goal_plan`` of ``w_cut[1:, 1:]``;
-    a graph built by hand computes its own from its ``w_cut`` on the first
-    ``plan_subgoal``.
+    ``build_graph`` hands over the distances to the goal cached on the
+    ``LandmarkSet``; a graph built by hand computes its own from its
+    ``w_cut`` on the first ``plan_subgoal``.
     """
 
     def __init__(self, points, w_cut, w_raw, cutoff):
@@ -285,8 +284,12 @@ class LandmarkGraph:
         return len(self.points)
 
     def _goal_plan(self):
+        """(D, rank) over nodes 1..: each one's distance to the goal within
+        ``w_cut[1:, 1:]`` and its ``coordinate_rank``, which orders nodes 1..
+        as it orders them in the whole graph."""
         if self._plan is None:
-            self._plan = goal_plan(self.w_cut[1:, 1:], self.points[1:])
+            self._plan = (distances_to(self.w_cut[1:, 1:], self.n_nodes - 2),
+                          coordinate_rank(self.points[1:]))
         return self._plan
 
 
@@ -305,9 +308,9 @@ def build_graph(state, goal_point, landmarks: LandmarkSet, critic, actor, goal_m
     each always scored in a batch of the same shape, cached or not, so a
     graph built from a cached block is byte-identical to a cold build.
     The landmarks' and the goal's distances to the goal over
-    ``w_cut[1:, 1:]`` (``goal_plan``) are cached next to the block, keyed
-    on the block key plus ``cutoff``, and handed to the graph, so a warm
-    ``plan_subgoal`` is one argmin.
+    ``w_cut[1:, 1:]`` and their coordinate ranks are cached next to the
+    block, keyed on the block key plus ``cutoff``, and handed to the
+    graph, so a warm ``plan_subgoal`` is one argmin.
     """
     state = np.asarray(state, dtype=np.float64)
     goal_point = np.asarray(goal_point, dtype=np.float64)
@@ -320,7 +323,7 @@ def build_graph(state, goal_point, landmarks: LandmarkSet, critic, actor, goal_m
     w_raw[1:-1, 1:] = landmarks._edge_block(critic, actor, goal_map, eta, goal_point)
     w_cut = np.where(w_raw <= cutoff, w_raw, np.inf)
     graph = LandmarkGraph(points, w_cut, w_raw, cutoff)
-    graph._plan = landmarks._goal_plan(cutoff, w_cut[1:, 1:], points[1:])
+    graph._plan = landmarks._goal_plan(graph)
     return graph
 
 
@@ -355,22 +358,12 @@ def distances_to(weights, dst):
     return d
 
 
-def goal_plan(w_cut_block, points):
-    """(D, rank): each node's distance to the last node and its coordinate rank.
-
-    ``w_cut_block`` and ``points`` cover the landmarks and the goal (a
-    graph's ``w_cut[1:, 1:]`` and ``points[1:]``); the ranks order them as
-    ``coordinate_rank`` of the whole graph does.
-    """
-    return distances_to(w_cut_block, len(w_cut_block) - 1), coordinate_rank(points)
-
-
 def plan_subgoal(graph: LandmarkGraph):
     """First waypoint toward the goal.
 
     Every path from the state (node 0) is one edge ``w_cut[0, j]`` and
     then a shortest path from ``j`` to the goal, of length ``D[j]``
-    (``goal_plan``; the goal's own ``D`` is 0). The waypoint is the node
+    (``distances_to`` over ``w_cut[1:, 1:]``; the goal's own ``D`` is 0). The waypoint is the node
     ``j`` minimizing ``w_cut[0, j] + D[j]``, and among exactly equal
     totals the one with the lowest ``coordinate_rank``: the lowest-ranked
     first hop of all shortest paths (the goal point itself if the direct

@@ -187,7 +187,7 @@ class TestCollision:
     @pytest.mark.parametrize("maze, start, stop", [("UMaze12", (-6.0, -2.0), -0.75),
                                                    ("UMaze24", (-12.0, -3.0), -1.5)])
     def test_push_along_the_extent_edge_stops_at_the_wall(self, maze, start, stop):
-        # pressed into the left edge, the ball used to slide up through the U wall
+        # pressed into the left edge, the ball must not slide up through the U wall
         spec = make_maze(maze)
         state = EnvState(np.array(start), np.zeros(2), 0, np.array(spec.eval_goal))
         for _ in range(40):

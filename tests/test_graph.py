@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mazehrl import graphplan
 from mazehrl.envs import phi
 from mazehrl.graphplan import (
     LandmarkGraph,
@@ -23,7 +24,6 @@ from mazehrl.graphplan import (
     pseudo_landmark,
     select_novel,
 )
-from mazehrl import graphplan
 from mazehrl.nets import Adam, Mlp, polyak_update
 
 
@@ -424,10 +424,9 @@ class TestPlanning:
             assert w[0, hop] + to_goal[hop - 1] == pytest.approx(cost)
 
     def test_first_hop_of_any_shortest_path_by_coordinates(self):
-        """Both landmarks start a zero-cost path. The lower-ranked landmark
-        (-1, -1) reaches the goal only through (-1, -0); a search that
-        settles by (distance, rank) records (-1, -0) as the goal's
-        predecessor and would return it."""
+        """Both landmarks start a zero-cost path, and the lower-ranked one,
+        (-1, -1), is returned although its path runs on through (-1, -0),
+        the goal's only predecessor."""
         points = np.array([[-1.0, -1.0], [-1.0, -0.0], [-1.0, -1.0], [-1.0, -1.0]])
         weights = np.zeros((4, 4))
         weights[0, 3] = weights[2, 3] = 1.0
@@ -813,16 +812,16 @@ class TestCachedLandmarkBlock:
                 landmarks.states[...] = 0.0
 
 
-def count_goal_plans(monkeypatch):
-    """Count the ``goal_plan`` computations, cached or hand-built."""
+def count_goal_distances(monkeypatch):
+    """Count the computations of distances to the goal, cached or hand-built."""
     calls = []
-    real = graphplan.goal_plan
+    real = graphplan.distances_to
 
     def counted(*args):
         calls.append(1)
         return real(*args)
 
-    monkeypatch.setattr(graphplan, "goal_plan", counted)
+    monkeypatch.setattr(graphplan, "distances_to", counted)
     return calls
 
 
@@ -836,7 +835,7 @@ class TestCachedGoalDistances:
         rng = np.random.default_rng(61)
         landmarks = LandmarkSet(*landmark_inputs(rng, 12), phi)
         critic, actor = self.nets(rng)
-        calls = count_goal_plans(monkeypatch)
+        calls = count_goal_distances(monkeypatch)
 
         def computed(goal, cutoff):
             calls.clear()
@@ -867,13 +866,15 @@ class TestCachedGoalDistances:
                 warm = build_graph(*args, landmarks, *rest)
                 cold = build_graph(*args, LandmarkSet(cov, nov, phi), *rest)
                 assert plan_subgoal(warm).tobytes() == plan_subgoal(cold).tobytes()
+                for got, want in zip(warm._goal_plan(), cold._goal_plan()):
+                    assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n_lm", [0, 1, 29])
     def test_built_graph_plans_like_hand_built(self, n_lm, monkeypatch):
         rng = np.random.default_rng(81 + n_lm)
         landmarks = LandmarkSet(*landmark_inputs(rng, n_lm), phi)
         critic, actor = self.nets(rng)
-        calls = count_goal_plans(monkeypatch)
+        calls = count_goal_distances(monkeypatch)
         for cutoff in (self.CUTOFF, 2.0, np.inf):
             for state, goal in zip(random_states(rng, 5), rng.uniform(-5, 5, (5, 2))):
                 built = build_graph(state, goal, landmarks, critic, actor, phi, 1.0, cutoff)
