@@ -340,12 +340,11 @@ def distances_to(weights, dst):
 
     Vectorised Bellman-Ford from ``dst``: ``d[u] = min(d[u], min_v w[u, v]
     + d[v])`` for all u at once until ``d`` stops changing, at most n
-    rounds. Non-finite
-    weights are no edge; weights are nonnegative (``edge_weights`` clamps
-    at zero). Each path's sum runs goal-outward, ``w(u, v1) + (w(v1, v2)
-    + (... + 0))``, and ``fl(w + x)`` is monotone in ``x``, so ``d`` is
-    the least fixed point: the minimum of those float sums over all
-    paths, whatever the node order.
+    rounds. Non-finite weights are no edge; weights are nonnegative
+    (``edge_weights`` clamps at zero). Each path's sum runs goal-outward,
+    ``w(u, v1) + (w(v1, v2) + (... + 0))``, and ``fl(w + x)`` is monotone
+    in ``x``, so ``d`` is the least fixed point: the minimum of those
+    float sums over all paths, whatever the node order.
     """
     w = np.where(np.isfinite(weights), weights, np.inf)
     d = np.full(len(w), np.inf)
@@ -363,13 +362,13 @@ def plan_subgoal(graph: LandmarkGraph):
 
     Every path from the state (node 0) is one edge ``w_cut[0, j]`` and
     then a shortest path from ``j`` to the goal, of length ``D[j]``
-    (``distances_to`` over ``w_cut[1:, 1:]``; the goal's own ``D`` is 0). The waypoint is the node
-    ``j`` minimizing ``w_cut[0, j] + D[j]``, and among exactly equal
-    totals the one with the lowest ``coordinate_rank``: the lowest-ranked
-    first hop of all shortest paths (the goal point itself if the direct
-    edge wins). A non-finite total is no route. If the goal is
-    unreachable under the cutoff, falls back to the landmark minimizing
-    the raw two-hop estimate w(s, L) + w(L, g), ties broken by
+    (``distances_to`` over ``w_cut[1:, 1:]``; the goal's own ``D`` is 0).
+    The waypoint is the node ``j`` minimizing ``w_cut[0, j] + D[j]``, and
+    among exactly equal totals the one with the lowest ``coordinate_rank``:
+    the lowest-ranked first hop of all shortest paths (the goal point
+    itself if the direct edge wins). A non-finite total is no route. If
+    the goal is unreachable under the cutoff, falls back to the landmark
+    minimizing the raw two-hop estimate w(s, L) + w(L, g), ties broken by
     ``coordinate_rank``; a NaN sum counts as no route. With no finite
     option the goal point is returned.
     """
