@@ -5,19 +5,18 @@ high-return-weighted) state pool; novelty landmarks from RND scores over
 a recent-state window. Graph edges carry negated low-level Q-values as
 distance estimates; planning returns the first hop of a shortest path
 toward the goal. A built graph is a pure function of its inputs and is
-read-only. The weights out of the landmarks (to every other landmark and
-to the goal) are cached on the ``LandmarkSet`` under a key covering
-everything they depend on, the goal included; a decision scores only the
-edges out of the current state. Node 0, the state, has no in-edges, so
-every path from it is one state-row edge ``w(0, j)`` followed by a path
-from ``j`` to the goal inside the cached block. The shortest distance
-``D[j]`` from each landmark and the goal to the goal is therefore cached
-too, keyed on the block key plus ``cutoff``, and a warm decision is the
-state-row scoring plus one argmin over ``w(0, j) + D[j]``. ``D`` sums
-each path goal-outward, ``w(u, v1) + (w(v1, v2) + (... + 0))``. The
-cached block and the state row are each always scored in one batch of
-their own shape, so a graph built from the cache equals a cold build
-byte for byte.
+read-only. Node 0, the state, has no in-edges, so every path from it is
+one state-row edge ``w(0, j)`` followed by a path from ``j`` to the goal
+among the landmarks. Everything but the state row, the goal side, is
+kept on the ``LandmarkSet`` in one cache entry
+(``LandmarkSet._goal_side``): the weights out of the landmarks (to every
+other landmark and to the goal) and, over their cut, the shortest
+distance ``D[j]`` from each landmark and the goal to the goal. A warm
+decision scores only the edges out of the current state and takes one
+argmin over ``w(0, j) + D[j]``. ``D`` sums each path goal-outward,
+``w(u, v1) + (w(v1, v2) + (... + 0))``. The cached block and the state
+row are each always scored in one batch of their own shape, so a graph
+built from the cache equals a cold build byte for byte.
 
 Every tie in planning is broken by one rule: lexicographic node
 coordinates, then node index (``coordinate_rank``). Among the first hops
@@ -174,10 +173,7 @@ class LandmarkSet:
     The coverage states come first, then the novelty states; a state whose
     goal point exactly equals an earlier one is dropped (``dedup_points``).
     ``points`` and ``states`` are read-only, because ``build_graph`` caches
-    on it the weights of the edges out of these landmarks (``_edge_block``)
-    and, for the last block and cutoff, each landmark's and the goal's
-    shortest distance to the goal with their coordinate ranks
-    (``_goal_plan``), keyed on the block key plus ``cutoff``.
+    on it the planner's goal side, which depends on them (``_goal_side``).
     """
 
     def __init__(self, coverage_states, novelty_states, goal_map):
@@ -194,46 +190,40 @@ class LandmarkSet:
             self.states = np.zeros((0, 0))
         self.points.setflags(write=False)
         self.states.setflags(write=False)
-        self._block_key = None
-        self._block = None
-        self._plan_key = None
-        self._plan = None
+        self._key = None
+        self._cached = None
 
     def __len__(self):
         return len(self.points)
 
-    def _edge_block(self, critic, actor, goal_map, eta, goal_point):
-        """L x (L + 1) weights from each landmark to every landmark and the goal.
+    def _goal_side(self, critic, actor, goal_map, eta, goal_point, cutoff):
+        """(block, (D, rank)): the planning graph's parts that skip the state.
 
-        Column j < L is landmark j and column L the goal; the diagonal is
-        inf (no self-loops). The L * L finite-candidate pairs are scored in
-        one batch, once per key ``(critic, actor, goal_map, eta,
-        nets.param_epoch(), goal bytes)``, so a new episode goal or any
-        parameter step re-scores the whole block.
+        ``block`` is the L x (L + 1) raw weights from each landmark to every
+        landmark (column j < L) and the goal (column L); the diagonal is inf
+        (no self-loops). ``(D, rank)`` is ``goal_plan`` over the cut block
+        and ``vstack([points, goal])``. The L * L finite-candidate pairs are
+        scored in one batch, and all of it is kept for the last key
+        ``(critic, actor, goal_map, eta, nets.param_epoch(), goal bytes,
+        cutoff)``: the objects by identity, ``eta`` by value, the epoch,
+        which every ``Adam.step`` and ``polyak_update`` raises, and the goal
+        and ``cutoff`` by value. Any change of key re-scores the whole
+        block; parameters written any other way leave it stale.
         """
-        key = (critic, actor, goal_map, eta, param_epoch(), goal_point.tobytes())
-        if self._block_key != key:
+        key = (critic, actor, goal_map, eta, param_epoch(), goal_point.tobytes(), cutoff)
+        if self._key != key:
             n = len(self)
+            targets = np.vstack([self.points, goal_point])
             block = np.full((n, n + 1), np.inf)
             if n:
                 src, dst = np.nonzero(~np.eye(n, n + 1, dtype=bool))
-                targets = np.vstack([self.points, goal_point])
                 block[src, dst] = edge_weights(
                     critic, actor, self.states[src], targets[dst], goal_map, eta
                 )
-            self._block_key, self._block = key, block
-        return self._block
-
-    def _goal_plan(self, graph):
-        """``graph``'s (D, rank), kept for the last block key and ``graph.cutoff``.
-
-        ``graph`` is built from the block ``_edge_block`` returned last,
-        so its ``w_cut[1:, 1:]`` and ``points[1:]`` depend on nothing else.
-        """
-        key = (self._block_key, graph.cutoff)
-        if self._plan_key != key:
-            self._plan_key, self._plan = key, graph._goal_plan()
-        return self._plan
+            # the goal row of w_cut[1:, 1:]: the goal has no out-edges
+            cut = np.vstack([np.where(block <= cutoff, block, np.inf), np.full(n + 1, np.inf)])
+            self._key, self._cached = key, (block, goal_plan(cut, targets))
+        return self._cached
 
 
 def edge_weights(critic, actor, src_states, dst_points, goal_map, eta):
@@ -267,9 +257,9 @@ class LandmarkGraph:
     Node 0 has no in-edges and the goal no out-edges (column 0 and the
     last row are inf): the planner reads only row 0 and ``w_cut[1:, 1:]``,
     and the fallback only ``w_raw[0, 1:dst]`` and ``w_raw[1:dst, dst]``.
-    ``build_graph`` hands over the distances to the goal cached on the
-    ``LandmarkSet``; a graph built by hand computes its own from its
-    ``w_cut`` on the first ``plan_subgoal``.
+    ``build_graph`` hands over the ``(D, rank)`` cached on the
+    ``LandmarkSet`` (``LandmarkSet._goal_side``); a graph built by hand
+    computes its own from its ``w_cut`` on the first ``plan_subgoal``.
     """
 
     def __init__(self, points, w_cut, w_raw, cutoff):
@@ -284,33 +274,34 @@ class LandmarkGraph:
         return len(self.points)
 
     def _goal_plan(self):
-        """(D, rank) over nodes 1..: each one's distance to the goal within
-        ``w_cut[1:, 1:]`` and its ``coordinate_rank``, which orders nodes 1..
-        as it orders them in the whole graph."""
+        """``goal_plan`` over nodes 1.., computed on first use."""
         if self._plan is None:
-            self._plan = (distances_to(self.w_cut[1:, 1:], self.n_nodes - 2),
-                          coordinate_rank(self.points[1:]))
+            self._plan = goal_plan(self.w_cut[1:, 1:], self.points[1:])
         return self._plan
+
+
+def goal_plan(w_cut, points):
+    """(D, rank) over a graph whose last node is the goal.
+
+    ``D`` is each node's shortest distance to the goal within ``w_cut``
+    and ``rank`` its ``coordinate_rank``. Over nodes 1.. of a planning
+    graph the rank orders them as it orders them in the whole graph.
+    """
+    return distances_to(w_cut, len(w_cut) - 1), coordinate_rank(points)
 
 
 def build_graph(state, goal_point, landmarks: LandmarkSet, critic, actor, goal_map, eta, cutoff):
     """Assemble the planning graph for one high-level decision.
 
-    The weights out of the landmarks depend only on the landmarks, the
-    goal and the nets, so they are scored once and kept on ``landmarks``
-    (see ``LandmarkSet._edge_block``), keyed on ``(critic, actor,
-    goal_map, eta, nets.param_epoch(), goal bytes)``: the objects by
-    identity, ``eta`` by value, the epoch, which every ``Adam.step`` and
-    ``polyak_update`` raises, and the goal by value. Parameters written
-    any other way leave the cached block stale. Each decision scores only
-    the L + 1 pairs from the state to every other node, in a batch of
-    their own; no edge enters node 0. The block and the state row are
-    each always scored in a batch of the same shape, cached or not, so a
-    graph built from a cached block is byte-identical to a cold build.
-    The landmarks' and the goal's distances to the goal over
-    ``w_cut[1:, 1:]`` and their coordinate ranks are cached next to the
-    block, keyed on the block key plus ``cutoff``, and handed to the
-    graph, so a warm ``plan_subgoal`` is one argmin.
+    Everything but the row out of the state depends only on the
+    landmarks, the goal, ``cutoff`` and the nets, so it is computed once
+    and kept on ``landmarks`` (see ``LandmarkSet._goal_side`` for its
+    key). Each decision scores only the L + 1 pairs from the state to
+    every other node, in a batch of their own; no edge enters node 0.
+    The block and the state row are each always scored in a batch of the
+    same shape, cached or not, so a graph built from a cached block is
+    byte-identical to a cold build. The cached ``(D, rank)`` is handed to
+    the graph, so a warm ``plan_subgoal`` is one argmin.
     """
     state = np.asarray(state, dtype=np.float64)
     goal_point = np.asarray(goal_point, dtype=np.float64)
@@ -320,10 +311,9 @@ def build_graph(state, goal_point, landmarks: LandmarkSet, critic, actor, goal_m
     w_raw[0, 1:] = edge_weights(
         critic, actor, np.broadcast_to(state, (n - 1, state.size)), points[1:], goal_map, eta
     )
-    w_raw[1:-1, 1:] = landmarks._edge_block(critic, actor, goal_map, eta, goal_point)
-    w_cut = np.where(w_raw <= cutoff, w_raw, np.inf)
-    graph = LandmarkGraph(points, w_cut, w_raw, cutoff)
-    graph._plan = landmarks._goal_plan(graph)
+    w_raw[1:-1, 1:], plan = landmarks._goal_side(critic, actor, goal_map, eta, goal_point, cutoff)
+    graph = LandmarkGraph(points, np.where(w_raw <= cutoff, w_raw, np.inf), w_raw, cutoff)
+    graph._plan = plan
     return graph
 
 

@@ -22,7 +22,7 @@ is a flat view. Checkpoints list each weight row by row, as before.
 Nets are immutable during inference; parameter updates go through the
 optimizer (``Adam.step``) or ``polyak_update`` on the training thread only.
 Both bump ``param_epoch()`` before their first in-place write, and caches of
-net outputs (``graphplan.LandmarkSet``'s edge block) rely on that: a
+net outputs (``graphplan.LandmarkSet._goal_side``) rely on that: a
 parameter written any other way leaves such a cache stale.
 
 Reverse-mode calls read a forward cache (``Mlp.forward_cache``), which keeps

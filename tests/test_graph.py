@@ -884,3 +884,57 @@ class TestCachedGoalDistances:
                 assert len(calls) == 1  # the hand-built graph computed its own
                 for got, want in zip(built._goal_plan(), hand._goal_plan()):
                     assert got.tobytes() == want.tobytes()
+
+
+class TestGoalSideKey:
+    """One cache entry per landmark set, keyed on the goal, ``cutoff`` and the epoch among others."""
+
+    GOALS = ((1.0, -2.0), (-3.0, 4.0))
+    CUTOFFS = (5.0, 2.0, np.inf)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ops=st.lists(
+            st.tuples(st.just("goal"), st.integers(0, 1))
+            | st.tuples(st.just("cutoff"), st.integers(0, 2))
+            | st.tuples(st.sampled_from(["same_goal", "polyak", "none"]), st.just(0)),
+            max_size=12,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_interleaved_changes(self, ops, seed):
+        rng = np.random.default_rng(seed)
+        cov, nov = landmark_inputs(rng, 7)
+        landmarks, counted = LandmarkSet(cov, nov, phi), LandmarkSet(cov, nov, phi)
+        n_lm = len(landmarks)
+        q1, q2 = spread_critic(rng), spread_critic(rng)
+        target = q2.copy()
+        critic, actor = TwinCritic(q1, q2), Mlp([6, 16, 16, 2], "scaled_tanh", rng=rng)
+        counter, stub_actor = RowCountingCritic(-1.0), StubActor()
+        goal, cutoff = np.array(self.GOALS[0]), self.CUTOFFS[0]
+        last = None  # (goal bytes, cutoff) of the previous build
+        polyak_since = False
+        for op, arg in [("none", 0)] + ops:
+            if op == "goal":
+                goal = np.array(self.GOALS[arg])
+            elif op == "same_goal":
+                goal = goal.copy()
+            elif op == "cutoff":
+                cutoff = self.CUTOFFS[arg]
+            elif op == "polyak":
+                polyak_update(q2.params, target.params, 0.5)
+                polyak_since = True
+            state = random_states(rng, 1)[0]
+            rest = (critic, actor, phi, 1.0, cutoff)
+            warm = build_graph(state, goal, landmarks, *rest)
+            cold = build_graph(state, goal, LandmarkSet(cov, nov, phi), *rest)
+            assert graph_bytes(warm) == graph_bytes(cold)
+            assert plan_subgoal(warm).tobytes() == plan_subgoal(cold).tobytes()
+            for got, want in zip(warm._goal_plan(), cold._goal_plan()):
+                assert got.tobytes() == want.tobytes()
+
+            counter.rows = 0
+            build_graph(state, goal, counted, counter, stub_actor, phi, 1.0, cutoff)
+            rescored = polyak_since or last != (goal.tobytes(), cutoff)
+            assert counter.rows == n_lm + 1 + (n_lm * n_lm if rescored else 0)
+            last, polyak_since = (goal.tobytes(), cutoff), False
