@@ -133,7 +133,7 @@ def phi(state) -> np.ndarray:
 
 def success(position, goal, radius) -> bool:
     """Closed-ball success test: ||position - goal||_2 <= radius."""
-    if radius <= 0:
+    if not radius > 0:  # NaN fails too
         raise ValueError("radius must be positive")
     return bool(np.linalg.norm(np.asarray(position) - np.asarray(goal)) <= radius)
 

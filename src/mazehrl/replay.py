@@ -60,7 +60,7 @@ class Transition:
     s_next: np.ndarray
     sg_next: np.ndarray
     done: bool
-    t: int = -1
+    t: int
 
 
 def _table_dtype(state_shape, goal_shape):
@@ -256,7 +256,7 @@ def hr_weights(corrected_returns, lengths, alpha):
     constant shifts of A). Every transition of trajectory i carries
     weight w_i, so sum_i T_i w_i = 1.
     """
-    if alpha <= 0:
+    if not alpha > 0:  # NaN fails too
         raise ValueError("alpha must be positive")
     A = np.asarray(corrected_returns, dtype=np.float64)
     T = np.asarray(lengths, dtype=np.float64)

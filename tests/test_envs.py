@@ -296,6 +296,11 @@ class TestPhiSuccess:
     def test_success_beyond_radius(self):
         assert not success([0.0, 0.0], [1.0, 0.0], 0.75)
 
+    @pytest.mark.parametrize("radius", [0.0, -0.5, float("nan")])
+    def test_success_radius_must_be_positive(self, radius):
+        with pytest.raises(ValueError, match="radius must be positive"):
+            success([0.0, 0.0], [0.0, 0.0], radius)
+
 
 class TestRewardField:
     def test_sparse_rewards_in_set(self):

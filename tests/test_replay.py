@@ -86,6 +86,12 @@ class TestBuffer:
         with pytest.raises(ValueError):
             buf.store_episode(eps, (0, 0))
 
+    def test_step_index_is_required(self):
+        step = make_episode([-1])[0]
+        fields = {f: getattr(step, f) for f in ("s", "sg", "a", "r", "s_next", "sg_next", "done")}
+        with pytest.raises(TypeError, match="'t'"):
+            Transition(**fields)
+
     def test_early_done_rejected(self):
         buf = TrajectoryBuffer()
         eps = make_episode([-1, -1, -1])
@@ -395,9 +401,10 @@ class TestHrWeights:
         h_big = weight_entropy(hr_weights(A, T, 10.0), T)
         assert h_big > h_small
 
-    def test_alpha_must_be_positive(self):
-        with pytest.raises(ValueError):
-            hr_weights([0.0], [1], alpha=0.0)
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan])
+    def test_alpha_must_be_positive(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            hr_weights([0.0], [1], alpha=alpha)
 
     def test_normalization_sums_to_one(self):
         rng = np.random.default_rng(1)
@@ -515,6 +522,17 @@ class TestComputeWeights:
         compute_weights(buf, alpha=0.3)
         for rec in buf.records:
             assert rec.weight > 0
+
+    def test_rejected_alpha_leaves_weights_unchanged(self):
+        buf = self._mixed_buffer()
+        compute_weights(buf, alpha=0.3)
+        weights = buf.records.weight.copy()
+        for call in (lambda: compute_weights(buf, math.nan),
+                     lambda: sample_pool(buf, "hr", 3, np.random.default_rng(0), alpha=math.nan)):
+            with pytest.raises(ValueError, match="alpha must be positive"):
+                call()
+            assert buf.records.weight.tobytes() == weights.tobytes()
+            assert buf._weighted == 0.3
 
 
 def one_step_buffer(k):
