@@ -887,7 +887,7 @@ class TestCachedGoalDistances:
 
 
 class TestGoalSideKey:
-    """One cache entry per landmark set, keyed on the goal, ``cutoff`` and the epoch among others."""
+    """One goal-side entry per landmark set, re-scored on a new goal, cutoff or epoch."""
 
     GOALS = ((1.0, -2.0), (-3.0, 4.0))
     CUTOFFS = (5.0, 2.0, np.inf)
