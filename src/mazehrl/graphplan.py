@@ -35,11 +35,12 @@ NOVELTY_HIDDEN = (64, 64)
 NOVELTY_OUT_DIM = 16
 
 
-def dedup_points(points, aux=None):
-    """Drop (n, d) rows exactly equal (``==``) to an earlier row.
+def dedup_points(points):
+    """Indices of the (n, d) rows not exactly equal (``==``) to an earlier row.
 
-    Keeps the first occurrence of each row, in input order; ``aux`` is
-    filtered alongside. +0.0 equals -0.0, rows 1e-12 apart both survive,
+    The first occurrence of each row is kept, and the indices come back
+    ascending (input order); ``points[dedup_points(points)]`` is the
+    deduplicated array. +0.0 equals -0.0, rows 1e-12 apart both survive,
     and a row holding a NaN is never a duplicate. One stable lexicographic
     sort puts equal rows next to each other, first occurrence first.
     """
@@ -48,10 +49,7 @@ def dedup_points(points, aux=None):
     rows = points[order]
     first = np.ones(len(rows), dtype=bool)
     first[1:] = np.any(rows[1:] != rows[:-1], axis=1)
-    keep = np.sort(order[first])
-    if aux is None:
-        return points[keep]
-    return points[keep], np.asarray(aux)[keep]
+    return np.sort(order[first])
 
 
 def fps(pool, m, rng):
@@ -59,7 +57,8 @@ def fps(pool, m, rng):
 
     The first point is drawn randomly from the pool; each subsequent
     point maximizes the minimum distance to the chosen set, ties broken by
-    lowest index. Exact duplicate rows are dropped first; asking for more
+    lowest index. A pool with a non-finite coordinate raises
+    ``ValueError``. Exact duplicate rows are dropped first; asking for more
     points than remain returns the whole deduplicated pool. Each of the
     m - 1 rounds computes one row of distances, ``np.linalg.norm``'s
     arithmetic coordinate-major (one contiguous row per coordinate, summed
@@ -69,9 +68,9 @@ def fps(pool, m, rng):
     if m < 1:
         raise ValueError("m must be >= 1")
     pool = np.asarray(pool, dtype=np.float64)
-    if pool.ndim != 2 or pool.shape[0] == 0:
-        raise ValueError("pool must be a nonempty (n, d) array")
-    unique = dedup_points(pool)
+    if pool.ndim != 2 or pool.shape[0] == 0 or not np.isfinite(pool).all():
+        raise ValueError("pool must be a nonempty, finite (n, d) array")
+    unique = pool[dedup_points(pool)]
     n = unique.shape[0]
     if m >= n:
         return unique.copy()
@@ -182,9 +181,9 @@ class LandmarkSet:
         parts = [np.atleast_2d(a) for a in (cov, nov) if a.size]
         if parts:
             all_states = np.concatenate(parts, axis=0)
-            pts = goal_map(all_states)
-            self.points, kept_aux = dedup_points(pts, np.arange(len(pts)))
-            self.states = all_states[kept_aux]
+            pts = np.asarray(goal_map(all_states), dtype=np.float64)
+            keep = dedup_points(pts)
+            self.points, self.states = pts[keep], all_states[keep]
         else:
             self.points = np.zeros((0, 2))
             self.states = np.zeros((0, 0))
@@ -244,7 +243,7 @@ def edge_weights(critic, actor, src_states, dst_points, goal_map, eta):
     act = actor.forward(obs)
     q = critic.min_q(np.concatenate([obs, act], axis=1))
     w = np.maximum(-q, 0.0)
-    w[~np.isfinite(w)] = np.inf
+    w[~np.isfinite(q)] = np.inf
     return w
 
 

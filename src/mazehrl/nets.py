@@ -17,7 +17,7 @@ column-major (input-major in memory), so the forward product ``a @ W.T``
 is a plain NN GEMM that BLAS need not repack. Weight gradients, Adam
 moments and Polyak targets share that order. ``W.reshape(-1)`` is
 therefore a copy; ``W.ravel(order="K")`` or ``W.reshape(-1, order="A")``
-is a flat view. Checkpoints list each weight row by row, as before.
+is a flat view. Checkpoints list each weight row by row.
 
 Nets are immutable during inference; parameter updates go through the
 optimizer (``Adam.step``) or ``polyak_update`` on the training thread only.
@@ -68,6 +68,19 @@ def param_epoch():
 def _bump_param_epoch():
     global _param_epoch
     _param_epoch += 1
+
+
+def _check_slots(values, what, *like):
+    """Before an update writes: ``ValueError`` unless each list in ``like`` has
+    ``values``' slot count and shapes, ``FloatingPointError`` on a non-finite value."""
+    if any(len(ref) != len(values) for ref in like):
+        raise ValueError(f"{what} count mismatch")
+    for i, v in enumerate(values):
+        for ref in like:
+            if ref[i].shape != v.shape:
+                raise ValueError(f"{what} shape mismatch in slot {i}")
+        if not np.isfinite(v).all():
+            raise FloatingPointError(f"non-finite {what} in slot {i} (max |v| = {np.max(np.abs(v))})")
 
 
 class Mlp:
@@ -384,15 +397,7 @@ class Adam:
         ``FloatingPointError``; either way the params, the moments,
         ``step_count`` and ``param_epoch()`` stay as they were.
         """
-        if len(params) != len(self.m) or len(grads) != len(self.m):
-            raise ValueError("params/grads length mismatch with optimizer state")
-        for i, (p, g, m) in enumerate(zip(params, grads, self.m)):
-            if not p.shape == g.shape == m.shape:
-                raise ValueError(f"gradient shape mismatch in slot {i}")
-            if not np.all(np.isfinite(g)):
-                raise FloatingPointError(
-                    f"non-finite gradient in slot {i} (max |g| = {np.max(np.abs(g))})"
-                )
+        _check_slots(grads, "gradient", params, self.m)
         _bump_param_epoch()
         self.step_count += 1
         b1c = 1.0 - self.beta1 ** self.step_count
@@ -457,13 +462,7 @@ def polyak_update(target_params, online_params, tau):
     """
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must be in [0, 1], got {tau}")
-    if len(target_params) != len(online_params):
-        raise ValueError("polyak length mismatch")
-    for i, (t, o) in enumerate(zip(target_params, online_params)):
-        if t.shape != o.shape:
-            raise ValueError(f"polyak shape mismatch in slot {i}")
-        if not np.all(np.isfinite(o)):
-            raise FloatingPointError(f"non-finite online parameter in slot {i}")
+    _check_slots(online_params, "online parameter", target_params)
     _bump_param_epoch()
     for t, o in zip(target_params, online_params):
         t *= 1.0 - tau

@@ -18,9 +18,10 @@ it reuses the weights.
 
 - ``"hr"``: high-return sampling. Once per stored table and ``alpha``
   the episodic returns are max-min normalized per task (start and goal
-  cells of side ``TASK_CELL_SIZE``), debiased by their in-sample
-  expected-return fit (``expected_returns``) and Boltzmann-weighted at
-  temperature ``alpha``; ``compute_weights`` writes each episode's
+  cells of side ``TASK_CELL_SIZE``), debiased by their in-sample linear
+  fit on every varying start-state and goal coordinate
+  (``expected_returns``) and Boltzmann-weighted at temperature
+  ``alpha``; ``compute_weights`` writes each episode's
   transition weight to the ``weight`` column, the only column it writes.
   Later draws at the same ``alpha`` reuse that column until the next
   ``store_episode``.
@@ -43,9 +44,7 @@ FIELDS = ("s", "sg", "a", "r", "s_next", "sg_next", "done")
 TASK_CELL_SIZE = 0.75
 # Share of the episodes, by episodic return, that the topk sampler keeps.
 TOPK_FRACTION = 0.1
-# Expected-return fit: at most this many features, the mean below this many
-# episodes.
-FIT_MAX_FEATURES = 6
+# Expected-return fit: the mean below this many episodes.
 FIT_MIN_SAMPLES = 20
 
 
@@ -98,8 +97,9 @@ class TrajectoryBuffer:
 
     ``store_episode`` raises ``ValueError``, leaving the buffer unchanged,
     for an empty episode, non-consecutive step indices, ``done`` before the
-    last step, more steps than ``capacity``, or row or goal shapes that
-    differ from the columns and the table.
+    last step, more steps than ``capacity``, a non-finite value in a step
+    column or the goal, or row or goal shapes that differ from the columns
+    and the table.
     """
 
     def __init__(self, capacity=200_000):
@@ -138,6 +138,9 @@ class TrajectoryBuffer:
                 raise ValueError("done before the final transition")
         episode = {f: np.array([getattr(tr, f) for tr in transitions], dtype=np.float64) for f in FIELDS}
         goal = np.array(goal, dtype=np.float64)
+        for f, values in [*episode.items(), ("goal", goal)]:
+            if not np.isfinite(values).all():
+                raise ValueError(f"non-finite {f} in episode")
         if self._cols is not None:
             shapes = {f: (v.shape[1:], self._cols[f].shape[1:]) for f, v in episode.items()}
             shapes["goal"] = (goal.shape, self.records.goal.shape[1:])
@@ -218,31 +221,29 @@ def normalize_returns(records):
 def expected_returns(X, y):
     """In-sample expected-return fit of ``y`` over the feature rows ``X``.
 
-    Linear least squares on the ``FIT_MAX_FEATURES`` features with the
-    largest absolute correlation with ``y``; the mean of ``y`` below
-    ``FIT_MIN_SAMPLES`` rows or when the design is uninformative (fewer
-    than two distinct rows, constant ``y`` or no varying feature). A
-    rank-deficient design takes the minimum-norm solution, whose fitted
-    values are the same projection of ``y``.
+    Linear least squares with an intercept on every varying feature
+    (nonzero standard deviation), in the given column order; the mean of
+    ``y`` below ``FIT_MIN_SAMPLES`` rows or when the design is
+    uninformative (fewer than two distinct rows, constant ``y`` or no
+    varying feature). A rank-deficient design takes the minimum-norm
+    solution, whose fitted values are the same projection of ``y``, so
+    they do not depend on the column order beyond rounding.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64)
     if len(y) < 1:
         raise ValueError("need at least one sample")
     mean = np.full(len(y), float(y.mean()))
+    # A constant column can have a nonzero std (its mean rounds), so equal
+    # rows are caught exactly here.
     if len(y) < FIT_MIN_SAMPLES or (X == X[0]).all() or y.std() == 0:
         return mean
-    std = X.std(axis=0)
-    informative = np.nonzero(std > 0)[0]
-    if informative.size == 0:
+    varying = np.nonzero(X.std(axis=0) > 0)[0]
+    if varying.size == 0:
         return mean
-    xc = X[:, informative] - X[:, informative].mean(axis=0)
-    yc = y - y.mean()
-    corr = np.abs(xc.T @ yc) / (std[informative] * y.std() * len(y))
-    idx = informative[np.argsort(-corr, kind="stable")[:FIT_MAX_FEATURES]]
-    A = np.column_stack([X[:, idx], np.ones(len(y))])
+    A = np.column_stack([X[:, varying], np.ones(len(y))])
     sol, *_ = np.linalg.lstsq(A, y, rcond=None)
-    return X[:, idx] @ sol[:-1] + float(sol[-1])
+    return X[:, varying] @ sol[:-1] + float(sol[-1])
 
 
 # ---- Boltzmann transition weights ----

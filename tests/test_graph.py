@@ -81,7 +81,7 @@ class StubCritic:
 
 def reference_fps(pool, m, rng):
     """``fps`` with one ``np.linalg.norm`` over the rows per round."""
-    unique = dedup_points(pool)
+    unique = pool[dedup_points(pool)]
     if m >= len(unique):
         return unique.copy()
     chosen = [int(rng.integers(0, len(unique)))]
@@ -137,6 +137,14 @@ class TestFps:
         b = fps(pool, 6, np.random.default_rng(9))
         np.testing.assert_array_equal(a, b)
         assert min_pairwise(a) > 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_pool_rejected(self, bad):
+        # a non-finite row is never a duplicate and its distances are nan or
+        # inf, so the rounds would pick one row again and again
+        pool = np.array([[0.0, 0], [1.0, 0], [bad, 0], [2.0, 0], [5.0, 5]])
+        with pytest.raises(ValueError, match="finite"):
+            fps(pool, 3, np.random.default_rng(1))
 
     @settings(max_examples=200, deadline=None)
     @given(st.data(), st.integers(0, 2**32 - 1))
@@ -320,9 +328,10 @@ class TestEdgeWeights:
         w = edge_weights(StubCritic(3.0), StubActor(), np.zeros((1, 4)), np.ones((1, 2)), phi, 1.0)
         np.testing.assert_array_equal(w, [0.0])
 
-    def test_nonfinite_rejected_as_inf(self):
-        w = edge_weights(StubCritic(np.nan), StubActor(), np.zeros((1, 4)), np.ones((1, 2)), phi, 1.0)
-        assert np.isinf(w[0])
+    @pytest.mark.parametrize("q", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_rejected_as_inf(self, q):
+        w = edge_weights(StubCritic(q), StubActor(), np.zeros((1, 4)), np.ones((1, 2)), phi, 1.0)
+        np.testing.assert_array_equal(w, [np.inf])
 
     def test_cutoff_removes_edges_in_graph(self):
         lms = LandmarkSet(np.array([[3.0, 0.0, 0, 0]]), np.zeros((0, 4)), phi)
@@ -474,14 +483,12 @@ class TestPseudoLandmark:
                 assert np.linalg.norm(out - plan) == pytest.approx(delta)
 
 
-class TestExports:
-    def test_dedup_points_tolerance(self):
+class TestDedupPoints:
+    def test_exact_equality(self):
         # exact ==: rows 1e-12 apart are distinct, -0.0 and +0.0 are not
         pts = np.array([[1.0, 1.0], [1.0 + 1e-12, 1.0], [2.0, 2.0], [1.0, 1.0], [-0.0, 0.0],
                         [0.0, 0.0]])
-        out, kept = dedup_points(pts, np.arange(len(pts)))
-        np.testing.assert_array_equal(kept, [0, 1, 2, 4])
-        assert out[1, 0] == 1.0 + 1e-12
+        np.testing.assert_array_equal(dedup_points(pts), [0, 1, 2, 4])
 
 
 # ---- loop-form references for the array-form planner ----
@@ -533,17 +540,16 @@ def reference_plan_subgoal(graph):
     return graph.points[dst].copy()
 
 
-def reference_dedup_points(points, aux):
-    points = np.asarray(points, dtype=np.float64)
-    seen = {}
+def reference_dedup_points(points):
+    """Indices of the rows whose tuple no earlier row had."""
+    seen = set()
     keep = []
-    for i, p in enumerate(points):
+    for i, p in enumerate(np.asarray(points, dtype=np.float64)):
         key = tuple(p)
         if key not in seen:
-            seen[key] = i
+            seen.add(key)
             keep.append(i)
-    keep = np.array(keep, dtype=int)
-    return points[keep], np.asarray(aux)[keep]
+    return np.array(keep, dtype=np.intp)
 
 
 def reference_select_novel(candidates, scores, m):
@@ -633,12 +639,8 @@ class TestMatchesLoopReference:
     @given(st.lists(st.tuples(DEDUP_COORDS, DEDUP_COORDS, DEDUP_COORDS), min_size=1, max_size=12))
     def test_dedup_points(self, rows):
         points = np.array(rows)
-        aux = np.arange(len(points))
-        got_rows, got_aux = dedup_points(points, aux)
-        ref_rows, ref_aux = reference_dedup_points(points, aux)
-        np.testing.assert_array_equal(got_aux, ref_aux)
-        assert got_rows.tobytes() == ref_rows.tobytes()
-        assert dedup_points(points).tobytes() == ref_rows.tobytes()
+        got, ref = dedup_points(points), reference_dedup_points(points)
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
     @settings(max_examples=300, deadline=None)
     @given(

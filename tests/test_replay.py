@@ -212,6 +212,26 @@ class TestEpisodeTable:
                 buf.store_episode(bad, goal)
             assert (len(buf), buf.recent_states(7).tobytes(), buf.records.tobytes()) == before
 
+    def test_nonfinite_episode_rejected(self):
+        """A NaN return would make every weight NaN and every hr draw fail."""
+        buf = self._wrapped_buffer()
+        compute_weights(buf, alpha=0.3)
+        before = (len(buf), buf.recent_states(7).tobytes(), buf.records.tobytes())
+        nan_reward = [distinct_step(0, 9, False), distinct_step(1, 9, True)]
+        nan_reward[1].r = np.nan
+        inf_state = [distinct_step(0, 9, True)]
+        inf_state[0].s_next = np.array([np.inf, 0.0, 0.0, 0.0])
+        for bad, goal in ((nan_reward, (0.0, 0.0)), (inf_state, (0.0, 0.0)),
+                          ([distinct_step(0, 9, True)], (0.0, -np.inf))):
+            with pytest.raises(ValueError, match="non-finite"):
+                buf.store_episode(bad, goal)
+            assert (len(buf), buf.recent_states(7).tobytes(), buf.records.tobytes()) == before
+        assert np.isfinite(sample_pool(buf, "hr", 5, np.random.default_rng(0), alpha=0.3)).all()
+        empty = TrajectoryBuffer(capacity=7)
+        with pytest.raises(ValueError, match="non-finite"):
+            empty.store_episode(nan_reward, (0.0, 0.0))
+        assert len(empty) == 0 and empty._cols is None
+
 
 def episodic_return(rewards):
     """The return a stored episode's record carries."""
@@ -365,11 +385,29 @@ class TestReturnRegressor:
         y = 5.0 * X[:, 7] + 0.01 * rng.normal(size=60)
         # feature 7 is fitted: the residual is the noise alone
         assert np.max(np.abs(expected_returns(X, y) - y)) < 0.05
-        # every feature matters, but at most six are fitted: the fit is inexact
-        y = X @ np.arange(1.0, 9.0)
-        assert np.max(np.abs(expected_returns(X, y) - y)) > 1e-3
+        # every one of the eight varying features is fitted: the fit is exact
+        y = X @ np.arange(1.0, 9.0) - 2.0
+        np.testing.assert_allclose(expected_returns(X, y), y, rtol=0, atol=1e-10)
 
-    def test_rank_deficient_ridge_path(self):
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(20, 60), st.integers(1, 9), st.integers(0, 2**32 - 1))
+    def test_column_order_invariance(self, n, d, seed):
+        """The fit is the projection of ``y`` onto the varying columns and an
+        intercept, so permuting the columns moves no fitted value beyond
+        rounding. Constant and repeated columns are mixed in; the varying
+        columns share one scale, so the design stays well conditioned."""
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, d))
+        X[:, rng.random(d) < 0.2] = 0.1  # a constant column (its std may round above 0)
+        X = np.hstack([X, X[:, :1]])
+        y = rng.normal(size=n)
+        perm = rng.permutation(X.shape[1])
+        want = expected_returns(X, y)
+        # relative to the fit's scale: a fitted value near zero has no relative precision
+        tol = 1e-12 * np.abs(want).max()
+        np.testing.assert_allclose(expected_returns(X[:, perm], y), want, rtol=1e-12, atol=tol)
+
+    def test_rank_deficient_min_norm_path(self):
         """A collinear design is fitted like its de-duplicated columns: the
         minimum-norm solution spans the same projection of ``y``."""
         for seed in range(20):
