@@ -3,7 +3,8 @@
 Centered world coordinates; walls are axis-aligned rectangles. The point
 mass integrates velocity-damped acceleration commands and slides along
 walls (per-axis clipping). Step is a pure function of (spec, state,
-action), so independent episodes can run in parallel.
+action), so independent episodes can run in parallel. The reward is
+sparse: -1 per step, 0 on the step that reaches the goal.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 ACTION_BOUND = 1.0
 DAMPING = 0.9
 ACCEL_SCALE = 0.03
-DENSE_SUCCESS_BONUS = 200.0
+SPEC_FORMAT = "mazehrl-maze-v2"  # a v1 dict, whose reward_mode may be "dense", is rejected
 FREE_POINT_TRIES = 1000  # rejection-sampling attempts before a region counts as walled off
 
 
@@ -50,10 +51,11 @@ class MazeSpec:
     Rect region sampled uniformly over its free space. ``eval_goal`` is
     the fixed goal used by evaluation episodes. Fixed points must have two
     coordinates and lie in the closed ``extent`` and outside every wall
-    interior; regions must lie inside ``extent``. No wall face may lie on
-    the extent's edge: a ball clamped to that edge is never strictly
-    inside the wall's span, so the wall would not block it. A wall that
-    meets the edge is built past it instead.
+    interior; regions must lie inside ``extent``. ``success_radius`` must
+    be positive and finite. No wall face may lie on the extent's edge: a
+    ball clamped to that edge is never strictly inside the wall's span, so
+    the wall would not block it. A wall that meets the edge is built past
+    it instead.
     """
 
     name: str
@@ -63,14 +65,11 @@ class MazeSpec:
     goal: object = (0.0, 0.0)
     eval_goal: tuple = (0.0, 0.0)
     success_radius: float = 0.75
-    reward_mode: str = "sparse"
     max_episode_steps: int = 500
 
     def __post_init__(self):
-        if not self.success_radius > 0:  # NaN fails too
-            raise ValueError("success_radius must be positive")
-        if self.reward_mode not in ("sparse", "dense"):
-            raise ValueError(f"unknown reward_mode {self.reward_mode!r}")
+        if not 0 < self.success_radius < np.inf:  # NaN fails too
+            raise ValueError("success_radius must be positive and finite")
         if self.max_episode_steps <= 0:
             raise ValueError("max_episode_steps must be positive")
         fixed = self._fixed_points()
@@ -119,22 +118,19 @@ class EnvState:
 
 
 def phi(state) -> np.ndarray:
-    """Project a state onto goal space: the position components.
+    """Project flat (..., 4) state vectors onto goal space: the position components.
 
-    Accepts an EnvState or a flat (..., 4) state vector. Elementwise
-    selection, so the input-Jacobian is a 0/1 selector with Frobenius
-    norm sqrt(2) for 2-D goals.
+    Elementwise selection, so the input-Jacobian is a 0/1 selector with
+    Frobenius norm sqrt(2) for 2-D goals. An ``EnvState`` is not an array;
+    pass ``state.observation()``.
     """
-    if isinstance(state, EnvState):
-        return state.position.copy()
-    arr = np.asarray(state, dtype=np.float64)
-    return arr[..., :2].copy()
+    return np.asarray(state, dtype=np.float64)[..., :2].copy()
 
 
 def success(position, goal, radius) -> bool:
-    """Closed-ball success test: ||position - goal||_2 <= radius."""
-    if not radius > 0:  # NaN fails too
-        raise ValueError("radius must be positive")
+    """Closed-ball success test: ||position - goal||_2 <= radius, for a finite radius."""
+    if not 0 < radius < np.inf:  # NaN fails too
+        raise ValueError("radius must be positive and finite")
     return bool(np.linalg.norm(np.asarray(position) - np.asarray(goal)) <= radius)
 
 
@@ -215,12 +211,7 @@ def step_state(spec: MazeSpec, state: EnvState, action):
 
     t = state.t + 1
     suc = success(pos, state.goal, spec.success_radius)
-    if spec.reward_mode == "sparse":
-        reward = 0.0 if suc else -1.0
-    else:
-        reward = -float(np.linalg.norm(pos - state.goal))
-        if suc:
-            reward += DENSE_SUCCESS_BONUS
+    reward = 0.0 if suc else -1.0
     done = suc or t >= spec.max_episode_steps
     return EnvState(position=pos, velocity=vel, t=t, goal=state.goal), reward, done, clamped
 
@@ -250,7 +241,7 @@ class PointMazeEnv:
 # ---- built-in mazes ----
 
 
-def umaze12(reward_mode="sparse") -> MazeSpec:
+def umaze12() -> MazeSpec:
     """12x12 U-shaped corridor: start bottom left, eval goal top left.
 
     Training goals are uniform over free space; the eval goal is fixed.
@@ -266,12 +257,11 @@ def umaze12(reward_mode="sparse") -> MazeSpec:
         goal=extent,
         eval_goal=(-4.5, 4.5),
         success_radius=0.75,
-        reward_mode=reward_mode,
         max_episode_steps=500,
     )
 
 
-def umaze24(reward_mode="sparse") -> MazeSpec:
+def umaze24() -> MazeSpec:
     """24x24 variant of the U-shaped corridor; its wall too reaches past the left edge."""
     extent = Rect(-12.0, -12.0, 12.0, 12.0)
     return MazeSpec(
@@ -282,12 +272,11 @@ def umaze24(reward_mode="sparse") -> MazeSpec:
         goal=extent,
         eval_goal=(-9.0, 9.0),
         success_radius=1.5,
-        reward_mode=reward_mode,
         max_episode_steps=1000,
     )
 
 
-def embossed(reward_mode="sparse") -> MazeSpec:
+def embossed() -> MazeSpec:
     """12x12 maze with an open-left pocket between start and goal.
 
     The ball starts at the midpoint of the left side and must reach the
@@ -306,7 +295,6 @@ def embossed(reward_mode="sparse") -> MazeSpec:
         goal=(5.25, 0.0),
         eval_goal=(5.25, 0.0),
         success_radius=0.75,
-        reward_mode=reward_mode,
         max_episode_steps=500,
     )
 
@@ -318,9 +306,9 @@ MAZE_BUILDERS = {
 }
 
 
-def make_maze(name, reward_mode="sparse") -> MazeSpec:
+def make_maze(name) -> MazeSpec:
     try:
-        return MAZE_BUILDERS[name](reward_mode)
+        return MAZE_BUILDERS[name]()
     except KeyError:
         raise ValueError(f"unknown maze {name!r}; choices: {sorted(MAZE_BUILDERS)}") from None
 
@@ -342,7 +330,7 @@ def _point_or_rect_from_obj(obj):
 
 def spec_to_dict(spec: MazeSpec) -> dict:
     return {
-        "format": "mazehrl-maze-v1",
+        "format": SPEC_FORMAT,
         "name": spec.name,
         "extent": spec.extent.as_list(),
         "walls": [w.as_list() for w in spec.walls],
@@ -350,13 +338,12 @@ def spec_to_dict(spec: MazeSpec) -> dict:
         "goal": _point_or_rect_to_obj(spec.goal),
         "eval_goal": list(map(float, spec.eval_goal)),
         "success_radius": spec.success_radius,
-        "reward_mode": spec.reward_mode,
         "max_episode_steps": spec.max_episode_steps,
     }
 
 
 def spec_from_dict(obj: dict) -> MazeSpec:
-    if obj.get("format") != "mazehrl-maze-v1":
+    if obj.get("format") != SPEC_FORMAT:
         raise ValueError("unsupported maze spec format")
     return MazeSpec(
         name=obj["name"],
@@ -366,6 +353,5 @@ def spec_from_dict(obj: dict) -> MazeSpec:
         goal=_point_or_rect_from_obj(obj["goal"]),
         eval_goal=tuple(obj["eval_goal"]),
         success_radius=obj["success_radius"],
-        reward_mode=obj["reward_mode"],
         max_episode_steps=obj["max_episode_steps"],
     )

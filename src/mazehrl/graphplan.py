@@ -381,8 +381,11 @@ def pseudo_landmark(sg_plan, phi_state, delta):
     """Shift the planned waypoint distance ``delta`` away from the agent.
 
     Returns (point, degenerate) where degenerate flags sg_plan == phi(s),
-    in which case the waypoint is returned unchanged.
+    in which case the waypoint is returned unchanged. ``delta`` must be
+    finite; a negative one shifts toward the agent.
     """
+    if not -np.inf < delta < np.inf:  # NaN fails too
+        raise ValueError(f"delta must be finite, got {delta}")
     sg_plan = np.asarray(sg_plan, dtype=np.float64)
     phi_state = np.asarray(phi_state, dtype=np.float64)
     ray = sg_plan - phi_state

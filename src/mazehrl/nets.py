@@ -52,6 +52,7 @@ __all__ = [
 
 CHECKPOINT_FORMAT = "mazehrl-net-v1"
 MOMENT_FLUSH_EVERY = 32  # Adam steps between flushes of subnormal moments to zero
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's fixed decay rates and epsilon
 
 _param_epoch = 0  # in-place parameter writes so far, process-wide
 
@@ -88,9 +89,11 @@ class Mlp:
 
     ``layer_sizes`` chains input through hidden widths to the output,
     e.g. ``[4, 64, 64, 2]``. A scaled-tanh head keeps outputs in
-    ``[-bound, +bound]`` componentwise. ``dtype`` (``np.float32`` or
-    ``np.float64``) is the dtype of every array the net makes; inputs,
-    upstream gradients and penalty signals are cast to it.
+    ``[-bound, +bound]`` componentwise, for a positive, finite ``bound``.
+    ``rng``, a ``np.random.Generator`` passed by name, draws the initial
+    weights. ``dtype`` (``np.float32`` or ``np.float64``) is the dtype of
+    every array the net makes; inputs, upstream gradients and penalty
+    signals are cast to it.
 
     ``weights`` and ``biases`` are tuples, so a layer is rewritten in place
     (``net.weights[i][...] = v``, which casts ``v`` to the net dtype), never
@@ -98,10 +101,9 @@ class Mlp:
     """
 
     def __init__(
-        self, layer_sizes, output_activation="identity", bound=1.0, rng=None, dtype=np.float32
+        self, layer_sizes, output_activation="identity", bound=1.0, *, rng, dtype=np.float32
     ):
         self._configure(layer_sizes, output_activation, bound, dtype)
-        rng = rng if rng is not None else np.random.default_rng(0)
         weights = []
         n_layers = len(self.layer_sizes) - 1
         for i in range(n_layers):
@@ -120,8 +122,8 @@ class Mlp:
             raise ValueError(f"layer_sizes must be >=2 positive ints, got {layer_sizes}")
         if output_activation not in ("identity", "scaled_tanh"):
             raise ValueError(f"unknown output activation {output_activation!r}")
-        if output_activation == "scaled_tanh" and bound <= 0:
-            raise ValueError("scaled_tanh bound must be positive")
+        if output_activation == "scaled_tanh" and not 0 < bound < np.inf:  # NaN fails too
+            raise ValueError("scaled_tanh bound must be positive and finite")
         if dtype not in (np.float32, np.float64):
             raise ValueError(f"dtype must be np.float32 or np.float64, got {dtype!r}")
         self.layer_sizes = [int(n) for n in layer_sizes]
@@ -342,12 +344,11 @@ class Mlp:
     def from_state_dict(cls, state):
         """The net ``state`` describes, in its recorded dtype.
 
-        A checkpoint without a ``"dtype"`` key was written by a float64-only
-        version and loads as float64. No random initialisation is drawn.
+        The ``"dtype"`` key is required. No random initialisation is drawn.
         """
         if state.get("format") != CHECKPOINT_FORMAT:
             raise ValueError(f"unsupported net checkpoint format {state.get('format')!r}")
-        name = state.get("dtype", "float64")
+        name = state.get("dtype")
         if name not in ("float32", "float64"):
             raise ValueError(f"unsupported checkpoint dtype {name!r}")
         dtype = np.dtype(name)
@@ -367,6 +368,9 @@ class Mlp:
 class Adam:
     """Adam with bias correction over a flat parameter list.
 
+    ``lr`` must be positive and finite; beta1, beta2 and epsilon are fixed
+    at ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``.
+
     Every ``MOMENT_FLUSH_EVERY`` steps, moments below the dtype's smallest
     normal number are set to zero. Under a zero gradient, ``m *= beta1``
     has fixed points among the subnormals (one ulp times 0.9 rounds back to
@@ -380,11 +384,10 @@ class Adam:
     ``MOMENT_FLUSH_EVERY - 1`` steps at a time, not for the rest of the run.
     """
 
-    def __init__(self, params, lr=3e-4, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr=3e-4):
+        if not 0 < lr < np.inf:  # NaN fails too
+            raise ValueError(f"lr must be positive and finite, got {lr}")
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.step_count = 0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
@@ -400,27 +403,27 @@ class Adam:
         _check_slots(grads, "gradient", params, self.m)
         _bump_param_epoch()
         self.step_count += 1
-        b1c = 1.0 - self.beta1 ** self.step_count
-        b2c = 1.0 - self.beta2 ** self.step_count
+        b1c = 1.0 - ADAM_BETA1**self.step_count
+        b2c = 1.0 - ADAM_BETA2**self.step_count
         flush = self.step_count % MOMENT_FLUSH_EVERY == 0
         for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (g * g)
             if flush:
                 tiny = np.finfo(p.dtype).tiny
                 m *= np.abs(m) >= tiny
                 v *= v >= tiny
-            p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+            p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS)
 
     def state_dict(self):
         return {
             "format": "mazehrl-adam-v1",
             "lr": self.lr,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "eps": self.eps,
+            "beta1": ADAM_BETA1,
+            "beta2": ADAM_BETA2,
+            "eps": ADAM_EPS,
             "step_count": self.step_count,
             "m": [a.tolist() for a in self.m],
             "v": [a.tolist() for a in self.v],
@@ -431,12 +434,15 @@ class Adam:
         """The optimizer ``state`` describes, for ``params``.
 
         Each moment takes its param's dtype and memory order. A moment
-        count or shape that does not match ``params`` raises ``ValueError``
-        here, not at the next ``step``.
+        count or shape that does not match ``params``, or a beta1, beta2 or
+        epsilon other than the constants, raises ``ValueError`` here, not at
+        the next ``step``.
         """
         if state.get("format") != "mazehrl-adam-v1":
             raise ValueError("unsupported optimizer checkpoint format")
-        opt = cls(params, lr=state["lr"], beta1=state["beta1"], beta2=state["beta2"], eps=state["eps"])
+        if (state["beta1"], state["beta2"], state["eps"]) != (ADAM_BETA1, ADAM_BETA2, ADAM_EPS):
+            raise ValueError("optimizer checkpoint beta1, beta2 or eps differs from the constants")
+        opt = cls(params, lr=state["lr"])
         opt.step_count = int(state["step_count"])
         for key in ("m", "v"):
             if len(state[key]) != len(params):

@@ -95,18 +95,6 @@ class TestStep:
         new, reward, done, _ = step_state(spec, state, np.zeros(2))
         assert reward == 0.0 and done
 
-    def test_dense_success_bonus(self):
-        spec = embossed(reward_mode="dense")
-        state = EnvState(np.array([5.0, 0.0]), np.zeros(2), 0, np.array([5.25, 0.0]))
-        new, reward, done, _ = step_state(spec, state, np.zeros(2))
-        assert reward == pytest.approx(-0.25 + 200.0) and done
-
-    def test_dense_reward_is_negative_distance(self):
-        spec = embossed(reward_mode="dense")
-        state = EnvState(np.array([-5.25, 0.0]), np.zeros(2), 0, np.array([5.25, 0.0]))
-        _, reward, _, _ = step_state(spec, state, np.zeros(2))
-        assert reward == pytest.approx(-10.5)
-
     def test_action_clamped_and_counted(self):
         spec = embossed()
         env = PointMazeEnv(spec, np.random.default_rng(0))
@@ -273,12 +261,17 @@ class TestUWallSealed:
 class TestPhiSuccess:
     def test_phi_projects_position(self):
         state = EnvState(np.array([3.0, 4.0]), np.array([9.0, -9.0]), 0, np.zeros(2))
-        np.testing.assert_array_equal(phi(state), [3.0, 4.0])
+        np.testing.assert_array_equal(phi(state.observation()), [3.0, 4.0])
 
     def test_phi_ignores_velocity(self):
         a = EnvState(np.array([1.0, 2.0]), np.zeros(2), 0, np.zeros(2))
         b = EnvState(np.array([1.0, 2.0]), np.array([5.0, 5.0]), 0, np.zeros(2))
-        np.testing.assert_array_equal(phi(a), phi(b))
+        np.testing.assert_array_equal(phi(a.observation()), phi(b.observation()))
+
+    def test_phi_rejects_an_env_state(self):
+        state = EnvState(np.array([3.0, 4.0]), np.zeros(2), 0, np.zeros(2))
+        with pytest.raises(TypeError):
+            phi(state)
 
     def test_phi_flat_vector_and_jacobian_norm(self):
         # selector Jacobian has one 1 per goal dim -> Frobenius norm sqrt(2)
@@ -296,7 +289,7 @@ class TestPhiSuccess:
     def test_success_beyond_radius(self):
         assert not success([0.0, 0.0], [1.0, 0.0], 0.75)
 
-    @pytest.mark.parametrize("radius", [0.0, -0.5, float("nan")])
+    @pytest.mark.parametrize("radius", [0.0, -0.5, float("nan"), float("inf")])
     def test_success_radius_must_be_positive(self, radius):
         with pytest.raises(ValueError, match="radius must be positive"):
             success([0.0, 0.0], [0.0, 0.0], radius)
@@ -307,18 +300,10 @@ class TestRewardField:
         _, rewards = rollout(embossed(), seed=9, n_steps=2000)
         assert set(rewards) <= {-1.0, 0.0}
 
-    def test_dense_rewards_track_distance(self):
-        spec = embossed(reward_mode="dense")
-        traj, rewards = rollout(spec, seed=9, n_steps=500)
-        for state, reward in zip(traj[1:], rewards):
-            d = np.linalg.norm(state.position - state.goal)
-            expected = -d + (200.0 if d <= spec.success_radius else 0.0)
-            assert reward == pytest.approx(expected)
-
-    def test_embossed_dense_field_two_local_maxima(self):
-        # grid over free space; a cell is a local max if no free 4-neighbor
-        # has strictly smaller goal distance
-        spec = embossed(reward_mode="dense")
+    def test_embossed_distance_field_two_local_maxima(self):
+        # grid over free space; a cell is a local max of -distance if no free
+        # 4-neighbor has strictly smaller goal distance
+        spec = embossed()
         goal = np.array(spec.eval_goal)
         n = 49
         xs = np.linspace(spec.extent.x0 + 0.12, spec.extent.x1 - 0.12, n)
@@ -356,7 +341,7 @@ def json_roundtrip(spec):
 
 class TestSpecIO:
     def test_roundtrip(self):
-        spec = umaze12(reward_mode="dense")
+        spec = umaze12()
         assert json_roundtrip(spec) == spec
 
     def test_custom_walls_from_file(self):
@@ -398,6 +383,8 @@ class TestSpecIO:
             ("walls", [[-3.0, -0.75, 6.0, 0.75]]),
             ("walls", [[-3.0, -6.0, -2.0, 0.0]]),
             ("walls", [[-3.0, 0.0, -2.0, 6.0]]),
+            ("success_radius", float("inf")),  # every position would succeed
+            ("format", "mazehrl-maze-v1"),  # v1 carried a reward_mode, which may be "dense"
         ],
     )
     def test_spec_from_dict_rejects(self, key, value):

@@ -164,6 +164,12 @@ class TestNovelty:
         s = np.random.default_rng(1).normal(size=(20, 4))
         assert np.all(scorer.scores(s) >= 0)
 
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0])
+    def test_bad_lr_rejected(self, lr):
+        """The predictor's Adam checks the rate, so a NaN one cannot poison it."""
+        with pytest.raises(ValueError, match="lr must be positive and finite"):
+            NoveltyScorer(4, np.random.default_rng(0), lr=lr)
+
     def test_training_reduces_scores_on_seen_states(self):
         rng = np.random.default_rng(3)
         scorer = NoveltyScorer(4, rng, lr=1e-3)
@@ -481,6 +487,15 @@ class TestPseudoLandmark:
             out, degenerate = pseudo_landmark(plan, here, delta)
             if not degenerate:
                 assert np.linalg.norm(out - plan) == pytest.approx(delta)
+
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_delta_rejected(self, delta):
+        with pytest.raises(ValueError, match="delta must be finite"):
+            pseudo_landmark([3.0, 4.0], [0.0, 0.0], delta)
+
+    def test_negative_delta_shifts_toward_the_agent(self):
+        out, _ = pseudo_landmark([3.0, 4.0], [0.0, 0.0], -1.0)
+        np.testing.assert_allclose(out, [2.4, 3.2])
 
 
 class TestDedupPoints:

@@ -155,6 +155,15 @@ class TestForward:
         out = net.forward(xs)
         assert np.all(np.abs(out) <= 1.5 + 1e-12)
 
+    @pytest.mark.parametrize("bound", [float("nan"), float("inf")])
+    def test_non_finite_bound_rejected(self, bound):
+        """A NaN bound makes every output NaN, and inf * tanh(0) is NaN too."""
+        with pytest.raises(ValueError, match="bound must be positive and finite"):
+            Mlp([2, 2], "scaled_tanh", bound=bound, rng=np.random.default_rng(0))
+        state = {**Mlp([2, 2], "scaled_tanh", rng=np.random.default_rng(0)).state_dict(), "bound": bound}
+        with pytest.raises(ValueError, match="bound must be positive and finite"):
+            Mlp.from_state_dict(state)
+
 
 class TestGradParams:
     def test_zero_upstream_zero_grads(self):
@@ -294,7 +303,7 @@ class TestAdam:
         # scalar quadratic f(x) = 0.5 x^2, grad = x; replicate Adam by hand
         lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
         x = np.array([2.0])
-        opt = Adam([x], lr=lr, beta1=b1, beta2=b2, eps=eps)
+        opt = Adam([x], lr=lr)
         xs_hand = 2.0
         m = v = 0.0
         for t in range(1, 4):
@@ -359,6 +368,24 @@ class TestAdam:
         p = [np.zeros(3)]
         state = {**Adam(p).state_dict(), "m": m}
         with pytest.raises(ValueError, match="optimizer checkpoint"):
+            Adam.from_state_dict(state, p)
+
+    @pytest.mark.parametrize("key, value", [("beta1", 0.95), ("beta2", 0.99), ("eps", 1e-6)])
+    def test_other_constants_rejected_at_load(self, key, value):
+        p = [np.zeros(3)]
+        state = {**Adam(p).state_dict(), key: value}
+        with pytest.raises(ValueError, match="beta1, beta2 or eps"):
+            Adam.from_state_dict(state, p)
+
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0, -1e-3])
+    def test_bad_lr_rejected(self, lr):
+        """A NaN or infinite rate makes every parameter non-finite after one step;
+        a rate at or below zero climbs the loss."""
+        p = [np.zeros(3)]
+        with pytest.raises(ValueError, match="lr must be positive and finite"):
+            Adam(p, lr=lr)
+        state = {**Adam(p).state_dict(), "lr": lr}
+        with pytest.raises(ValueError, match="lr must be positive and finite"):
             Adam.from_state_dict(state, p)
 
 
@@ -436,14 +463,11 @@ class TestCheckpoint:
         x = np.random.default_rng(5).normal(size=(4, 3))
         assert clone.forward(x).tobytes() == net.forward(x).tobytes()
 
-    def test_checkpoint_without_dtype_loads_as_float64(self):
-        net = Mlp([3, 4, 1], rng=np.random.default_rng(0), dtype=np.float64)
-        state = net.state_dict()
+    def test_checkpoint_without_dtype_rejected(self):
+        state = Mlp([3, 4, 1], rng=np.random.default_rng(0), dtype=np.float64).state_dict()
         del state["dtype"]
-        clone = Mlp.from_state_dict(state)
-        assert clone.dtype == np.float64
-        for a, b in zip(clone.params, net.params):
-            assert a.tobytes() == b.tobytes()
+        with pytest.raises(ValueError, match="dtype"):
+            Mlp.from_state_dict(state)
 
     @pytest.mark.parametrize("key, value", [("dtype", "float16"), ("output_activation", "relu")])
     def test_bad_config_rejected(self, key, value):
@@ -696,7 +720,12 @@ class TestDtype:
     @pytest.mark.parametrize("dtype", [np.float16, np.int64, "float32", None, float])
     def test_other_dtypes_rejected(self, dtype):
         with pytest.raises(ValueError, match="dtype"):
-            Mlp([3, 4, 1], dtype=dtype)
+            Mlp([3, 4, 1], rng=np.random.default_rng(0), dtype=dtype)
+
+    def test_rng_is_required(self):
+        """Without one, two nets (twin critics, say) would start from the same draws."""
+        with pytest.raises(TypeError, match="rng"):
+            Mlp([3, 4, 1])
 
     def test_same_draws_in_either_dtype(self):
         rng32, rng64 = np.random.default_rng(8), np.random.default_rng(8)

@@ -44,3 +44,49 @@ def test_package_imports_only_declared_dependencies():
                 assert top in sys.stdlib_module_names or top.lower() in declared, (
                     f"{path.name}:{node.lineno} imports {name}, which is not declared"
                 )
+
+
+# Every defaulted parameter of the package's public functions, public methods
+# and constructors, as (module, function, parameter). Each one is an option a
+# caller can set; a new one must be added here, so its need is argued in review.
+PUBLIC_KNOBS = {
+    ("envs", "reset_state", "evaluate"),
+    ("envs", "PointMazeEnv.reset", "evaluate"),
+    ("graphplan", "NoveltyScorer.__init__", "lr"),
+    ("nets", "Mlp.__init__", "output_activation"),
+    ("nets", "Mlp.__init__", "bound"),
+    ("nets", "Mlp.__init__", "dtype"),
+    ("nets", "Adam.__init__", "lr"),
+    ("replay", "TrajectoryBuffer.__init__", "capacity"),
+    ("replay", "sample_pool", "alpha"),
+}
+
+
+def defaulted_parameters(path):
+    """(module, function, parameter) for each defaulted parameter, positional or
+    keyword-only, of the public functions, public methods and ``__init__`` in ``path``."""
+    found = set()
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, ast.FunctionDef):
+            functions = [(node.name, node)]
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            functions = [(f"{node.name}.{f.name}", f) for f in node.body if isinstance(f, ast.FunctionDef)]
+        else:
+            continue
+        for name, fn in functions:
+            last = name.rpartition(".")[2]
+            if last.startswith("_") and last != "__init__":
+                continue
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults):]
+            defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            found |= {(path.stem, name, a.arg) for a in defaulted}
+    return found
+
+
+def test_public_knobs_are_the_listed_ones():
+    found = set().union(*map(defaulted_parameters, (ROOT / "src" / "mazehrl").glob("*.py")))
+    assert found == PUBLIC_KNOBS, (
+        f"not listed: {sorted(found - PUBLIC_KNOBS)}; listed but gone: {sorted(PUBLIC_KNOBS - found)}"
+    )
