@@ -52,10 +52,10 @@ class MazeSpec:
     the fixed goal used by evaluation episodes. Fixed points must have two
     coordinates and lie in the closed ``extent`` and outside every wall
     interior; regions must lie inside ``extent``. ``success_radius`` must
-    be positive and finite. No wall face may lie on the extent's edge: a
-    ball clamped to that edge is never strictly inside the wall's span, so
-    the wall would not block it. A wall that meets the edge is built past
-    it instead.
+    be positive and finite, and ``max_episode_steps`` an integer >= 1. No
+    wall face may lie on the extent's edge: a ball clamped to that edge is
+    never strictly inside the wall's span, so the wall would not block it.
+    A wall that meets the edge is built past it instead.
     """
 
     name: str
@@ -70,8 +70,9 @@ class MazeSpec:
     def __post_init__(self):
         if not 0 < self.success_radius < np.inf:  # NaN fails too
             raise ValueError("success_radius must be positive and finite")
-        if self.max_episode_steps <= 0:
-            raise ValueError("max_episode_steps must be positive")
+        steps = self.max_episode_steps
+        if not isinstance(steps, (int, np.integer)) or steps < 1:
+            raise ValueError(f"max_episode_steps must be an integer >= 1, got {steps!r}")
         fixed = self._fixed_points()
         if any(len(p) != 2 for p in fixed):
             raise ValueError(f"fixed points must have 2 coordinates, got {fixed}")
@@ -325,7 +326,9 @@ def _point_or_rect_to_obj(value):
 def _point_or_rect_from_obj(obj):
     if "rect" in obj:
         return Rect(*obj["rect"])
-    return tuple(obj["point"])
+    if "point" in obj:
+        return tuple(obj["point"])
+    raise ValueError(f"expected a 'point' or 'rect' key, got {obj!r}")
 
 
 def spec_to_dict(spec: MazeSpec) -> dict:
@@ -343,8 +346,13 @@ def spec_to_dict(spec: MazeSpec) -> dict:
 
 
 def spec_from_dict(obj: dict) -> MazeSpec:
+    """The spec ``obj`` describes; a wrong format or a missing key raises ``ValueError``."""
     if obj.get("format") != SPEC_FORMAT:
         raise ValueError("unsupported maze spec format")
+    for key in ("name", "extent", "walls", "start", "goal", "eval_goal", "success_radius",
+                "max_episode_steps"):
+        if key not in obj:
+            raise ValueError(f"maze spec has no {key!r} key")
     return MazeSpec(
         name=obj["name"],
         extent=Rect(*obj["extent"]),

@@ -18,18 +18,18 @@ argmin over ``w(0, j) + D[j]``. ``D`` sums each path goal-outward,
 row are each always scored in one batch of their own shape, so a graph
 built from the cache equals a cold build byte for byte.
 
-Every tie in planning is broken by one rule: lexicographic node
-coordinates, then node index (``coordinate_rank``). Among the first hops
-of all shortest paths (exactly equal totals) the lowest-ranked wins, and
-so does the lowest-ranked of equally cheap fallback landmarks. Plans are
-therefore invariant to landmark order.
+Every tie in planning is broken by one rule, where it occurs
+(``_lowest``): among exactly equal values the lexicographically lowest
+node point wins, and of equal points the lowest node index. It picks the
+first hop among all shortest paths and the landmark among equally cheap
+fallbacks, so plans are invariant to landmark order.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .nets import Adam, Mlp, param_epoch
+from .nets import Adam, Mlp, _require_keys, param_epoch
 
 NOVELTY_HIDDEN = (64, 64)
 NOVELTY_OUT_DIM = 16
@@ -140,10 +140,12 @@ class NoveltyScorer:
         }
 
     def load_state_dict(self, state):
-        self.target = Mlp.from_state_dict(state["target"])
-        self.predictor = Mlp.from_state_dict(state["predictor"])
-        self.opt = Adam.from_state_dict(state["opt"], self.predictor.params)
-        self._scored = None
+        """Replace the nets and optimizer; a bad ``state`` raises and changes nothing."""
+        _require_keys(state, ("target", "predictor", "opt"), "novelty checkpoint")
+        target = Mlp.from_state_dict(state["target"])
+        predictor = Mlp.from_state_dict(state["predictor"])
+        opt = Adam.from_state_dict(state["opt"], predictor.params)
+        self.target, self.predictor, self.opt, self._scored = target, predictor, opt, None
 
 
 def select_novel(candidate_states, scorer, m):
@@ -196,14 +198,14 @@ class LandmarkSet:
         return len(self.points)
 
     def _goal_side(self, critic, actor, goal_map, eta, goal_point, cutoff):
-        """(block, (D, rank)): the planning graph's parts that skip the state.
+        """(block, D): the planning graph's parts that skip the state.
 
         ``block`` is the L x (L + 1) raw weights from each landmark to every
         landmark (column j < L) and the goal (column L); the diagonal is inf
-        (no self-loops). ``(D, rank)`` is ``goal_plan`` over the cut block
-        and ``vstack([points, goal])``. The L * L finite-candidate pairs are
-        scored in one batch, and all of it is kept for the last key
-        ``(critic, actor, goal_map, eta, nets.param_epoch(), goal bytes,
+        (no self-loops). ``D`` is ``distances_to`` the goal from each
+        landmark and the goal over the cut block. The L * L finite-candidate
+        pairs are scored in one batch, and all of it is kept for the last
+        key ``(critic, actor, goal_map, eta, nets.param_epoch(), goal bytes,
         cutoff)``: the objects by identity, ``eta`` by value, the epoch,
         which every ``Adam.step`` and ``polyak_update`` raises, and the goal
         and ``cutoff`` by value. Any change of key re-scores the whole
@@ -221,7 +223,7 @@ class LandmarkSet:
                 )
             # the goal row of w_cut[1:, 1:]: the goal has no out-edges
             cut = np.vstack([np.where(block <= cutoff, block, np.inf), np.full(n + 1, np.inf)])
-            self._key, self._cached = key, (block, goal_plan(cut, targets))
+            self._key, self._cached = key, (block, distances_to(cut, n))
         return self._cached
 
 
@@ -256,7 +258,7 @@ class LandmarkGraph:
     Node 0 has no in-edges and the goal no out-edges (column 0 and the
     last row are inf): the planner reads only row 0 and ``w_cut[1:, 1:]``,
     and the fallback only ``w_raw[0, 1:dst]`` and ``w_raw[1:dst, dst]``.
-    ``build_graph`` hands over the ``(D, rank)`` cached on the
+    ``build_graph`` hands over the distances ``D`` cached on the
     ``LandmarkSet`` (``LandmarkSet._goal_side``); a graph built by hand
     computes its own from its ``w_cut`` on the first ``plan_subgoal``.
     """
@@ -273,20 +275,10 @@ class LandmarkGraph:
         return len(self.points)
 
     def _goal_plan(self):
-        """``goal_plan`` over nodes 1.., computed on first use."""
+        """``D``: each of nodes 1..'s distance to the goal, computed on first use."""
         if self._plan is None:
-            self._plan = goal_plan(self.w_cut[1:, 1:], self.points[1:])
+            self._plan = distances_to(self.w_cut[1:, 1:], self.n_nodes - 2)
         return self._plan
-
-
-def goal_plan(w_cut, points):
-    """(D, rank) over a graph whose last node is the goal.
-
-    ``D`` is each node's shortest distance to the goal within ``w_cut``
-    and ``rank`` its ``coordinate_rank``. Over nodes 1.. of a planning
-    graph the rank orders them as it orders them in the whole graph.
-    """
-    return distances_to(w_cut, len(w_cut) - 1), coordinate_rank(points)
 
 
 def build_graph(state, goal_point, landmarks: LandmarkSet, critic, actor, goal_map, eta, cutoff):
@@ -299,8 +291,8 @@ def build_graph(state, goal_point, landmarks: LandmarkSet, critic, actor, goal_m
     every other node, in a batch of their own; no edge enters node 0.
     The block and the state row are each always scored in a batch of the
     same shape, cached or not, so a graph built from a cached block is
-    byte-identical to a cold build. The cached ``(D, rank)`` is handed to
-    the graph, so a warm ``plan_subgoal`` is one argmin.
+    byte-identical to a cold build. The cached ``D`` is handed to the
+    graph, so a warm ``plan_subgoal`` is one argmin.
     """
     state = np.asarray(state, dtype=np.float64)
     goal_point = np.asarray(goal_point, dtype=np.float64)
@@ -314,14 +306,6 @@ def build_graph(state, goal_point, landmarks: LandmarkSet, critic, actor, goal_m
     graph = LandmarkGraph(points, np.where(w_raw <= cutoff, w_raw, np.inf), w_raw, cutoff)
     graph._plan = plan
     return graph
-
-
-def coordinate_rank(points):
-    """Position of each row in lexicographic (coordinates, index) order."""
-    points = np.asarray(points)
-    rank = np.empty(len(points), dtype=np.intp)
-    rank[np.lexsort(points.T[::-1])] = np.arange(len(points))
-    return rank
 
 
 def distances_to(weights, dst):
@@ -352,29 +336,35 @@ def plan_subgoal(graph: LandmarkGraph):
     Every path from the state (node 0) is one edge ``w_cut[0, j]`` and
     then a shortest path from ``j`` to the goal, of length ``D[j]``
     (``distances_to`` over ``w_cut[1:, 1:]``; the goal's own ``D`` is 0).
-    The waypoint is the node ``j`` minimizing ``w_cut[0, j] + D[j]``, and
-    among exactly equal totals the one with the lowest ``coordinate_rank``:
-    the lowest-ranked first hop of all shortest paths (the goal point
+    The waypoint is the node ``j`` minimizing ``w_cut[0, j] + D[j]``, ties
+    broken by ``_lowest``: a first hop of a shortest path (the goal point
     itself if the direct edge wins). A non-finite total is no route. If
     the goal is unreachable under the cutoff, falls back to the landmark
-    minimizing the raw two-hop estimate w(s, L) + w(L, g), ties broken by
-    ``coordinate_rank``; a NaN sum counts as no route. With no finite
-    option the goal point is returned.
+    minimizing the raw two-hop estimate w(s, L) + w(L, g), ties broken the
+    same way; a NaN sum counts as no route. With no finite option the goal
+    point is returned.
     """
     dst = graph.n_nodes - 1
-    dist, rank = graph._goal_plan()
-    total = graph.w_cut[0, 1:] + dist
+    total = graph.w_cut[0, 1:] + graph._goal_plan()
     total[~np.isfinite(total)] = np.inf
-    best = total.min()
-    if best < np.inf:
-        cand = np.flatnonzero(total == best)
-        return graph.points[1 + cand[np.argmin(rank[cand])]].copy()
+    if total.min() < np.inf:
+        return graph.points[1 + _lowest(graph.points[1:], total)].copy()
     two_hop = graph.w_raw[0, 1:dst] + graph.w_raw[1:dst, dst]
     two_hop[np.isnan(two_hop)] = np.inf
     if np.any(np.isfinite(two_hop)):
-        cand = np.flatnonzero(two_hop == np.min(two_hop))
-        return graph.points[1 + cand[np.argmin(rank[cand])]].copy()
+        return graph.points[1 + _lowest(graph.points[1:dst], two_hop)].copy()
     return graph.points[dst].copy()
+
+
+def _lowest(points, values):
+    """Index of the lexicographically lowest point among the minima of ``values``.
+
+    The candidates are the entries equal to ``values.min()``. One stable
+    ``np.lexsort`` over their rows, taken in index order, sends equal
+    points to the lowest index.
+    """
+    cand = np.flatnonzero(values == values.min())
+    return cand[np.lexsort(points[cand].T[::-1])[0]]
 
 
 def pseudo_landmark(sg_plan, phi_state, delta):

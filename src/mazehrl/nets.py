@@ -84,6 +84,13 @@ def _check_slots(values, what, *like):
             raise FloatingPointError(f"non-finite {what} in slot {i} (max |v| = {np.max(np.abs(v))})")
 
 
+def _require_keys(state, keys, what):
+    """``ValueError`` naming the first of ``keys`` that ``state`` lacks."""
+    for key in keys:
+        if key not in state:
+            raise ValueError(f"{what} has no {key!r} key")
+
+
 class Mlp:
     """ReLU MLP with an identity or scaled-tanh output head.
 
@@ -344,13 +351,16 @@ class Mlp:
     def from_state_dict(cls, state):
         """The net ``state`` describes, in its recorded dtype.
 
-        The ``"dtype"`` key is required. No random initialisation is drawn.
+        Every key ``state_dict`` writes is required; a missing one raises
+        ``ValueError``. No random initialisation is drawn.
         """
         if state.get("format") != CHECKPOINT_FORMAT:
             raise ValueError(f"unsupported net checkpoint format {state.get('format')!r}")
         name = state.get("dtype")
         if name not in ("float32", "float64"):
             raise ValueError(f"unsupported checkpoint dtype {name!r}")
+        _require_keys(state, ("layer_sizes", "output_activation", "bound", "weights", "biases"),
+                      "net checkpoint")
         dtype = np.dtype(name)
         net = cls.__new__(cls)
         net._configure(state["layer_sizes"], state["output_activation"], state["bound"], dtype)
@@ -433,17 +443,24 @@ class Adam:
     def from_state_dict(cls, state, params):
         """The optimizer ``state`` describes, for ``params``.
 
-        Each moment takes its param's dtype and memory order. A moment
-        count or shape that does not match ``params``, or a beta1, beta2 or
-        epsilon other than the constants, raises ``ValueError`` here, not at
-        the next ``step``.
+        Each moment takes its param's dtype and memory order. A missing key,
+        a ``step_count`` that is not an integer >= 0, a moment count or
+        shape that does not match ``params``, or a beta1, beta2 or epsilon
+        other than the constants raises ``ValueError`` here, not at the next
+        ``step``.
         """
         if state.get("format") != "mazehrl-adam-v1":
             raise ValueError("unsupported optimizer checkpoint format")
+        _require_keys(state, ("lr", "beta1", "beta2", "eps", "step_count", "m", "v"),
+                      "optimizer checkpoint")
         if (state["beta1"], state["beta2"], state["eps"]) != (ADAM_BETA1, ADAM_BETA2, ADAM_EPS):
             raise ValueError("optimizer checkpoint beta1, beta2 or eps differs from the constants")
+        count = state["step_count"]
+        if not isinstance(count, (int, np.integer)) or count < 0:
+            raise ValueError(f"optimizer checkpoint step_count must be an integer >= 0, "
+                             f"got {count!r}")
         opt = cls(params, lr=state["lr"])
-        opt.step_count = int(state["step_count"])
+        opt.step_count = int(count)
         for key in ("m", "v"):
             if len(state[key]) != len(params):
                 raise ValueError(

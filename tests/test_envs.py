@@ -385,11 +385,23 @@ class TestSpecIO:
             ("walls", [[-3.0, 0.0, -2.0, 6.0]]),
             ("success_radius", float("inf")),  # every position would succeed
             ("format", "mazehrl-maze-v1"),  # v1 carried a reward_mode, which may be "dense"
+            ("max_episode_steps", float("nan")),  # an episode would never end
+            ("max_episode_steps", float("inf")),
+            ("max_episode_steps", 2.5),  # would end after 3 steps
+            ("max_episode_steps", 0),
+            ("start", {"pont": [0.0, 0.0]}),  # neither a point nor a rect
         ],
     )
     def test_spec_from_dict_rejects(self, key, value):
         obj = {**spec_to_dict(umaze12()), key: value}
         with pytest.raises(ValueError):
+            spec_from_dict(obj)
+
+    @pytest.mark.parametrize("key", sorted(spec_to_dict(umaze12())))
+    def test_spec_from_dict_missing_key_rejected(self, key):
+        obj = spec_to_dict(umaze12())
+        del obj[key]
+        with pytest.raises(ValueError, match=key):
             spec_from_dict(obj)
 
     def test_unknown_maze_name(self):

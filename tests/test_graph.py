@@ -210,6 +210,24 @@ class TestNovelty:
         s = rng.normal(size=(5, 3))
         np.testing.assert_array_equal(clone.scores(s), scorer.scores(s))
 
+    @pytest.mark.parametrize("key", ["target", "predictor", "opt"])
+    @pytest.mark.parametrize("missing", [True, False])
+    def test_failed_load_changes_nothing(self, key, missing):
+        """A missing part raises ValueError naming it, and a missing or bad
+        part leaves the nets and the optimizer as they were."""
+        rng = np.random.default_rng(8)
+        scorer = NoveltyScorer(3, rng)
+        scorer.train(rng.normal(size=(8, 3)))
+        before = scorer.state_dict()
+        state = NoveltyScorer(3, np.random.default_rng(9)).state_dict()
+        if missing:
+            del state[key]
+        else:
+            state[key] = {"format": "unknown"}
+        with pytest.raises(ValueError, match=key if missing else "format"):
+            scorer.load_state_dict(state)
+        assert scorer.state_dict() == before
+
 
 def count_forwards(scorer):
     """Count the forward passes of both RND nets, per net, on this scorer."""
@@ -449,6 +467,19 @@ class TestPlanning:
         want = np.array([-1.0, -1.0])
         assert plan_subgoal(g).tobytes() == want.tobytes()
         assert reference_plan_subgoal(g).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("cutoff", [np.inf, 1.5])  # 1.5 cuts every route: the fallback
+    def test_ties_go_to_lowest_coordinates_not_lowest_index(self, cutoff):
+        """Three landmarks tie at total 2, in the reverse of their
+        lexicographic order: the last one, (1, 5), is the waypoint."""
+        points = np.array([[0.0, 0.0], [2.0, 1.0], [2.0, 0.0], [1.0, 5.0], [9.0, 9.0]])
+        w_raw = np.full((5, 5), np.inf)
+        w_raw[0, 1:4] = 1.0
+        w_raw[1:4, 4] = 1.0
+        w_raw[0, 4] = 3.0  # the direct edge is no tie
+        g = LandmarkGraph(points, np.where(w_raw <= cutoff, w_raw, np.inf), w_raw, cutoff)
+        assert plan_subgoal(g).tobytes() == np.array([1.0, 5.0]).tobytes()
+        assert reference_plan_subgoal(g).tobytes() == np.array([1.0, 5.0]).tobytes()
 
     @settings(max_examples=300, deadline=None)
     @given(st.data(), st.sampled_from([0.0, 1.0, 2.0, np.inf]), st.booleans())
@@ -883,8 +914,7 @@ class TestCachedGoalDistances:
                 warm = build_graph(*args, landmarks, *rest)
                 cold = build_graph(*args, LandmarkSet(cov, nov, phi), *rest)
                 assert plan_subgoal(warm).tobytes() == plan_subgoal(cold).tobytes()
-                for got, want in zip(warm._goal_plan(), cold._goal_plan()):
-                    assert got.tobytes() == want.tobytes()
+                assert warm._goal_plan().tobytes() == cold._goal_plan().tobytes()
 
     @pytest.mark.parametrize("n_lm", [0, 1, 29])
     def test_built_graph_plans_like_hand_built(self, n_lm, monkeypatch):
@@ -899,8 +929,7 @@ class TestCachedGoalDistances:
                 calls.clear()
                 assert plan_subgoal(hand).tobytes() == plan_subgoal(built).tobytes()
                 assert len(calls) == 1  # the hand-built graph computed its own
-                for got, want in zip(built._goal_plan(), hand._goal_plan()):
-                    assert got.tobytes() == want.tobytes()
+                assert built._goal_plan().tobytes() == hand._goal_plan().tobytes()
 
 
 class TestGoalSideKey:
@@ -947,8 +976,7 @@ class TestGoalSideKey:
             cold = build_graph(state, goal, LandmarkSet(cov, nov, phi), *rest)
             assert graph_bytes(warm) == graph_bytes(cold)
             assert plan_subgoal(warm).tobytes() == plan_subgoal(cold).tobytes()
-            for got, want in zip(warm._goal_plan(), cold._goal_plan()):
-                assert got.tobytes() == want.tobytes()
+            assert warm._goal_plan().tobytes() == cold._goal_plan().tobytes()
 
             counter.rows = 0
             build_graph(state, goal, counted, counter, stub_actor, phi, 1.0, cutoff)

@@ -377,6 +377,23 @@ class TestAdam:
         with pytest.raises(ValueError, match="beta1, beta2 or eps"):
             Adam.from_state_dict(state, p)
 
+    @pytest.mark.parametrize("key", sorted(Adam([np.zeros(3)]).state_dict()))
+    def test_missing_key_rejected(self, key):
+        p = [np.zeros(3)]
+        state = Adam(p).state_dict()
+        del state[key]
+        with pytest.raises(ValueError, match=key):
+            Adam.from_state_dict(state, p)
+
+    @pytest.mark.parametrize("count", [-1, 2.7, 2.0, "2", None])
+    def test_bad_step_count_rejected(self, count):
+        """-1 makes the next bias correction zero and every parameter NaN;
+        2.7 would be truncated to 2."""
+        p = [np.zeros(3)]
+        state = {**Adam(p).state_dict(), "step_count": count}
+        with pytest.raises(ValueError, match="step_count"):
+            Adam.from_state_dict(state, p)
+
     @pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0, -1e-3])
     def test_bad_lr_rejected(self, lr):
         """A NaN or infinite rate makes every parameter non-finite after one step;
@@ -467,6 +484,13 @@ class TestCheckpoint:
         state = Mlp([3, 4, 1], rng=np.random.default_rng(0), dtype=np.float64).state_dict()
         del state["dtype"]
         with pytest.raises(ValueError, match="dtype"):
+            Mlp.from_state_dict(state)
+
+    @pytest.mark.parametrize("key", sorted(Mlp([3, 1], rng=np.random.default_rng(0)).state_dict()))
+    def test_missing_key_rejected(self, key):
+        state = Mlp([3, 4, 1], rng=np.random.default_rng(0)).state_dict()
+        del state[key]
+        with pytest.raises(ValueError, match=key):
             Mlp.from_state_dict(state)
 
     @pytest.mark.parametrize("key, value", [("dtype", "float16"), ("output_activation", "relu")])
