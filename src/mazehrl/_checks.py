@@ -1,0 +1,46 @@
+"""What outside input is accepted; the contract is in the ``nets`` module docstring."""
+
+import numpy as np
+
+
+def read_field(state, key, what, shape, kind):
+    """``state[key]``, if ``state`` is a dict holding ``key`` whose value is, by ``shape``: (None)
+    one of the tuple or of the type ``kind``; (a tuple) a real, finite array of that shape, -1
+    any length, returned as the dtype ``kind``; (a list) a list of such arrays, one per shape
+    and dtype in ``kind``. Else ``ValueError`` naming the loader ``what`` and ``key``."""
+    if not isinstance(state, dict):
+        raise ValueError(f"{what} must be a dict, got {type(state).__name__}")
+    if key not in state:
+        raise ValueError(f"{what} has no {key!r} key")
+    value, name = state[key], f"{what} {key!r}"
+    if shape is None:
+        if isinstance(kind, tuple) and value not in kind:
+            raise ValueError(f"{name} must be one of {kind}, got {value!r:.60}")
+        if isinstance(kind, type) and not isinstance(value, kind):
+            raise ValueError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+        return value
+    if isinstance(shape, list):
+        if not isinstance(value, (list, tuple)) or len(value) != len(shape):
+            raise ValueError(f"{name} must be a list of {len(shape)} arrays, got {value!r:.60}")
+        slots = enumerate(zip(value, shape, kind))
+        return [read_field({i: v}, i, f"{name} slot", s, k) for i, (v, s, k) in slots]
+    try:
+        a = np.asarray(value)
+    except ValueError:  # ragged nesting
+        raise ValueError(f"{name} is not an array") from None
+    a = a.reshape(0, *shape[1:]) if a.shape == (0,) and shape[:1] == (-1,) else a  # [] has no rows
+    fits = a.ndim == len(shape) and all(want in (-1, got) for got, want in zip(a.shape, shape))
+    if a.dtype.kind not in "iuf" or not fits:  # bools, strings and objects are not real numbers
+        raise ValueError(f"{name} must be real numbers of shape {shape}, got {value!r:.60}")
+    with np.errstate(over="ignore"):  # a value past the dtype's range is inf, rejected next
+        a = a.astype(kind)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} holds a NaN or infinite value")
+    return a
+
+
+def check_count(value, what, least):
+    """``int(value)``; ``ValueError`` unless ``value`` is an integer, not a bool, >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
+    return int(value)

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import check_count, read_field
+
 ACTION_BOUND = 1.0
 DAMPING = 0.9
 ACCEL_SCALE = 0.03
@@ -70,9 +72,7 @@ class MazeSpec:
     def __post_init__(self):
         if not 0 < self.success_radius < np.inf:  # NaN fails too
             raise ValueError("success_radius must be positive and finite")
-        steps = self.max_episode_steps
-        if not isinstance(steps, (int, np.integer)) or steps < 1:
-            raise ValueError(f"max_episode_steps must be an integer >= 1, got {steps!r}")
+        check_count(self.max_episode_steps, "maze spec 'max_episode_steps'", 1)
         fixed = self._fixed_points()
         if any(len(p) != 2 for p in fixed):
             raise ValueError(f"fixed points must have 2 coordinates, got {fixed}")
@@ -323,12 +323,11 @@ def _point_or_rect_to_obj(value):
     return {"point": list(map(float, value))}
 
 
-def _point_or_rect_from_obj(obj):
-    if "rect" in obj:
-        return Rect(*obj["rect"])
-    if "point" in obj:
-        return tuple(obj["point"])
-    raise ValueError(f"expected a 'point' or 'rect' key, got {obj!r}")
+def _point_or_rect_from_obj(obj, key):
+    where = read_field(obj, key, "maze spec", None, dict)
+    if "rect" in where:
+        return Rect(*read_field(where, "rect", f"maze spec {key!r}", (4,), np.float64).tolist())
+    return tuple(read_field(where, "point", f"maze spec {key!r}", (2,), np.float64).tolist())
 
 
 def spec_to_dict(spec: MazeSpec) -> dict:
@@ -346,20 +345,18 @@ def spec_to_dict(spec: MazeSpec) -> dict:
 
 
 def spec_from_dict(obj: dict) -> MazeSpec:
-    """The spec ``obj`` describes; a wrong format or a missing key raises ``ValueError``."""
-    if obj.get("format") != SPEC_FORMAT:
-        raise ValueError("unsupported maze spec format")
-    for key in ("name", "extent", "walls", "start", "goal", "eval_goal", "success_radius",
-                "max_episode_steps"):
-        if key not in obj:
-            raise ValueError(f"maze spec has no {key!r} key")
+    """The spec ``obj`` describes, under the loader contract (``nets`` module docstring):
+    ``extent`` 4 numbers, ``walls`` k x 4, a ``start`` or ``goal`` ``point`` 2 or ``rect`` 4,
+    ``eval_goal`` 2, ``success_radius`` one, ``name`` a string; ``MazeSpec`` checks the values."""
+    what = "maze spec"
+    read_field(obj, "format", what, None, (SPEC_FORMAT,))
     return MazeSpec(
-        name=obj["name"],
-        extent=Rect(*obj["extent"]),
-        walls=tuple(Rect(*w) for w in obj["walls"]),
-        start=_point_or_rect_from_obj(obj["start"]),
-        goal=_point_or_rect_from_obj(obj["goal"]),
-        eval_goal=tuple(obj["eval_goal"]),
-        success_radius=obj["success_radius"],
-        max_episode_steps=obj["max_episode_steps"],
+        name=read_field(obj, "name", what, None, str),
+        extent=Rect(*read_field(obj, "extent", what, (4,), np.float64).tolist()),
+        walls=tuple(Rect(*w) for w in read_field(obj, "walls", what, (-1, 4), np.float64).tolist()),
+        start=_point_or_rect_from_obj(obj, "start"),
+        goal=_point_or_rect_from_obj(obj, "goal"),
+        eval_goal=tuple(read_field(obj, "eval_goal", what, (2,), np.float64).tolist()),
+        success_radius=float(read_field(obj, "success_radius", what, (), np.float64)),
+        max_episode_steps=read_field(obj, "max_episode_steps", what, None, object),
     )

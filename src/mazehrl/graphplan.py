@@ -29,7 +29,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .nets import Adam, Mlp, _require_keys, param_epoch
+from ._checks import check_count, read_field
+from .nets import Adam, Mlp, param_epoch
 
 NOVELTY_HIDDEN = (64, 64)
 NOVELTY_OUT_DIM = 16
@@ -65,8 +66,7 @@ def fps(pool, m, rng):
     left to right as the row norm does) in reused buffers, and lowers the
     running minimum in place.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    m = check_count(m, "m", 1)
     pool = np.asarray(pool, dtype=np.float64)
     if pool.ndim != 2 or pool.shape[0] == 0 or not np.isfinite(pool).all():
         raise ValueError("pool must be a nonempty, finite (n, d) array")
@@ -140,11 +140,12 @@ class NoveltyScorer:
         }
 
     def load_state_dict(self, state):
-        """Replace the nets and optimizer; a bad ``state`` raises and changes nothing."""
-        _require_keys(state, ("target", "predictor", "opt"), "novelty checkpoint")
-        target = Mlp.from_state_dict(state["target"])
-        predictor = Mlp.from_state_dict(state["predictor"])
-        opt = Adam.from_state_dict(state["opt"], predictor.params)
+        """Replace the nets and optimizer from the dicts ``state`` holds, under the
+        loader contract (``nets`` module docstring); a rejected ``state`` changes nothing."""
+        target, predictor, opt = (read_field(state, k, "novelty checkpoint", None, dict)
+                                  for k in ("target", "predictor", "opt"))
+        target, predictor = Mlp.from_state_dict(target), Mlp.from_state_dict(predictor)
+        opt = Adam.from_state_dict(opt, predictor.params)
         self.target, self.predictor, self.opt, self._scored = target, predictor, opt, None
 
 
@@ -154,8 +155,7 @@ def select_novel(candidate_states, scorer, m):
     Candidates are ordered oldest first; returns the selected states
     (all of them when fewer than m).
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    m = check_count(m, "m", 1)
     candidates = np.atleast_2d(np.asarray(candidate_states, dtype=np.float64))
     n = candidates.shape[0]
     if n <= m:

@@ -5,6 +5,12 @@ w.r.t. parameters and inputs, an Adam optimizer, Polyak target updates,
 and a JSON-serializable checkpoint format (``state_dict``) that
 round-trips bit-exactly.
 
+The loaders of outside input (``Mlp``/``Adam.from_state_dict``, ``envs.spec_from_dict``,
+``graphplan.NoveltyScorer.load_state_dict``) keep one contract, checked in ``_checks``: the
+state is a dict holding every key its writer writes, numbers are finite and of their shapes, and
+counts are integers (not bools) at or above their least value. Anything else raises
+``ValueError`` naming the loader and the key, before anything is built.
+
 Each net computes in one dtype fixed at construction: float32 by default,
 or float64, which the finite-difference and loop-reference oracles use.
 Every array a net makes (params, forward caches, outputs, gradients) has
@@ -43,6 +49,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._checks import check_count, read_field
+
 __all__ = [
     "Mlp",
     "Adam",
@@ -71,24 +79,19 @@ def _bump_param_epoch():
     _param_epoch += 1
 
 
-def _check_slots(values, what, *like):
-    """Before an update writes: ``ValueError`` unless each list in ``like`` has
-    ``values``' slot count and shapes, ``FloatingPointError`` on a non-finite value."""
-    if any(len(ref) != len(values) for ref in like):
+def _check_slots(values, what, *dests):
+    """Before an update writes: ``ValueError`` unless each list in ``dests`` has ``values``'
+    slot count and shapes in writeable arrays, ``FloatingPointError`` on a non-finite value."""
+    if any(len(dst) != len(values) for dst in dests):
         raise ValueError(f"{what} count mismatch")
     for i, v in enumerate(values):
-        for ref in like:
-            if ref[i].shape != v.shape:
+        for dst in dests:
+            if dst[i].shape != v.shape:
                 raise ValueError(f"{what} shape mismatch in slot {i}")
+            if not dst[i].flags.writeable:
+                raise ValueError(f"{what} slot {i}: its destination is read-only")
         if not np.isfinite(v).all():
             raise FloatingPointError(f"non-finite {what} in slot {i} (max |v| = {np.max(np.abs(v))})")
-
-
-def _require_keys(state, keys, what):
-    """``ValueError`` naming the first of ``keys`` that ``state`` lacks."""
-    for key in keys:
-        if key not in state:
-            raise ValueError(f"{what} has no {key!r} key")
 
 
 class Mlp:
@@ -110,7 +113,7 @@ class Mlp:
     def __init__(
         self, layer_sizes, output_activation="identity", bound=1.0, *, rng, dtype=np.float32
     ):
-        self._configure(layer_sizes, output_activation, bound, dtype)
+        self._configure(layer_sizes, output_activation, bound, dtype, "Mlp")
         weights = []
         n_layers = len(self.layer_sizes) - 1
         for i in range(n_layers):
@@ -124,16 +127,17 @@ class Mlp:
         self.weights = tuple(weights)
         self.biases = tuple(np.zeros(n, dtype=self.dtype) for n in self.layer_sizes[1:])
 
-    def _configure(self, layer_sizes, output_activation, bound, dtype):
-        if len(layer_sizes) < 2 or any(int(n) <= 0 for n in layer_sizes):
-            raise ValueError(f"layer_sizes must be >=2 positive ints, got {layer_sizes}")
+    def _configure(self, layer_sizes, output_activation, bound, dtype, what):
+        sizes = [check_count(n, f"{what} 'layer_sizes' entry", 1) for n in layer_sizes]
+        if len(sizes) < 2:
+            raise ValueError(f"{what} 'layer_sizes' must hold >= 2 sizes, got {layer_sizes!r}")
         if output_activation not in ("identity", "scaled_tanh"):
             raise ValueError(f"unknown output activation {output_activation!r}")
         if output_activation == "scaled_tanh" and not 0 < bound < np.inf:  # NaN fails too
             raise ValueError("scaled_tanh bound must be positive and finite")
         if dtype not in (np.float32, np.float64):
             raise ValueError(f"dtype must be np.float32 or np.float64, got {dtype!r}")
-        self.layer_sizes = [int(n) for n in layer_sizes]
+        self.layer_sizes = sizes
         self.output_activation = output_activation
         self.bound = float(bound)
         self.dtype = np.dtype(dtype)
@@ -162,7 +166,7 @@ class Mlp:
 
     def copy(self):
         dup = Mlp.__new__(Mlp)
-        dup._configure(self.layer_sizes, self.output_activation, self.bound, self.dtype)
+        dup._configure(self.layer_sizes, self.output_activation, self.bound, self.dtype, "Mlp")
         dup.weights = tuple(w.copy(order="F") for w in self.weights)
         dup.biases = tuple(b.copy() for b in self.biases)
         return dup
@@ -349,29 +353,19 @@ class Mlp:
 
     @classmethod
     def from_state_dict(cls, state):
-        """The net ``state`` describes, in its recorded dtype.
-
-        Every key ``state_dict`` writes is required; a missing one raises
-        ``ValueError``. No random initialisation is drawn.
-        """
-        if state.get("format") != CHECKPOINT_FORMAT:
-            raise ValueError(f"unsupported net checkpoint format {state.get('format')!r}")
-        name = state.get("dtype")
-        if name not in ("float32", "float64"):
-            raise ValueError(f"unsupported checkpoint dtype {name!r}")
-        _require_keys(state, ("layer_sizes", "output_activation", "bound", "weights", "biases"),
-                      "net checkpoint")
-        dtype = np.dtype(name)
+        """The net ``state`` describes, in its recorded dtype, under the loader contract (module
+        docstring): each weight and bias at the shape ``layer_sizes`` implies; no init is drawn."""
+        what = "net checkpoint"
+        read_field(state, "format", what, None, (CHECKPOINT_FORMAT,))
+        dtype = np.dtype(read_field(state, "dtype", what, None, ("float32", "float64")))
         net = cls.__new__(cls)
-        net._configure(state["layer_sizes"], state["output_activation"], state["bound"], dtype)
-        net.weights = tuple(np.asfortranarray(w, dtype=dtype) for w in state["weights"])
-        net.biases = tuple(np.asarray(b, dtype=dtype) for b in state["biases"])
-        sizes = net.layer_sizes
-        if not len(net.weights) == len(net.biases) == len(sizes) - 1 or any(
-            w.shape != (fan_out, fan_in) or b.shape != (fan_out,)
-            for w, b, fan_in, fan_out in zip(net.weights, net.biases, sizes, sizes[1:])
-        ):
-            raise ValueError("checkpoint layer shapes inconsistent")
+        sizes = read_field(state, "layer_sizes", what, None, list)
+        head = read_field(state, "output_activation", what, None, str)
+        net._configure(sizes, head, float(read_field(state, "bound", what, (), np.float64)), dtype, what)
+        sizes, dtypes = net.layer_sizes, [dtype] * (len(net.layer_sizes) - 1)
+        weights = read_field(state, "weights", what, [(o, i) for i, o in zip(sizes, sizes[1:])], dtypes)
+        net.weights = tuple(np.asfortranarray(w) for w in weights)
+        net.biases = tuple(read_field(state, "biases", what, [(o,) for o in sizes[1:]], dtypes))
         return net
 
 
@@ -441,36 +435,23 @@ class Adam:
 
     @classmethod
     def from_state_dict(cls, state, params):
-        """The optimizer ``state`` describes, for ``params``.
-
-        Each moment takes its param's dtype and memory order. A missing key,
-        a ``step_count`` that is not an integer >= 0, a moment count or
-        shape that does not match ``params``, or a beta1, beta2 or epsilon
-        other than the constants raises ``ValueError`` here, not at the next
-        ``step``.
-        """
-        if state.get("format") != "mazehrl-adam-v1":
-            raise ValueError("unsupported optimizer checkpoint format")
-        _require_keys(state, ("lr", "beta1", "beta2", "eps", "step_count", "m", "v"),
-                      "optimizer checkpoint")
-        if (state["beta1"], state["beta2"], state["eps"]) != (ADAM_BETA1, ADAM_BETA2, ADAM_EPS):
-            raise ValueError("optimizer checkpoint beta1, beta2 or eps differs from the constants")
-        count = state["step_count"]
-        if not isinstance(count, (int, np.integer)) or count < 0:
-            raise ValueError(f"optimizer checkpoint step_count must be an integer >= 0, "
-                             f"got {count!r}")
-        opt = cls(params, lr=state["lr"])
-        opt.step_count = int(count)
+        """The optimizer ``state`` describes, for ``params``, under the loader contract (module
+        docstring): each ``m`` and ``v`` slot at its param's shape, dtype and memory order,
+        ``v`` >= 0, and beta1, beta2 and epsilon equal to the constants."""
+        what = "optimizer checkpoint"
+        read_field(state, "format", what, None, ("mazehrl-adam-v1",))
+        consts = [float(read_field(state, k, what, (), np.float64)) for k in ("beta1", "beta2", "eps")]
+        if consts != [ADAM_BETA1, ADAM_BETA2, ADAM_EPS]:
+            raise ValueError(f"{what} beta1, beta2 or eps differs from the constants")
+        opt = cls(params, lr=float(read_field(state, "lr", what, (), np.float64)))
+        count = read_field(state, "step_count", what, None, object)
+        opt.step_count = check_count(count, f"{what} 'step_count'", 0)
         for key in ("m", "v"):
-            if len(state[key]) != len(params):
-                raise ValueError(
-                    f"optimizer checkpoint has {len(state[key])} {key} slots for {len(params)} params"
-                )
-            # written into the zeros_like moments, which keep their param's order
-            for i, (dst, a) in enumerate(zip(getattr(opt, key), state[key])):
-                a = np.asarray(a, dtype=dst.dtype)
-                if a.shape != dst.shape:
-                    raise ValueError(f"optimizer checkpoint {key} shape mismatch in slot {i}")
+            dsts = getattr(opt, key)  # zeros_like moments, which keep their param's order
+            slots = read_field(state, key, what, [d.shape for d in dsts], [d.dtype for d in dsts])
+            for i, (dst, a) in enumerate(zip(dsts, slots)):
+                if key == "v" and (a < 0).any():
+                    raise ValueError(f"{what} 'v' slot {i} holds a negative second moment")
                 dst[...] = a
         return opt
 

@@ -37,6 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import check_count
+
 SAMPLER_CHOICES = ("hr", "uniform", "topk")
 # Per-step columns of the buffer, in Transition order.
 FIELDS = ("s", "sg", "a", "r", "s_next", "sg_next", "done")
@@ -103,9 +105,7 @@ class TrajectoryBuffer:
     """
 
     def __init__(self, capacity=200_000):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
+        self.capacity = check_count(capacity, "capacity", 1)
         self.records = np.recarray(0, dtype=_table_dtype((0,), (0,)))
         self._cols = None  # field -> (capacity, ...) array, made at the first store
         self._head = 0  # ring row of the oldest stored step

@@ -361,6 +361,12 @@ class TestSpecIO:
     def test_builtin_mazes_roundtrip(self, name):
         assert json_roundtrip(make_maze(name)) == make_maze(name)
 
+    def test_spec_without_walls_roundtrips(self):
+        """``walls`` is then an empty list, which has no row shape of its own."""
+        spec = MazeSpec(name="open", extent=Rect(-1.0, -1.0, 1.0, 1.0), start=(-0.5, 0.0), goal=(0.5, 0.0),
+                        eval_goal=(0.5, 0.0))
+        assert json_roundtrip(spec) == spec
+
     def test_points_on_the_extent_boundary_load(self):
         obj = {**spec_to_dict(umaze12()), "start": {"point": [6.0, -6.0]}, "eval_goal": [-6.0, 6.0]}
         assert spec_from_dict(obj).start == (6.0, -6.0)

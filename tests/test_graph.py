@@ -138,6 +138,12 @@ class TestFps:
         np.testing.assert_array_equal(a, b)
         assert min_pairwise(a) > 0
 
+    @pytest.mark.parametrize("m", [2.5, True, 0])
+    def test_m_must_be_an_integer_count(self, m):
+        """2.5 raised TypeError in the first round, and True drew one point."""
+        with pytest.raises(ValueError, match="m must be an integer >= 1"):
+            fps(np.arange(10.0).reshape(5, 2), m, np.random.default_rng(0))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_pool_rejected(self, bad):
         # a non-finite row is never a duplicate and its distances are nan or
@@ -334,6 +340,13 @@ class TestSelectNovel:
         states = np.array([[0.0, 0], [1.0, 0], [2.0, 0]])
         out = select_novel(states, FixedScorer([5.0, 1.0, 3.0]), 2)
         np.testing.assert_array_equal(out, [[0.0, 0], [2.0, 0]])
+
+    @pytest.mark.parametrize("m", [2.5, True, 0])
+    def test_m_must_be_an_integer_count(self, m):
+        """2.5 raised TypeError at the slice, and True kept one state."""
+        states = np.arange(8.0).reshape(4, 2)
+        with pytest.raises(ValueError, match="m must be an integer >= 1"):
+            select_novel(states, FixedScorer([1.0, 2.0, 3.0, 4.0]), m)
 
     def test_ties_prefer_recent(self):
         states = np.array([[0.0, 0], [1.0, 0], [2.0, 0], [3.0, 0]])

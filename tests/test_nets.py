@@ -147,6 +147,16 @@ class TestForward:
             assert np.all(acts[i] >= 0.0)
             assert sum(np.shares_memory(acts[i], a) for a in arrays) == 1
 
+    @pytest.mark.parametrize("width", [4.5, "4", True, np.float64(4.0), 0])
+    def test_layer_size_must_be_an_integer_count(self, width):
+        """4.5 and "4" were truncated to width 4, and True built width 1."""
+        with pytest.raises(ValueError, match="'layer_sizes' entry must be an integer >= 1"):
+            Mlp([3, width, 1], rng=np.random.default_rng(0))
+
+    def test_numpy_integer_layer_sizes_accepted(self):
+        net = Mlp(np.array([3, 4, 1]), rng=np.random.default_rng(0))
+        assert net.layer_sizes == [3, 4, 1] and all(type(n) is int for n in net.layer_sizes)
+
     def test_scaled_tanh_within_bound(self):
         rng = np.random.default_rng(11)
         net = Mlp([2, 8, 2], output_activation="scaled_tanh", bound=1.5, rng=rng)
@@ -161,7 +171,7 @@ class TestForward:
         with pytest.raises(ValueError, match="bound must be positive and finite"):
             Mlp([2, 2], "scaled_tanh", bound=bound, rng=np.random.default_rng(0))
         state = {**Mlp([2, 2], "scaled_tanh", rng=np.random.default_rng(0)).state_dict(), "bound": bound}
-        with pytest.raises(ValueError, match="bound must be positive and finite"):
+        with pytest.raises(ValueError, match="'bound' holds a NaN or infinite value"):
             Mlp.from_state_dict(state)
 
 
@@ -370,6 +380,13 @@ class TestAdam:
         with pytest.raises(ValueError, match="optimizer checkpoint"):
             Adam.from_state_dict(state, p)
 
+    def test_negative_second_moment_rejected_at_load(self):
+        """The next step would take the square root of -1 and make the param NaN."""
+        p = [np.zeros(3)]
+        state = {**Adam(p).state_dict(), "v": [[-1.0, 0.0, 0.0]]}
+        with pytest.raises(ValueError, match="'v' slot 0 holds a negative second moment"):
+            Adam.from_state_dict(state, p)
+
     @pytest.mark.parametrize("key, value", [("beta1", 0.95), ("beta2", 0.99), ("eps", 1e-6)])
     def test_other_constants_rejected_at_load(self, key, value):
         p = [np.zeros(3)]
@@ -402,7 +419,7 @@ class TestAdam:
         with pytest.raises(ValueError, match="lr must be positive and finite"):
             Adam(p, lr=lr)
         state = {**Adam(p).state_dict(), "lr": lr}
-        with pytest.raises(ValueError, match="lr must be positive and finite"):
+        with pytest.raises(ValueError, match="lr must be positive and finite|'lr' holds a NaN or infinite"):
             Adam.from_state_dict(state, p)
 
 
@@ -459,13 +476,13 @@ class TestCheckpoint:
     def test_wrong_fan_in_rejected(self):
         state = Mlp([4, 8, 1], rng=np.random.default_rng(0)).state_dict()
         state["weights"][0] = np.zeros((8, 5)).tolist()
-        with pytest.raises(ValueError, match="checkpoint layer shapes inconsistent"):
+        with pytest.raises(ValueError, match="'weights' slot 0 must be real numbers of shape"):
             Mlp.from_state_dict(state)
 
     def test_missing_layer_rejected(self):
         state = Mlp([4, 8, 1], rng=np.random.default_rng(0)).state_dict()
         del state["weights"][-1], state["biases"][-1]
-        with pytest.raises(ValueError, match="checkpoint layer shapes inconsistent"):
+        with pytest.raises(ValueError, match="'weights' must be a list of 2 arrays"):
             Mlp.from_state_dict(state)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -531,6 +548,30 @@ class TestRejectedUpdatesWriteNothing:
             opt.step(p, grads)
         assert self.snapshot(*p, *opt.m, *opt.v) == before
         assert opt.step_count == 0
+        assert param_epoch() == epoch
+
+    def test_adam_read_only_param_leaves_state(self):
+        """numpy would raise only at the in-place write, after the moments,
+        step_count and the epoch had moved."""
+        p = [np.zeros(2), np.zeros(3)]
+        p[1].setflags(write=False)
+        opt = Adam(p, lr=0.1)
+        before = self.snapshot(*p, *opt.m, *opt.v)
+        epoch = param_epoch()
+        with pytest.raises(ValueError, match="read-only"):
+            opt.step(p, [np.ones(2), np.ones(3)])
+        assert self.snapshot(*p, *opt.m, *opt.v) == before
+        assert opt.step_count == 0
+        assert param_epoch() == epoch
+
+    def test_polyak_read_only_target_leaves_targets(self):
+        t = [np.zeros(2), np.zeros(3)]
+        t[1].setflags(write=False)
+        before = self.snapshot(*t)
+        epoch = param_epoch()
+        with pytest.raises(ValueError, match="read-only"):
+            polyak_update(t, [np.ones(2), np.ones(3)], 0.5)
+        assert self.snapshot(*t) == before
         assert param_epoch() == epoch
 
     @pytest.mark.parametrize(

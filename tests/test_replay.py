@@ -159,6 +159,13 @@ class TestRingStore:
             assert snapshot() == before
         assert add_episode(buf, [-1]) == 3
 
+    @pytest.mark.parametrize("capacity", [2.5, float("nan"), True, "5", 0])
+    def test_capacity_must_be_an_integer_count(self, capacity):
+        """2.5, NaN and True were accepted, and the first store_episode then
+        raised TypeError."""
+        with pytest.raises(ValueError, match="capacity must be an integer >= 1"):
+            TrajectoryBuffer(capacity)
+
     def test_episode_longer_than_capacity_rejected_when_empty(self):
         buf = TrajectoryBuffer(capacity=2)
         with pytest.raises(ValueError):
