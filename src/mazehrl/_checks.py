@@ -2,6 +2,11 @@
 
 import numpy as np
 
+POSITIVE = ("positive and finite", lambda v: 0.0 < v < np.inf)  # (message words, test)
+UNIT = ("in [0, 1]", lambda v: 0.0 <= v <= 1.0)
+FINITE = ("finite", lambda v: -np.inf < v < np.inf)
+NONNEGATIVE = (">= 0", lambda v: v >= 0.0)  # +inf included
+
 
 def read_field(state, key, what, shape, kind):
     """``state[key]``, if ``state`` is a dict holding ``key`` whose value is, by ``shape``: (None)
@@ -44,3 +49,16 @@ def check_count(value, what, least):
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
         raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
     return int(value)
+
+
+def check_real(value, what, interval):
+    """``float(value)``; ``ValueError`` unless ``value`` is one real number other than NaN (a Python
+    or numpy int or float, not a bool, or a 0-d array of one) inside ``interval``, one of the above."""
+    if type(value) is not float:  # a Python float, the common case, skips the type test
+        a = np.asarray(value)
+        if a.ndim or a.dtype.kind not in "iuf":  # bools, strings, None, complex, several numbers
+            raise ValueError(f"{what} must be a real number, got {value!r:.60}")
+        value = float(a)
+    if not interval[1](value):
+        raise ValueError(f"{what} must be {interval[0]}, got {value!r}")
+    return value

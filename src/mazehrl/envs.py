@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import check_count, read_field
+from ._checks import FINITE, POSITIVE, check_count, check_real, read_field
 
 ACTION_BOUND = 1.0
 DAMPING = 0.9
@@ -24,7 +24,7 @@ FREE_POINT_TRIES = 1000  # rejection-sampling attempts before a region counts as
 
 @dataclass(frozen=True)
 class Rect:
-    """Axis-aligned rectangle [x0, x1] x [y0, y1]."""
+    """Axis-aligned rectangle [x0, x1] x [y0, y1] with finite bounds, kept as Python floats."""
 
     x0: float
     y0: float
@@ -32,7 +32,9 @@ class Rect:
     y1: float
 
     def __post_init__(self):
-        if not (self.x0 < self.x1 and self.y0 < self.y1):  # NaN fails too
+        for key in ("x0", "y0", "x1", "y1"):
+            object.__setattr__(self, key, check_real(getattr(self, key), f"rect {key}", FINITE))
+        if not (self.x0 < self.x1 and self.y0 < self.y1):
             raise ValueError(f"degenerate rect {self}")
 
     def contains_interior(self, p) -> bool:
@@ -51,10 +53,10 @@ class MazeSpec:
 
     ``start`` and ``goal`` are either a fixed point (len-2 tuple) or a
     Rect region sampled uniformly over its free space. ``eval_goal`` is
-    the fixed goal used by evaluation episodes. Fixed points must have two
-    coordinates and lie in the closed ``extent`` and outside every wall
-    interior; regions must lie inside ``extent``. ``success_radius`` must
-    be positive and finite, and ``max_episode_steps`` an integer >= 1. No
+    the fixed goal used by evaluation episodes. ``name`` is a str. Fixed points
+    have two finite coordinates and lie in the closed ``extent`` and outside every
+    wall interior; regions lie inside ``extent``. ``success_radius`` is positive and
+    finite, ``max_episode_steps`` an integer >= 1, each kept as its check returns it. No
     wall face may lie on the extent's edge: a ball clamped to that edge is
     never strictly inside the wall's span, so the wall would not block it.
     A wall that meets the edge is built past it instead.
@@ -70,15 +72,23 @@ class MazeSpec:
     max_episode_steps: int = 500
 
     def __post_init__(self):
-        if not 0 < self.success_radius < np.inf:  # NaN fails too
-            raise ValueError("success_radius must be positive and finite")
-        check_count(self.max_episode_steps, "maze spec 'max_episode_steps'", 1)
-        fixed = self._fixed_points()
+        if not isinstance(self.name, str):
+            raise ValueError(f"name must be a str, got {type(self.name).__name__}")
+        put = object.__setattr__  # the dataclass is frozen
+        put(self, "walls", tuple(self.walls))
+        put(self, "success_radius", check_real(self.success_radius, "success_radius", POSITIVE))
+        steps = check_count(self.max_episode_steps, "maze spec 'max_episode_steps'", 1)
+        put(self, "max_episode_steps", steps)
+        fixed = []
+        for key in ("eval_goal", "start", "goal"):  # eval_goal is always a point
+            if key == "eval_goal" or not isinstance(getattr(self, key), Rect):
+                fixed.append(tuple(check_real(c, key, FINITE) for c in getattr(self, key)))
+                put(self, key, fixed[-1])
         if any(len(p) != 2 for p in fixed):
             raise ValueError(f"fixed points must have 2 coordinates, got {fixed}")
         regions = [r for r in (self.start, self.goal) if isinstance(r, Rect)]
         for p in fixed + [c for r in regions for c in ((r.x0, r.y0), (r.x1, r.y1))]:
-            if not self.extent.contains(p):  # a NaN coordinate fails too
+            if not self.extent.contains(p):
                 raise ValueError(f"point {p} lies outside extent {self.extent}")
         for p in fixed:
             for w in self.walls:
@@ -88,14 +98,6 @@ class MazeSpec:
         for w in self.walls:
             if w.x0 == ext.x0 or w.x1 == ext.x1 or w.y0 == ext.y0 or w.y1 == ext.y1:
                 raise ValueError(f"wall {w} has a face on the edge of extent {ext}")
-
-    def _fixed_points(self):
-        pts = [self.eval_goal]
-        if not isinstance(self.start, Rect):
-            pts.append(tuple(self.start))
-        if not isinstance(self.goal, Rect):
-            pts.append(tuple(self.goal))
-        return pts
 
     @property
     def goal_low(self):
@@ -130,8 +132,7 @@ def phi(state) -> np.ndarray:
 
 def success(position, goal, radius) -> bool:
     """Closed-ball success test: ||position - goal||_2 <= radius, for a finite radius."""
-    if not 0 < radius < np.inf:  # NaN fails too
-        raise ValueError("radius must be positive and finite")
+    radius = check_real(radius, "radius", POSITIVE)
     return bool(np.linalg.norm(np.asarray(position) - np.asarray(goal)) <= radius)
 
 
@@ -318,16 +319,14 @@ def make_maze(name) -> MazeSpec:
 
 
 def _point_or_rect_to_obj(value):
-    if isinstance(value, Rect):
-        return {"rect": value.as_list()}
-    return {"point": list(map(float, value))}
+    return {"rect": value.as_list()} if isinstance(value, Rect) else {"point": list(value)}
 
 
 def _point_or_rect_from_obj(obj, key):
     where = read_field(obj, key, "maze spec", None, dict)
     if "rect" in where:
-        return Rect(*read_field(where, "rect", f"maze spec {key!r}", (4,), np.float64).tolist())
-    return tuple(read_field(where, "point", f"maze spec {key!r}", (2,), np.float64).tolist())
+        return Rect(*read_field(where, "rect", f"maze spec {key!r}", (4,), np.float64))
+    return read_field(where, "point", f"maze spec {key!r}", (2,), np.float64)
 
 
 def spec_to_dict(spec: MazeSpec) -> dict:
@@ -338,7 +337,7 @@ def spec_to_dict(spec: MazeSpec) -> dict:
         "walls": [w.as_list() for w in spec.walls],
         "start": _point_or_rect_to_obj(spec.start),
         "goal": _point_or_rect_to_obj(spec.goal),
-        "eval_goal": list(map(float, spec.eval_goal)),
+        "eval_goal": list(spec.eval_goal),
         "success_radius": spec.success_radius,
         "max_episode_steps": spec.max_episode_steps,
     }
@@ -352,11 +351,11 @@ def spec_from_dict(obj: dict) -> MazeSpec:
     read_field(obj, "format", what, None, (SPEC_FORMAT,))
     return MazeSpec(
         name=read_field(obj, "name", what, None, str),
-        extent=Rect(*read_field(obj, "extent", what, (4,), np.float64).tolist()),
-        walls=tuple(Rect(*w) for w in read_field(obj, "walls", what, (-1, 4), np.float64).tolist()),
+        extent=Rect(*read_field(obj, "extent", what, (4,), np.float64)),
+        walls=tuple(Rect(*w) for w in read_field(obj, "walls", what, (-1, 4), np.float64)),
         start=_point_or_rect_from_obj(obj, "start"),
         goal=_point_or_rect_from_obj(obj, "goal"),
-        eval_goal=tuple(read_field(obj, "eval_goal", what, (2,), np.float64).tolist()),
-        success_radius=float(read_field(obj, "success_radius", what, (), np.float64)),
+        eval_goal=read_field(obj, "eval_goal", what, (2,), np.float64),
+        success_radius=read_field(obj, "success_radius", what, (), np.float64),
         max_episode_steps=read_field(obj, "max_episode_steps", what, None, object),
     )

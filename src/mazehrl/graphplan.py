@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._checks import check_count, read_field
+from ._checks import FINITE, NONNEGATIVE, check_count, check_real, read_field
 from .nets import Adam, Mlp, param_epoch
 
 NOVELTY_HIDDEN = (64, 64)
@@ -292,8 +292,9 @@ def build_graph(state, goal_point, landmarks: LandmarkSet, critic, actor, goal_m
     The block and the state row are each always scored in a batch of the
     same shape, cached or not, so a graph built from a cached block is
     byte-identical to a cold build. The cached ``D`` is handed to the
-    graph, so a warm ``plan_subgoal`` is one argmin.
+    graph, so a warm ``plan_subgoal`` is one argmin. ``eta`` is finite, ``cutoff`` >= 0.
     """
+    eta, cutoff = check_real(eta, "eta", FINITE), check_real(cutoff, "cutoff", NONNEGATIVE)
     state = np.asarray(state, dtype=np.float64)
     goal_point = np.asarray(goal_point, dtype=np.float64)
     points = np.vstack([goal_map(state[None, :]), landmarks.points, goal_point])
@@ -374,8 +375,7 @@ def pseudo_landmark(sg_plan, phi_state, delta):
     in which case the waypoint is returned unchanged. ``delta`` must be
     finite; a negative one shifts toward the agent.
     """
-    if not -np.inf < delta < np.inf:  # NaN fails too
-        raise ValueError(f"delta must be finite, got {delta}")
+    delta = check_real(delta, "delta", FINITE)
     sg_plan = np.asarray(sg_plan, dtype=np.float64)
     phi_state = np.asarray(phi_state, dtype=np.float64)
     ray = sg_plan - phi_state

@@ -9,7 +9,9 @@ The loaders of outside input (``Mlp``/``Adam.from_state_dict``, ``envs.spec_from
 ``graphplan.NoveltyScorer.load_state_dict``) keep one contract, checked in ``_checks``: the
 state is a dict holding every key its writer writes, numbers are finite and of their shapes, and
 counts are integers (not bools) at or above their least value. Anything else raises
-``ValueError`` naming the loader and the key, before anything is built.
+``ValueError`` naming the loader and the key, before anything is built. Every setting (``lr``,
+``bound``, ``tau``, ``alpha``, ``eta``, ``cutoff``, ``delta``, radii, maze coordinates) is one real
+number, not NaN, in its interval (``_checks.check_real``), and kept as the float that returns.
 
 Each net computes in one dtype fixed at construction: float32 by default,
 or float64, which the finite-difference and loop-reference oracles use.
@@ -49,7 +51,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._checks import check_count, read_field
+from ._checks import POSITIVE, UNIT, check_count, check_real, read_field
 
 __all__ = [
     "Mlp",
@@ -99,7 +101,7 @@ class Mlp:
 
     ``layer_sizes`` chains input through hidden widths to the output,
     e.g. ``[4, 64, 64, 2]``. A scaled-tanh head keeps outputs in
-    ``[-bound, +bound]`` componentwise, for a positive, finite ``bound``.
+    ``[-bound, +bound]`` componentwise; ``bound`` is positive and finite for either head.
     ``rng``, a ``np.random.Generator`` passed by name, draws the initial
     weights. ``dtype`` (``np.float32`` or ``np.float64``) is the dtype of
     every array the net makes; inputs, upstream gradients and penalty
@@ -133,13 +135,11 @@ class Mlp:
             raise ValueError(f"{what} 'layer_sizes' must hold >= 2 sizes, got {layer_sizes!r}")
         if output_activation not in ("identity", "scaled_tanh"):
             raise ValueError(f"unknown output activation {output_activation!r}")
-        if output_activation == "scaled_tanh" and not 0 < bound < np.inf:  # NaN fails too
-            raise ValueError("scaled_tanh bound must be positive and finite")
         if dtype not in (np.float32, np.float64):
             raise ValueError(f"dtype must be np.float32 or np.float64, got {dtype!r}")
         self.layer_sizes = sizes
         self.output_activation = output_activation
-        self.bound = float(bound)
+        self.bound = check_real(bound, f"{what} bound", POSITIVE)
         self.dtype = np.dtype(dtype)
 
     @property
@@ -256,12 +256,8 @@ class Mlp:
             zgrads[i - 1] = delta
         return zgrads
 
-    def grad_params(self, x, upstream):
-        """Gradient of ``upstream . forward(x)`` w.r.t. params (summed over batch)."""
-        return self.grad_params_cached(self.forward_cache(x), upstream)
-
     def grad_params_cached(self, cache, upstream):
-        """:meth:`grad_params` on a cache from :meth:`forward_cache`.
+        """Gradient of ``upstream . output`` w.r.t. params (batch-summed), from a ``forward_cache``.
 
         For a scalar identity head each layer's backward signal is the
         upstream times that layer's gradient under upstream ones, so this
@@ -361,7 +357,7 @@ class Mlp:
         net = cls.__new__(cls)
         sizes = read_field(state, "layer_sizes", what, None, list)
         head = read_field(state, "output_activation", what, None, str)
-        net._configure(sizes, head, float(read_field(state, "bound", what, (), np.float64)), dtype, what)
+        net._configure(sizes, head, read_field(state, "bound", what, (), np.float64), dtype, what)
         sizes, dtypes = net.layer_sizes, [dtype] * (len(net.layer_sizes) - 1)
         weights = read_field(state, "weights", what, [(o, i) for i, o in zip(sizes, sizes[1:])], dtypes)
         net.weights = tuple(np.asfortranarray(w) for w in weights)
@@ -389,9 +385,7 @@ class Adam:
     """
 
     def __init__(self, params, lr=3e-4):
-        if not 0 < lr < np.inf:  # NaN fails too
-            raise ValueError(f"lr must be positive and finite, got {lr}")
-        self.lr = float(lr)
+        self.lr = check_real(lr, "lr", POSITIVE)
         self.step_count = 0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
@@ -443,7 +437,7 @@ class Adam:
         consts = [float(read_field(state, k, what, (), np.float64)) for k in ("beta1", "beta2", "eps")]
         if consts != [ADAM_BETA1, ADAM_BETA2, ADAM_EPS]:
             raise ValueError(f"{what} beta1, beta2 or eps differs from the constants")
-        opt = cls(params, lr=float(read_field(state, "lr", what, (), np.float64)))
+        opt = cls(params, lr=read_field(state, "lr", what, (), np.float64))
         count = read_field(state, "step_count", what, None, object)
         opt.step_count = check_count(count, f"{what} 'step_count'", 0)
         for key in ("m", "v"):
@@ -464,8 +458,7 @@ def polyak_update(target_params, online_params, tau):
     parameter ``FloatingPointError``, and the targets and ``param_epoch()``
     stay as they were.
     """
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError(f"tau must be in [0, 1], got {tau}")
+    tau = check_real(tau, "tau", UNIT)
     _check_slots(online_params, "online parameter", target_params)
     _bump_param_epoch()
     for t, o in zip(target_params, online_params):

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import check_count
+from ._checks import POSITIVE, check_count, check_real
 
 SAMPLER_CHOICES = ("hr", "uniform", "topk")
 # Per-step columns of the buffer, in Transition order.
@@ -169,17 +169,17 @@ class TrajectoryBuffer:
         return traj_id
 
     def sample_batch(self, n, rng):
-        """Uniform transition minibatch as column arrays (for TD learning)."""
+        """Uniform minibatch of ``n`` >= 1 transitions as column arrays (for TD learning)."""
         if self._size == 0:
             raise ValueError("empty buffer")
-        rows = self._rows(rng.integers(0, self._size, size=n))
+        rows = self._rows(rng.integers(0, self._size, size=check_count(n, "n", 1)))
         return {f: col[rows] for f, col in self._cols.items()}
 
     def recent_states(self, window):
-        """Last ``window`` stored states, newest last."""
+        """Last ``window`` (an integer >= 0) stored states, newest last."""
+        take = min(check_count(window, "window", 0), self._size)
         if self._size == 0:
             return np.zeros((0, 0))
-        take = max(0, min(window, self._size))
         return self._cols["s"][self._rows(np.arange(self._size - take, self._size))]
 
 
@@ -257,8 +257,7 @@ def hr_weights(corrected_returns, lengths, alpha):
     constant shifts of A). Every transition of trajectory i carries
     weight w_i, so sum_i T_i w_i = 1.
     """
-    if not alpha > 0:  # NaN fails too
-        raise ValueError("alpha must be positive")
+    alpha = check_real(alpha, "alpha", POSITIVE)
     A = np.asarray(corrected_returns, dtype=np.float64)
     T = np.asarray(lengths, dtype=np.float64)
     if A.shape != T.shape or A.ndim != 1 or A.size == 0:
@@ -329,6 +328,7 @@ def sample_pool(buffer, sampler, pool_size, rng, alpha=0.1):
     differs from its last run, and otherwise draws with the ``weight``
     column that run wrote.
     """
+    pool_size = check_count(pool_size, "pool_size", 1)
     if len(buffer) == 0:
         raise ValueError("empty buffer")
     if sampler == "hr":

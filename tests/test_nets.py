@@ -179,7 +179,8 @@ class TestGradParams:
     def test_zero_upstream_zero_grads(self):
         rng = np.random.default_rng(2)
         net = random_small_net(rng)
-        grads = net.grad_params(rng.normal(size=net.in_dim), np.zeros(net.out_dim))
+        x = rng.normal(size=net.in_dim)
+        grads = net.grad_params_cached(net.forward_cache(x), np.zeros(net.out_dim))
         for g in grads:
             assert not np.any(g)
 
@@ -187,7 +188,7 @@ class TestGradParams:
         net = Mlp([3, 2], rng=np.random.default_rng(0))
         x = np.array([1.0, -2.0, 3.0])
         u = np.array([0.5, 2.0])
-        grads = net.grad_params(x, u)
+        grads = net.grad_params_cached(net.forward_cache(x), u)
         np.testing.assert_allclose(grads[0], np.outer(u, x))
         np.testing.assert_allclose(grads[1], u)
 
@@ -198,17 +199,18 @@ class TestGradParams:
             net = random_small_net(rng, out_act)
             x = rng.normal(size=net.in_dim)
             u = rng.normal(size=net.out_dim)
-            assert rel_err(net.grad_params(x, u), fd_param_grads(net, x, u)) < 1e-4
+            grads = net.grad_params_cached(net.forward_cache(x), u)
+            assert rel_err(grads, fd_param_grads(net, x, u)) < 1e-4
 
     def test_batch_sums_per_sample(self):
         rng = np.random.default_rng(5)
         net = random_small_net(rng)
         xs = rng.normal(size=(4, net.in_dim))
         us = rng.normal(size=(4, net.out_dim))
-        batch = net.grad_params(xs, us)
+        batch = net.grad_params_cached(net.forward_cache(xs), us)
         acc = [np.zeros_like(p) for p in net.params]
         for i in range(4):
-            for a, g in zip(acc, net.grad_params(xs[i], us[i])):
+            for a, g in zip(acc, net.grad_params_cached(net.forward_cache(xs[i]), us[i])):
                 a += g
         for a, b in zip(acc, batch):
             np.testing.assert_allclose(a, b, atol=1e-12)
@@ -722,7 +724,7 @@ class TestSharedUnitSweep:
             np.testing.assert_array_equal(got, want)
         for b in pen[1::2]:
             assert not np.any(b)
-        assert_bit_identical(net.grad_params(x, u), td)
+        assert_bit_identical(net.grad_params_cached(net.forward_cache(x), u), td)
 
     def test_one_reverse_sweep_per_cache(self, monkeypatch):
         sweeps = []
@@ -771,7 +773,8 @@ class TestSharedUnitSweep:
             w[...] = rng.normal(0.0, 0.8, size=w.shape)
         x, u = rng.normal(size=(7, sizes[0])), rng.normal(size=(7, sizes[-1]))
         ref = reference_forward_cache(net, x)
-        assert_bit_identical(net.grad_params(x, u), reference_backward(net, ref, u)[1])
+        grads = net.grad_params_cached(net.forward_cache(x), u)
+        assert_bit_identical(grads, reference_backward(net, ref, u)[1])
         if sizes[-1] == 1:
             g, zgrads = net.input_grad_scalar(net.forward_cache(x))
             ref_g, _, ref_zgrads = reference_backward(net, ref, np.ones_like(u))
@@ -813,12 +816,12 @@ class TestDtype:
             critic.forward(x), *cache["acts"], cache["z_out"], g, *zgrads,
             *critic.grad_params_cached(cache, rng.normal(size=(6, 1))),
             *critic.double_backprop(cache, zgrads, rng.normal(size=(6, 5))),
-            *actor.grad_params(x[:, :4], rng.normal(size=(6, 2))),
+            *actor.grad_params_cached(actor.forward_cache(x[:, :4]), rng.normal(size=(6, 2))),
             actor.grad_input_vjp(x[:, :4], rng.normal(size=(6, 2))),
         ]
         target = critic.copy()
         opt = Adam(critic.params)
-        opt.step(critic.params, critic.grad_params(x, np.ones((6, 1))))
+        opt.step(critic.params, critic.grad_params_cached(critic.forward_cache(x), np.ones((6, 1))))
         polyak_update(target.params, critic.params, 0.5)
         arrays += critic.params + target.params + opt.m + opt.v
         assert all(a.dtype == dtype for a in arrays)
@@ -933,7 +936,7 @@ class TestColumnMajorWeights:
         x, u = rng.normal(size=(4, 5)), rng.normal(size=(4, 1))
         target = net.copy()
         loaded = Mlp.from_state_dict(json.loads(json.dumps(net.state_dict())))
-        Adam(net.params).step(net.params, net.grad_params(x, u))
+        Adam(net.params).step(net.params, net.grad_params_cached(net.forward_cache(x), u))
         polyak_update(target.params, net.params, 0.5)
         for made in (net, target, loaded, target.copy()):
             assert_column_major(made.weights)
@@ -948,7 +951,8 @@ class TestColumnMajorWeights:
         g, zgrads = net.input_grad_scalar(cache)
         pen = net.double_backprop(cache, zgrads, rng.normal(size=x.shape))
         actor = Mlp([sizes[0], 9, 2], "scaled_tanh", rng=rng, dtype=np.float64)
-        assert_column_major(td[::2] + pen[::2] + actor.grad_params(x, rng.normal(size=(6, 2)))[::2])
+        pi = actor.grad_params_cached(actor.forward_cache(x), rng.normal(size=(6, 2)))
+        assert_column_major(td[::2] + pen[::2] + pi[::2])
         opt = Adam(net.params)
         opt.step(net.params, [a + b for a, b in zip(td, pen)])
         loaded = Adam.from_state_dict(json.loads(json.dumps(opt.state_dict())), net.params)
@@ -979,7 +983,7 @@ class TestColumnMajorWeights:
             g, zgrads = c.input_grad_scalar(cache)
             out += [c.forward(x), g, *zgrads, *c.grad_params_cached(cache, u)]
             out += c.double_backprop(cache, zgrads, q)
-            out += [a.forward(x[:, :6]), *a.grad_params(x[:, :6], q[:, :2])]
+            out += [a.forward(x[:, :6]), *a.grad_params_cached(a.forward_cache(x[:, :6]), q[:, :2])]
             out.append(a.grad_input_vjp(x[:, :6], q[:, :2]))
         assert len(got) == len(want)
         for a, b in zip(got, want):

@@ -119,6 +119,51 @@ class TestBuffer:
         np.testing.assert_allclose(recent[-1][:2], [9.2, 9.0])
 
 
+def filled_buffer():
+    buf = TrajectoryBuffer()
+    add_episode(buf, [-1] * 5)
+    add_episode(buf, [-1, 0], start=(3, 3))
+    return buf
+
+
+COUNT_CALLS = {
+    "window": lambda buf, v: buf.recent_states(v),
+    "n": lambda buf, v: buf.sample_batch(v, np.random.default_rng(0)),
+    **{
+        f"pool_size-{sampler}": lambda buf, v, s=sampler: sample_pool(buf, s, v, np.random.default_rng(0))
+        for sampler in SAMPLER_CHOICES
+    },
+}
+
+
+class TestCountArguments:
+    """Replay counts follow the one integer-count rule: an integer, not a bool, at
+    or above its least value (a window may be 0), else ``ValueError`` naming it."""
+
+    @pytest.mark.parametrize("bad", [-3, 2.5, True, None, np.float64(2.0)])
+    @pytest.mark.parametrize("call", COUNT_CALLS)
+    def test_bad_count_rejected(self, call, bad):
+        name = call.partition("-")[0]
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= {int(name != 'window')}"):
+            COUNT_CALLS[call](filled_buffer(), bad)
+
+    @pytest.mark.parametrize("call", ["n", "pool_size-uniform"])
+    def test_zero_draws_rejected(self, call):
+        with pytest.raises(ValueError, match="must be an integer >= 1"):
+            COUNT_CALLS[call](filled_buffer(), 0)
+
+    def test_window_checked_on_an_empty_buffer_too(self):
+        with pytest.raises(ValueError, match="^window must be"):
+            TrajectoryBuffer().recent_states(-3)
+
+    def test_numpy_integer_counts_accepted(self):
+        buf = filled_buffer()
+        assert buf.recent_states(np.int64(3)).shape == (3, 4)
+        assert buf.recent_states(0).shape == (0, 4)
+        assert buf.sample_batch(np.int32(3), np.random.default_rng(0))["s"].shape == (3, 4)
+        assert sample_pool(buf, "hr", np.int64(4), np.random.default_rng(0)).shape == (4, 4)
+
+
 def distinct_step(t, k, done):
     """Step t of episode k, with a different value in every field."""
     b = 10.0 * k + t
