@@ -49,7 +49,7 @@ class Rect:
 
 @dataclass(frozen=True)
 class MazeSpec:
-    """Static description of a maze task.
+    """Static description of a maze task; every field is required.
 
     ``start`` and ``goal`` are either a fixed point (len-2 tuple) or a
     Rect region sampled uniformly over its free space. ``eval_goal`` is
@@ -64,12 +64,12 @@ class MazeSpec:
 
     name: str
     extent: Rect
-    walls: tuple = ()
-    start: object = (0.0, 0.0)
-    goal: object = (0.0, 0.0)
-    eval_goal: tuple = (0.0, 0.0)
-    success_radius: float = 0.75
-    max_episode_steps: int = 500
+    walls: tuple
+    start: object
+    goal: object
+    eval_goal: tuple
+    success_radius: float
+    max_episode_steps: int
 
     def __post_init__(self):
         if not isinstance(self.name, str):
@@ -79,22 +79,22 @@ class MazeSpec:
         put(self, "success_radius", check_real(self.success_radius, "success_radius", POSITIVE))
         steps = check_count(self.max_episode_steps, "maze spec 'max_episode_steps'", 1)
         put(self, "max_episode_steps", steps)
-        fixed = []
-        for key in ("eval_goal", "start", "goal"):  # eval_goal is always a point
-            if key == "eval_goal" or not isinstance(getattr(self, key), Rect):
-                fixed.append(tuple(check_real(c, key, FINITE) for c in getattr(self, key)))
-                put(self, key, fixed[-1])
-        if any(len(p) != 2 for p in fixed):
-            raise ValueError(f"fixed points must have 2 coordinates, got {fixed}")
-        regions = [r for r in (self.start, self.goal) if isinstance(r, Rect)]
-        for p in fixed + [c for r in regions for c in ((r.x0, r.y0), (r.x1, r.y1))]:
-            if not self.extent.contains(p):
-                raise ValueError(f"point {p} lies outside extent {self.extent}")
-        for p in fixed:
-            for w in self.walls:
-                if w.contains_interior(p):
-                    raise ValueError(f"point {p} lies inside wall {w}")
         ext = self.extent
+        for key in ("eval_goal", "start", "goal"):
+            p = getattr(self, key)
+            p = p.tolist() if isinstance(p, np.ndarray) else p
+            if isinstance(p, Rect) and key != "eval_goal":  # a region: its corners lie in the extent
+                points = [(p.x0, p.y0), (p.x1, p.y1)]
+            elif isinstance(p, (tuple, list)) and len(p) == 2:
+                points = [tuple(check_real(c, key, FINITE) for c in p)]
+                if _in_any_wall(self, points[0]):
+                    raise ValueError(f"{key} {points[0]} lies inside a wall")
+                put(self, key, points[0])
+            else:
+                raise ValueError(f"{key} must be a point of 2 coordinates, got {p!r:.60}")
+            for c in points:
+                if not ext.contains(c):
+                    raise ValueError(f"{key} {c} lies outside extent {ext}")
         for w in self.walls:
             if w.x0 == ext.x0 or w.x1 == ext.x1 or w.y0 == ext.y0 or w.y1 == ext.y1:
                 raise ValueError(f"wall {w} has a face on the edge of extent {ext}")
@@ -155,11 +155,7 @@ def sample_free_point(spec, region, rng):
 def reset_state(spec: MazeSpec, rng, evaluate=False) -> EnvState:
     """Fresh episode state: start-sampled position, zero velocity, sampled goal."""
     pos = sample_free_point(spec, spec.start, rng)
-    goal = (
-        np.array(spec.eval_goal, dtype=np.float64)
-        if evaluate
-        else sample_free_point(spec, spec.goal, rng)
-    )
+    goal = sample_free_point(spec, spec.eval_goal if evaluate else spec.goal, rng)
     return EnvState(position=pos, velocity=np.zeros(2), t=0, goal=goal)
 
 

@@ -55,6 +55,19 @@ class TestReset:
         state = reset_state(umaze12(), np.random.default_rng(0), evaluate=True)
         np.testing.assert_allclose(state.goal, [-4.5, 4.5])
 
+    @pytest.mark.parametrize("name", sorted(MAZE_BUILDERS))
+    def test_eval_reset_draws_nothing(self, name):
+        """Every built-in start and eval goal is a point: an eval reset leaves the rng as it
+        was and hands out the eval goal as a float64 array of its own."""
+        spec = make_maze(name)
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        state = reset_state(spec, rng, evaluate=True)
+        assert rng.bit_generator.state == before
+        assert state.goal.dtype == np.float64 and tuple(state.goal) == spec.eval_goal
+        state.goal += 1.0
+        assert spec.eval_goal == make_maze(name).eval_goal
+
     def test_same_seed_identical(self):
         a = reset_state(umaze12(), np.random.default_rng(5))
         b = reset_state(umaze12(), np.random.default_rng(5))
@@ -76,6 +89,8 @@ class TestReset:
             start=Rect(-0.25, -0.25, 0.25, 0.25),
             goal=(0.9, 0.9),
             eval_goal=(0.9, 0.9),
+            success_radius=0.75,
+            max_episode_steps=500,
         )
         with pytest.raises(RuntimeError):
             reset_state(spec, np.random.default_rng(0))
@@ -363,8 +378,8 @@ class TestSpecIO:
 
     def test_spec_without_walls_roundtrips(self):
         """``walls`` is then an empty list, which has no row shape of its own."""
-        spec = MazeSpec(name="open", extent=Rect(-1.0, -1.0, 1.0, 1.0), start=(-0.5, 0.0), goal=(0.5, 0.0),
-                        eval_goal=(0.5, 0.0))
+        spec = MazeSpec(name="open", extent=Rect(-1.0, -1.0, 1.0, 1.0), walls=(), start=(-0.5, 0.0),
+                        goal=(0.5, 0.0), eval_goal=(0.5, 0.0), success_radius=0.75, max_episode_steps=500)
         assert json_roundtrip(spec) == spec
 
     def test_points_on_the_extent_boundary_load(self):
@@ -423,4 +438,6 @@ class TestSpecIO:
                 start=(0.0, 0.0),
                 goal=(0.9, 0.9),
                 eval_goal=(0.9, 0.9),
+                success_radius=0.75,
+                max_episode_steps=500,
             )

@@ -1,4 +1,5 @@
-"""A geodesic oracle for the built-in mazes: a grid distance field and a scripted controller.
+"""A geodesic oracle for the built-in mazes: a grid distance field, a scripted controller
+that follows it, and a critic built on it that drives the planner.
 
 Each maze is laid on a grid of square cells of side ``CELL[name]`` over its
 extent. A cell is free when its closed square misses every wall interior.
@@ -21,11 +22,13 @@ import math
 import numpy as np
 import pytest
 
-from mazehrl.envs import ACCEL_SCALE, DAMPING, make_maze, reset_state, step_state
+from mazehrl.envs import ACCEL_SCALE, DAMPING, make_maze, phi, reset_state, step_state
+from mazehrl.graphplan import LandmarkSet, build_graph, distances_to, plan_subgoal
 
 CELL = {"UMaze12": 0.25, "UMaze24": 0.25, "EmbossedMaze": 0.2}  # wall faces fall on cell edges
 OCTILE = math.sqrt(4.0 - 2.0 * math.sqrt(2.0))  # the worst octile / Euclidean ratio, at 22.5 degrees
 MOVES = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if di or dj]
+MOVE_TABLES = {}  # maze name -> {cell: its list of moves}, shared by all fields of the maze
 
 
 class Field:
@@ -66,11 +69,14 @@ class Field:
         dist = np.full(self.free.shape, np.inf)
         dist[start] = float(np.linalg.norm(self.centre(start) - self.goal))
         heap = [(dist[start], start)]
+        table = MOVE_TABLES.setdefault(self.spec.name, {})
         while heap:
             d, cell = heapq.heappop(heap)
             if d > dist[cell]:
                 continue
-            for nxt, step in self.moves(cell):
+            if cell not in table:
+                table[cell] = list(self.moves(cell))
+            for nxt, step in table[cell]:
                 if d + step < dist[nxt]:
                     dist[nxt] = d + step
                     heapq.heappush(heap, (dist[nxt], nxt))
@@ -184,3 +190,53 @@ def test_scripted_controller_reaches_eval_goal(name):
     reached, steps = follow(spec, field(name))
     assert reached, f"{name}: no success in {steps} steps"
     assert steps <= spec.max_episode_steps
+
+
+class ZeroActor:
+    def forward(self, obs):
+        return np.zeros((len(obs), 2))
+
+
+class OracleCritic:
+    """A critic whose distance estimate is the geodesic field: ``min_q`` of an edge is
+    minus the field value, toward the edge's target, at the source state's cell. With
+    ``eta`` = 1 the input's relative goal plus the state's position is the target, up to
+    rounding, so it is matched to the nearest of ``targets``."""
+
+    def __init__(self, spec, targets):
+        self.targets = np.asarray(targets, dtype=np.float64)
+        self.fields = [Field(spec, t) for t in self.targets]
+
+    def min_q(self, x):
+        want = x[:, 4:6] + x[:, :2]
+        nearest = np.linalg.norm(want[:, None, :] - self.targets[None], axis=2).argmin(axis=1)
+        return -np.array([self.fields[k].dist[self.fields[k].cell(p)] for k, p in zip(nearest, x[:, :2])])
+
+
+def test_oracle_critic_plans_around_the_wall():
+    """On UMaze24, with landmarks on a 4-unit lattice of free points and a cutoff that cuts
+    the direct edge, the planner routes through the landmarks. Each planned edge is a grid
+    path between cells plus the target's offset from its cell centre, and the hops joined
+    at the landmark cells form a grid path from the start's cell to the goal's, so the
+    planned length is at least the start's field value: no kept edge crosses the wall.
+    The tolerance covers only float rounding of the sums."""
+    spec = make_maze("UMaze24")
+    grid = np.stack(np.meshgrid(np.arange(-8.0, 9.0, 4.0), np.arange(-8.0, 9.0, 4.0)), -1).reshape(-1, 2)
+    lattice = np.array([p for p in grid if not any(w.contains_interior(p) for w in spec.walls)])
+    goal = np.array(spec.eval_goal)
+    critic = OracleCritic(spec, np.vstack([lattice, goal]))
+    start = np.array([*spec.start, 0.0, 0.0])
+    to_goal = critic.fields[-1]
+    start_dist = to_goal.dist[to_goal.cell(start[:2])]
+    cutoff = 6.0
+    assert cutoff < start_dist
+    landmarks = LandmarkSet(np.hstack([lattice, np.zeros_like(lattice)]), np.zeros((0, 4)), phi)
+    graph = build_graph(start, goal, landmarks, critic, ZeroActor(), phi, 1.0, cutoff)
+    assert graph.w_cut[0, -1] == np.inf  # the direct edge is cut
+    total = graph.w_cut[0, 1:] + distances_to(graph.w_cut[1:, 1:], len(lattice))
+    assert np.isfinite(total).any()  # the goal is reachable, so no two-hop fallback
+    hop = plan_subgoal(graph)
+    j = int(np.flatnonzero((graph.points[1:] == hop).all(axis=1))[0])
+    assert total[j] == total.min()
+    assert to_goal.dist[to_goal.cell(hop)] < start_dist
+    assert total[j] >= start_dist - 1e-9

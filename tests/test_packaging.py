@@ -47,7 +47,8 @@ def test_package_imports_only_declared_dependencies():
 
 
 # Every defaulted parameter of the package's public functions, public methods
-# and constructors, as (module, function, parameter). Each one is an option a
+# and constructors, as (module, function, parameter), and every defaulted field
+# of a public dataclass, as (module, class, field). Each one is an option a
 # caller can set; a new one must be added here, so its need is argued in review.
 PUBLIC_KNOBS = {
     ("envs", "reset_state", "evaluate"),
@@ -62,15 +63,26 @@ PUBLIC_KNOBS = {
 }
 
 
+def is_dataclass(node):
+    """Whether the class ``node`` is decorated ``@dataclass``, ``@dataclass(...)`` or
+    ``@dataclasses.dataclass``."""
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    return any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass" for d in decorators)
+
+
 def defaulted_parameters(path):
     """(module, function, parameter) for each defaulted parameter, positional or
-    keyword-only, of the public functions, public methods and ``__init__`` in ``path``."""
+    keyword-only, of the public functions, public methods and ``__init__`` in ``path``,
+    and (module, class, field) for each annotated field with a value in a public dataclass."""
     found = set()
     for node in ast.parse(path.read_text(), str(path)).body:
         if isinstance(node, ast.FunctionDef):
             functions = [(node.name, node)]
         elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
             functions = [(f"{node.name}.{f.name}", f) for f in node.body if isinstance(f, ast.FunctionDef)]
+            if is_dataclass(node):
+                fields = [f for f in node.body if isinstance(f, ast.AnnAssign) and f.value is not None]
+                found |= {(path.stem, node.name, f.target.id) for f in fields}
         else:
             continue
         for name, fn in functions:

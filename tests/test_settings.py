@@ -67,10 +67,17 @@ SETTINGS = {
     "eval_goal": ("eval_goal", lambda v: replace(umaze12(), eval_goal=(-4.5, v)), [INF, -INF]),
 }
 
+# (spec field, a value that is not a point of 2 coordinates)
+NOT_POINTS = [("start", 5), ("goal", None), ("eval_goal", Rect(-1, -1, 1, 1)), ("start", "ab"),
+              ("start", (1.0, 2.0, 3.0))]
+
 CASES = [
     pytest.param(prefix, call, bad, id=f"{name}-{bad!r}")
     for name, (prefix, call, outside) in SETTINGS.items()
     for bad in [*NOT_REAL, NAN, *outside]
+] + [
+    pytest.param(key, lambda v, key=key: replace(umaze12(), **{key: v}), bad, id=f"{key}-point-{bad!r}")
+    for key, bad in NOT_POINTS
 ]
 
 
