@@ -74,12 +74,19 @@ class MazeSpec:
     def __post_init__(self):
         if not isinstance(self.name, str):
             raise ValueError(f"name must be a str, got {type(self.name).__name__}")
+        ext, walls = self.extent, self.walls
+        if not isinstance(ext, Rect):
+            raise ValueError(f"extent must be a Rect, got {ext!r:.60}")
         put = object.__setattr__  # the dataclass is frozen
-        put(self, "walls", tuple(self.walls))
+        put(self, "walls", tuple(walls) if np.iterable(walls) else (None,))
+        for w in self.walls:
+            if not isinstance(w, Rect):
+                raise ValueError(f"walls must be an iterable of Rects, got {walls!r:.60}")
+            if w.x0 == ext.x0 or w.x1 == ext.x1 or w.y0 == ext.y0 or w.y1 == ext.y1:
+                raise ValueError(f"wall {w} has a face on the edge of extent {ext}")
         put(self, "success_radius", check_real(self.success_radius, "success_radius", POSITIVE))
         steps = check_count(self.max_episode_steps, "maze spec 'max_episode_steps'", 1)
         put(self, "max_episode_steps", steps)
-        ext = self.extent
         for key in ("eval_goal", "start", "goal"):
             p = getattr(self, key)
             p = p.tolist() if isinstance(p, np.ndarray) else p
@@ -95,9 +102,6 @@ class MazeSpec:
             for c in points:
                 if not ext.contains(c):
                     raise ValueError(f"{key} {c} lies outside extent {ext}")
-        for w in self.walls:
-            if w.x0 == ext.x0 or w.x1 == ext.x1 or w.y0 == ext.y0 or w.y1 == ext.y1:
-                raise ValueError(f"wall {w} has a face on the edge of extent {ext}")
 
     @property
     def goal_low(self):
@@ -141,8 +145,13 @@ def _in_any_wall(spec, p) -> bool:
 
 
 def sample_free_point(spec, region, rng):
+    """A point ``region`` itself, or a uniform draw over a ``Rect``'s free space; a ``Rect``
+    not inside ``spec.extent`` raises ``ValueError`` before any draw."""
     if not isinstance(region, Rect):
         return np.array(region, dtype=np.float64)
+    ext = spec.extent
+    if not (ext.contains((region.x0, region.y0)) and ext.contains((region.x1, region.y1))):
+        raise ValueError(f"region {region} is not inside extent {ext}")
     for _ in range(FREE_POINT_TRIES):
         p = np.array(
             [rng.uniform(region.x0, region.x1), rng.uniform(region.y0, region.y1)]

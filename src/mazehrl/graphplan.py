@@ -34,6 +34,7 @@ from .nets import Adam, Mlp, param_epoch
 
 NOVELTY_HIDDEN = (64, 64)
 NOVELTY_OUT_DIM = 16
+NOVELTY_LR = 3e-4  # the predictor's Adam rate
 
 
 def dedup_points(points):
@@ -92,20 +93,21 @@ def fps(pool, m, rng):
 class NoveltyScorer:
     """Random-network-distillation novelty: prediction error against a frozen net.
 
+    ``rng`` draws both nets; the predictor trains with Adam at ``NOVELTY_LR``.
     ``scores`` keeps the forward passes it ran, keyed on the exact input
     bytes and shape, until the next ``train``; a ``train`` on the same
     states reuses them instead of running both nets again. Every ``train``
     drops them, because its step changes the predictor.
     """
 
-    def __init__(self, state_dim, rng, lr=3e-4):
+    def __init__(self, state_dim, rng):
         sizes = [state_dim, *NOVELTY_HIDDEN, NOVELTY_OUT_DIM]
         self.target = Mlp(sizes, rng=rng)
         # give the frozen target nontrivial output structure
         last = self.target.weights[-1]
         last[...] = rng.normal(0.0, 0.5, size=last.shape)
         self.predictor = Mlp(sizes, rng=rng)
-        self.opt = Adam(self.predictor.params, lr=lr)
+        self.opt = Adam(self.predictor.params, lr=NOVELTY_LR)
         self._scored = None  # (input bytes, shape, predictor cache, target output)
 
     def scores(self, states):
@@ -282,17 +284,12 @@ class LandmarkGraph:
 
 
 def build_graph(state, goal_point, landmarks: LandmarkSet, critic, actor, goal_map, eta, cutoff):
-    """Assemble the planning graph for one high-level decision.
+    """Assemble the planning graph for one high-level decision (module docstring).
 
-    Everything but the row out of the state depends only on the
-    landmarks, the goal, ``cutoff`` and the nets, so it is computed once
-    and kept on ``landmarks`` (see ``LandmarkSet._goal_side`` for its
-    key). Each decision scores only the L + 1 pairs from the state to
-    every other node, in a batch of their own; no edge enters node 0.
-    The block and the state row are each always scored in a batch of the
-    same shape, cached or not, so a graph built from a cached block is
-    byte-identical to a cold build. The cached ``D`` is handed to the
-    graph, so a warm ``plan_subgoal`` is one argmin. ``eta`` is finite, ``cutoff`` >= 0.
+    The goal side is kept on ``landmarks`` (``LandmarkSet._goal_side``
+    gives its key); each decision scores only the L + 1 pairs from the
+    state to every other node, in a batch of their own, and hands the
+    cached ``D`` to the graph. ``eta`` is finite, ``cutoff`` >= 0.
     """
     eta, cutoff = check_real(eta, "eta", FINITE), check_real(cutoff, "cutoff", NONNEGATIVE)
     state = np.asarray(state, dtype=np.float64)

@@ -11,7 +11,9 @@ state is a dict holding every key its writer writes, numbers are finite and of t
 counts are integers (not bools) at or above their least value. Anything else raises
 ``ValueError`` naming the loader and the key, before anything is built. Every setting (``lr``,
 ``bound``, ``tau``, ``alpha``, ``eta``, ``cutoff``, ``delta``, radii, maze coordinates) is one real
-number, not NaN, in its interval (``_checks.check_real``), and kept as the float that returns.
+number, not NaN, in its interval (``_checks.check_real``), and kept as the float that returns. A
+value no caller varies (Adam's betas and epsilon, ``graphplan.NOVELTY_LR``) is a module constant,
+and no checkpoint stores one.
 
 Each net computes in one dtype fixed at construction: float32 by default,
 or float64, which the finite-difference and loop-reference oracles use.
@@ -61,6 +63,7 @@ __all__ = [
 ]
 
 CHECKPOINT_FORMAT = "mazehrl-net-v1"
+ADAM_FORMAT = "mazehrl-adam-v2"  # a v1 dict, which also stores beta1, beta2 and eps, is rejected
 MOMENT_FLUSH_EVERY = 32  # Adam steps between flushes of subnormal moments to zero
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's fixed decay rates and epsilon
 
@@ -368,8 +371,8 @@ class Mlp:
 class Adam:
     """Adam with bias correction over a flat parameter list.
 
-    ``lr`` must be positive and finite; beta1, beta2 and epsilon are fixed
-    at ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``.
+    ``lr``, with no default, is positive and finite; beta1, beta2 and
+    epsilon are the constants ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``.
 
     Every ``MOMENT_FLUSH_EVERY`` steps, moments below the dtype's smallest
     normal number are set to zero. Under a zero gradient, ``m *= beta1``
@@ -384,7 +387,7 @@ class Adam:
     ``MOMENT_FLUSH_EVERY - 1`` steps at a time, not for the rest of the run.
     """
 
-    def __init__(self, params, lr=3e-4):
+    def __init__(self, params, lr):
         self.lr = check_real(lr, "lr", POSITIVE)
         self.step_count = 0
         self.m = [np.zeros_like(p) for p in params]
@@ -417,11 +420,8 @@ class Adam:
 
     def state_dict(self):
         return {
-            "format": "mazehrl-adam-v1",
+            "format": ADAM_FORMAT,
             "lr": self.lr,
-            "beta1": ADAM_BETA1,
-            "beta2": ADAM_BETA2,
-            "eps": ADAM_EPS,
             "step_count": self.step_count,
             "m": [a.tolist() for a in self.m],
             "v": [a.tolist() for a in self.v],
@@ -430,13 +430,9 @@ class Adam:
     @classmethod
     def from_state_dict(cls, state, params):
         """The optimizer ``state`` describes, for ``params``, under the loader contract (module
-        docstring): each ``m`` and ``v`` slot at its param's shape, dtype and memory order,
-        ``v`` >= 0, and beta1, beta2 and epsilon equal to the constants."""
+        docstring): ``m`` and ``v`` slots at their params' shapes, dtypes and order, ``v`` >= 0."""
         what = "optimizer checkpoint"
-        read_field(state, "format", what, None, ("mazehrl-adam-v1",))
-        consts = [float(read_field(state, k, what, (), np.float64)) for k in ("beta1", "beta2", "eps")]
-        if consts != [ADAM_BETA1, ADAM_BETA2, ADAM_EPS]:
-            raise ValueError(f"{what} beta1, beta2 or eps differs from the constants")
+        read_field(state, "format", what, None, (ADAM_FORMAT,))
         opt = cls(params, lr=read_field(state, "lr", what, (), np.float64))
         count = read_field(state, "step_count", what, None, object)
         opt.step_count = check_count(count, f"{what} 'step_count'", 0)

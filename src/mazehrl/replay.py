@@ -80,22 +80,14 @@ def _table_dtype(state_shape, goal_shape):
 class TrajectoryBuffer:
     """FIFO low-level replay with whole-trajectory eviction.
 
-    Steps live in a ring of float64 columns, one per name in ``FIELDS``,
-    each with ``capacity`` rows. The columns are allocated at the first
-    ``store_episode``, with row shapes taken from that episode, and left
-    unfilled (``np.empty``), so memory pages are touched only as rows are
-    written; no read reaches a row that no stored episode holds.
-    Flat index ``i`` (0 is the oldest stored step) is ring row
-    ``(head + i) % capacity``.
-
-    ``records`` is the episode table, an ``np.recarray`` with one row per
-    stored episode, oldest first, and the fields ``traj_id``, ``length``,
-    ``offset`` (ring row of the first step), ``ret``, ``weight``, ``start``
-    and ``goal``. It is built at the first ``store_episode`` with the start
-    and goal shapes of that episode; ``compute_weights`` writes its
-    ``weight`` column in place.
-    ``store_episode`` replaces the table with a new array, so a reference
-    to ``records`` held across a store is a stale snapshot.
+    ``capacity``, an integer >= 1 with no default, is the row count of
+    each float64 step column and of the ring. The columns and the episode
+    table ``records`` (module docstring) are made at the first
+    ``store_episode``, with that episode's row, start and goal shapes; the
+    columns are left unfilled (``np.empty``), so memory pages are touched
+    only as rows are written, and no read reaches a row that no stored
+    episode holds. Flat index ``i`` (0 is the oldest stored step) is ring
+    row ``(head + i) % capacity``.
 
     ``store_episode`` raises ``ValueError``, leaving the buffer unchanged,
     for an empty episode, non-consecutive step indices, ``done`` before the
@@ -104,7 +96,7 @@ class TrajectoryBuffer:
     and the table.
     """
 
-    def __init__(self, capacity=200_000):
+    def __init__(self, capacity):
         self.capacity = check_count(capacity, "capacity", 1)
         self.records = np.recarray(0, dtype=_table_dtype((0,), (0,)))
         self._cols = None  # field -> (capacity, ...) array, made at the first store
@@ -255,13 +247,16 @@ def hr_weights(corrected_returns, lengths, alpha):
     w_i = exp(A_i / alpha) / sum_j T_j exp(A_j / alpha), computed with a
     max-shift for numerical stability (the weights are invariant under
     constant shifts of A). Every transition of trajectory i carries
-    weight w_i, so sum_i T_i w_i = 1.
+    weight w_i, so sum_i T_i w_i = 1. A length that is not positive and
+    finite, or a non-finite A_i, raises ``ValueError``.
     """
     alpha = check_real(alpha, "alpha", POSITIVE)
     A = np.asarray(corrected_returns, dtype=np.float64)
     T = np.asarray(lengths, dtype=np.float64)
     if A.shape != T.shape or A.ndim != 1 or A.size == 0:
         raise ValueError("corrected_returns and lengths must be equal-length 1-D")
+    if not ((T > 0) & (T < np.inf)).all() or not np.isfinite(A).all():
+        raise ValueError("lengths must be positive and finite, and corrected_returns finite")
     e = np.exp((A - A.max()) / alpha)
     return e / float(np.dot(T, e))
 

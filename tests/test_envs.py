@@ -95,6 +95,15 @@ class TestReset:
         with pytest.raises(RuntimeError):
             reset_state(spec, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("region", [Rect(100, 100, 101, 101), Rect(-7, -1, -5, 1)], ids=["far", "across"])
+    def test_region_outside_the_extent_rejected(self, region):
+        """A region wholly or partly past the extent is rejected before anything is drawn."""
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="is not inside extent"):
+            sample_free_point(umaze12(), region, rng)
+        assert rng.bit_generator.state == before
+
 
 class TestStep:
     def test_zero_action_from_rest(self):

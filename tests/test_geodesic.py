@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from mazehrl.envs import ACCEL_SCALE, DAMPING, make_maze, phi, reset_state, step_state
-from mazehrl.graphplan import LandmarkSet, build_graph, distances_to, plan_subgoal
+from mazehrl.graphplan import LandmarkSet, build_graph, distances_to, edge_weights, plan_subgoal
 
 CELL = {"UMaze12": 0.25, "UMaze24": 0.25, "EmbossedMaze": 0.2}  # wall faces fall on cell edges
 OCTILE = math.sqrt(4.0 - 2.0 * math.sqrt(2.0))  # the worst octile / Euclidean ratio, at 22.5 degrees
@@ -213,18 +213,33 @@ class OracleCritic:
         return -np.array([self.fields[k].dist[self.fields[k].cell(p)] for k, p in zip(nearest, x[:, :2])])
 
 
-def test_oracle_critic_plans_around_the_wall():
+class EuclideanCritic:
+    """The straight-line distance, the shape the benchmark fits its critics to: ``min_q`` is
+    minus the norm of the input's relative goal, which with ``eta`` = 1 is target - position."""
+
+    def min_q(self, x):
+        return -np.linalg.norm(x[:, 4:6], axis=1)
+
+
+@pytest.fixture(scope="module")
+def umaze24_oracle():
+    """(spec, lattice, goal, critic): UMaze24, its free points on a 4-unit lattice, its eval
+    goal, and an ``OracleCritic`` to each of them, whose fields the tests below share."""
+    spec = make_maze("UMaze24")
+    grid = np.stack(np.meshgrid(np.arange(-8.0, 9.0, 4.0), np.arange(-8.0, 9.0, 4.0)), -1).reshape(-1, 2)
+    lattice = np.array([p for p in grid if not any(w.contains_interior(p) for w in spec.walls)])
+    goal = np.array(spec.eval_goal)
+    return spec, lattice, goal, OracleCritic(spec, np.vstack([lattice, goal]))
+
+
+def test_oracle_critic_plans_around_the_wall(umaze24_oracle):
     """On UMaze24, with landmarks on a 4-unit lattice of free points and a cutoff that cuts
     the direct edge, the planner routes through the landmarks. Each planned edge is a grid
     path between cells plus the target's offset from its cell centre, and the hops joined
     at the landmark cells form a grid path from the start's cell to the goal's, so the
     planned length is at least the start's field value: no kept edge crosses the wall.
     The tolerance covers only float rounding of the sums."""
-    spec = make_maze("UMaze24")
-    grid = np.stack(np.meshgrid(np.arange(-8.0, 9.0, 4.0), np.arange(-8.0, 9.0, 4.0)), -1).reshape(-1, 2)
-    lattice = np.array([p for p in grid if not any(w.contains_interior(p) for w in spec.walls)])
-    goal = np.array(spec.eval_goal)
-    critic = OracleCritic(spec, np.vstack([lattice, goal]))
+    spec, lattice, goal, critic = umaze24_oracle
     start = np.array([*spec.start, 0.0, 0.0])
     to_goal = critic.fields[-1]
     start_dist = to_goal.dist[to_goal.cell(start[:2])]
@@ -240,3 +255,49 @@ def test_oracle_critic_plans_around_the_wall():
     assert total[j] == total.min()
     assert to_goal.dist[to_goal.cell(hop)] < start_dist
     assert total[j] >= start_dist - 1e-9
+
+
+def ranks(x):
+    """The ranks of ``x`` from 0, each run of equal values sharing the mean of its ranks."""
+    r = np.empty(len(x))
+    r[np.argsort(x, kind="stable")] = np.arange(len(x))
+    _, tie = np.unique(x, return_inverse=True)
+    return (np.bincount(tie, r) / np.bincount(tie))[tie]
+
+
+def calibration(critic, lattice, fields, cutoff):
+    """How ``critic``'s edge weights (``eta`` = 1) over every ordered pair of ``lattice`` points
+    match the field distances, ``fields[j]`` being the field to point j. Returns the Spearman
+    rank correlation, the count of wormholes (kept edges, w <= cutoff, whose field distance
+    exceeds the cutoff) and the count of short cuts (cut edges whose field distance is at
+    most the cutoff)."""
+    src, dst = np.nonzero(~np.eye(len(lattice), dtype=bool))
+    states = np.hstack([lattice, np.zeros_like(lattice)])
+    w = edge_weights(critic, ZeroActor(), states[src], lattice[dst], phi, 1.0)
+    d = np.array([fields[j].dist[fields[j].cell(lattice[i])] for i, j in zip(src, dst)])
+    rho = float(np.corrcoef(ranks(w), ranks(d))[0, 1])
+    return rho, int(np.sum((w <= cutoff) & (d > cutoff))), int(np.sum((w > cutoff) & (d <= cutoff)))
+
+
+def test_oracle_critic_is_calibrated(umaze24_oracle):
+    """The oracle's weights are the field distances, so their ranks agree and the cutoff
+    misjudges no edge."""
+    _, lattice, _, critic = umaze24_oracle
+    rho, wormholes, short_cuts = calibration(critic, lattice, critic.fields, 9.0)
+    assert rho == pytest.approx(1.0, abs=1e-12)
+    assert wormholes == short_cuts == 0
+
+
+def test_straight_line_critic_keeps_a_wormhole_across_the_wall(umaze24_oracle):
+    """(-8, -4) and (-8, 4) are 8 apart across the U wall, but its field distance goes round
+    the wall's end at x = 6, so a straight-line critic keeps an edge the field would cut.
+    It makes no short cut: a field value is at least the straight line from the source's
+    cell centre, which lies within 0.18 of the lattice point, and no two lattice points are
+    between 9 and 9.18 apart."""
+    _, lattice, _, critic = umaze24_oracle
+    rho, wormholes, short_cuts = calibration(EuclideanCritic(), lattice, critic.fields, 9.0)
+    i, j = (int(np.flatnonzero((lattice == p).all(axis=1))[0]) for p in ([-8.0, -4.0], [-8.0, 4.0]))
+    to_j = critic.fields[j]
+    assert np.linalg.norm(lattice[j] - lattice[i]) <= 9.0 < to_j.dist[to_j.cell(lattice[i])]
+    assert wormholes >= 1 and short_cuts == 0
+    assert rho < 1.0

@@ -343,13 +343,13 @@ class TestAdam:
 
     def test_nonfinite_gradient_rejected(self):
         p = [np.zeros(2)]
-        opt = Adam(p)
+        opt = Adam(p, lr=3e-4)
         with pytest.raises(FloatingPointError):
             opt.step(p, [np.array([1.0, np.nan])])
 
     def test_param_epoch_advances_only_on_a_written_step(self):
         p = [np.zeros(2)]
-        opt = Adam(p)
+        opt = Adam(p, lr=3e-4)
         before = param_epoch()
         opt.step(p, [np.array([1.0, -1.0])])
         assert param_epoch() == before + 1
@@ -378,28 +378,30 @@ class TestAdam:
     @pytest.mark.parametrize("m", [[[0.0, 0.0]], []])
     def test_mismatched_moments_rejected_at_load(self, m):
         p = [np.zeros(3)]
-        state = {**Adam(p).state_dict(), "m": m}
+        state = {**Adam(p, lr=3e-4).state_dict(), "m": m}
         with pytest.raises(ValueError, match="optimizer checkpoint"):
             Adam.from_state_dict(state, p)
 
     def test_negative_second_moment_rejected_at_load(self):
         """The next step would take the square root of -1 and make the param NaN."""
         p = [np.zeros(3)]
-        state = {**Adam(p).state_dict(), "v": [[-1.0, 0.0, 0.0]]}
+        state = {**Adam(p, lr=3e-4).state_dict(), "v": [[-1.0, 0.0, 0.0]]}
         with pytest.raises(ValueError, match="'v' slot 0 holds a negative second moment"):
             Adam.from_state_dict(state, p)
 
-    @pytest.mark.parametrize("key, value", [("beta1", 0.95), ("beta2", 0.99), ("eps", 1e-6)])
-    def test_other_constants_rejected_at_load(self, key, value):
+    def test_v1_checkpoint_rejected(self):
+        """v1 also stored beta1, beta2 and eps, the module constants; v2 stores none of them."""
         p = [np.zeros(3)]
-        state = {**Adam(p).state_dict(), key: value}
-        with pytest.raises(ValueError, match="beta1, beta2 or eps"):
-            Adam.from_state_dict(state, p)
+        state = Adam(p, lr=3e-4).state_dict()
+        assert sorted(state) == ["format", "lr", "m", "step_count", "v"]
+        v1 = {**state, "format": "mazehrl-adam-v1", "beta1": 0.9, "beta2": 0.999, "eps": 1e-8}
+        with pytest.raises(ValueError, match="^optimizer checkpoint 'format' must be one of"):
+            Adam.from_state_dict(v1, p)
 
-    @pytest.mark.parametrize("key", sorted(Adam([np.zeros(3)]).state_dict()))
+    @pytest.mark.parametrize("key", sorted(Adam([np.zeros(3)], lr=3e-4).state_dict()))
     def test_missing_key_rejected(self, key):
         p = [np.zeros(3)]
-        state = Adam(p).state_dict()
+        state = Adam(p, lr=3e-4).state_dict()
         del state[key]
         with pytest.raises(ValueError, match=key):
             Adam.from_state_dict(state, p)
@@ -409,7 +411,7 @@ class TestAdam:
         """-1 makes the next bias correction zero and every parameter NaN;
         2.7 would be truncated to 2."""
         p = [np.zeros(3)]
-        state = {**Adam(p).state_dict(), "step_count": count}
+        state = {**Adam(p, lr=3e-4).state_dict(), "step_count": count}
         with pytest.raises(ValueError, match="step_count"):
             Adam.from_state_dict(state, p)
 
@@ -420,7 +422,7 @@ class TestAdam:
         p = [np.zeros(3)]
         with pytest.raises(ValueError, match="lr must be positive and finite"):
             Adam(p, lr=lr)
-        state = {**Adam(p).state_dict(), "lr": lr}
+        state = {**Adam(p, lr=3e-4).state_dict(), "lr": lr}
         with pytest.raises(ValueError, match="lr must be positive and finite|'lr' holds a NaN or infinite"):
             Adam.from_state_dict(state, p)
 
@@ -820,7 +822,7 @@ class TestDtype:
             actor.grad_input_vjp(x[:, :4], rng.normal(size=(6, 2))),
         ]
         target = critic.copy()
-        opt = Adam(critic.params)
+        opt = Adam(critic.params, lr=3e-4)
         opt.step(critic.params, critic.grad_params_cached(critic.forward_cache(x), np.ones((6, 1))))
         polyak_update(target.params, critic.params, 0.5)
         arrays += critic.params + target.params + opt.m + opt.v
@@ -885,7 +887,8 @@ class TestFloat32Agreement:
 # ---- column-major weight storage ----
 
 # The JSON of Mlp([8, 16, 16, 1], rng=default_rng(0)) in each dtype, and a
-# net and optimizer checkpoint, as written while weights were stored row-major.
+# net and optimizer checkpoint, as written while weights were stored row-major
+# (the optimizer's in the v2 format, which drops beta1, beta2 and eps).
 ROW_MAJOR_JSON_SHA256 = {
     np.float32: "9b74d79696a229ce18a42d6c5ce7e8d50c6e5fb805d4550c1feee2bf025dd897",
     np.float64: "124dddbff6831ebdd1ef68b3b888de97584ccdac605615b296464a44849018c9",
@@ -899,8 +902,7 @@ ROW_MAJOR_NET = (
     "[-0.0003000000142492354]]}"
 )
 ROW_MAJOR_ADAM = (
-    '{"format": "mazehrl-adam-v1", "lr": 0.0003, "beta1": 0.9, "beta2": 0.999, "eps": 1e-08, '
-    '"step_count": 1, "m": [[[0.00039324312820099294, 4.915539102512412e-05], '
+    '{"format": "mazehrl-adam-v2", "lr": 0.0003, "step_count": 1, "m": [[[0.00039324312820099294, 4.915539102512412e-05], '
     "[-0.0001362012990284711, 4.086039189132862e-05], "
     "[7.439053297275677e-05, -2.2317160983220674e-05]], "
     "[0.00019662156410049647, -0.00010896103776758537, 5.951242565060966e-05], "
@@ -936,7 +938,7 @@ class TestColumnMajorWeights:
         x, u = rng.normal(size=(4, 5)), rng.normal(size=(4, 1))
         target = net.copy()
         loaded = Mlp.from_state_dict(json.loads(json.dumps(net.state_dict())))
-        Adam(net.params).step(net.params, net.grad_params_cached(net.forward_cache(x), u))
+        Adam(net.params, lr=3e-4).step(net.params, net.grad_params_cached(net.forward_cache(x), u))
         polyak_update(target.params, net.params, 0.5)
         for made in (net, target, loaded, target.copy()):
             assert_column_major(made.weights)
@@ -953,7 +955,7 @@ class TestColumnMajorWeights:
         actor = Mlp([sizes[0], 9, 2], "scaled_tanh", rng=rng, dtype=np.float64)
         pi = actor.grad_params_cached(actor.forward_cache(x), rng.normal(size=(6, 2)))
         assert_column_major(td[::2] + pen[::2] + pi[::2])
-        opt = Adam(net.params)
+        opt = Adam(net.params, lr=3e-4)
         opt.step(net.params, [a + b for a, b in zip(td, pen)])
         loaded = Adam.from_state_dict(json.loads(json.dumps(opt.state_dict())), net.params)
         for o in (opt, loaded):

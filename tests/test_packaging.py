@@ -53,12 +53,9 @@ def test_package_imports_only_declared_dependencies():
 PUBLIC_KNOBS = {
     ("envs", "reset_state", "evaluate"),
     ("envs", "PointMazeEnv.reset", "evaluate"),
-    ("graphplan", "NoveltyScorer.__init__", "lr"),
     ("nets", "Mlp.__init__", "output_activation"),
     ("nets", "Mlp.__init__", "bound"),
     ("nets", "Mlp.__init__", "dtype"),
-    ("nets", "Adam.__init__", "lr"),
-    ("replay", "TrajectoryBuffer.__init__", "capacity"),
     ("replay", "sample_pool", "alpha"),
 }
 

@@ -61,7 +61,7 @@ def naive_transition_weights(returns, expected, lengths, alpha):
 
 class TestBuffer:
     def test_store_single_episode(self):
-        buf = TrajectoryBuffer()
+        buf = TrajectoryBuffer(200_000)
         add_episode(buf, [-1, -1, -1])
         assert len(buf) == 3
         assert buf.records[0].length == 3
@@ -75,12 +75,12 @@ class TestBuffer:
         assert len(buf) == 3
 
     def test_failed_sparse_return(self):
-        buf = TrajectoryBuffer()
+        buf = TrajectoryBuffer(200_000)
         add_episode(buf, [-1] * 5)
         assert buf.records[0].ret == -5.0
 
     def test_malformed_steps_rejected(self):
-        buf = TrajectoryBuffer()
+        buf = TrajectoryBuffer(200_000)
         eps = make_episode([-1, -1])
         eps[1].t = 5
         with pytest.raises(ValueError):
@@ -93,7 +93,7 @@ class TestBuffer:
             Transition(**fields)
 
     def test_early_done_rejected(self):
-        buf = TrajectoryBuffer()
+        buf = TrajectoryBuffer(200_000)
         eps = make_episode([-1, -1, -1])
         eps[0].done = True
         with pytest.raises(ValueError):
@@ -101,17 +101,17 @@ class TestBuffer:
 
     def test_empty_episode_rejected(self):
         with pytest.raises(ValueError):
-            TrajectoryBuffer().store_episode([], (0, 0))
+            TrajectoryBuffer(200_000).store_episode([], (0, 0))
 
     def test_sample_batch_shapes(self):
-        buf = TrajectoryBuffer()
+        buf = TrajectoryBuffer(200_000)
         add_episode(buf, [-1] * 10)
         batch = buf.sample_batch(4, np.random.default_rng(0))
         assert batch["s"].shape == (4, 4)
         assert batch["r"].shape == (4,)
 
     def test_recent_states_window(self):
-        buf = TrajectoryBuffer()
+        buf = TrajectoryBuffer(200_000)
         add_episode(buf, [-1] * 3, start=(0, 0))
         add_episode(buf, [-1] * 3, start=(9, 9))
         recent = buf.recent_states(4)
@@ -120,7 +120,7 @@ class TestBuffer:
 
 
 def filled_buffer():
-    buf = TrajectoryBuffer()
+    buf = TrajectoryBuffer(200_000)
     add_episode(buf, [-1] * 5)
     add_episode(buf, [-1, 0], start=(3, 3))
     return buf
@@ -154,7 +154,7 @@ class TestCountArguments:
 
     def test_window_checked_on_an_empty_buffer_too(self):
         with pytest.raises(ValueError, match="^window must be"):
-            TrajectoryBuffer().recent_states(-3)
+            TrajectoryBuffer(200_000).recent_states(-3)
 
     def test_numpy_integer_counts_accepted(self):
         buf = filled_buffer()
@@ -287,7 +287,7 @@ class TestEpisodeTable:
 
 def episodic_return(rewards):
     """The return a stored episode's record carries."""
-    buf = TrajectoryBuffer()
+    buf = TrajectoryBuffer(200_000)
     add_episode(buf, rewards)
     return buf.records[0].ret
 
@@ -311,23 +311,23 @@ class TestNormalizeReturns:
         return buf.records
 
     def test_group_spread(self):
-        buf = TrajectoryBuffer()
+        buf = TrajectoryBuffer(200_000)
         records = self._records(buf, [-10.0, -5.0, 0.0])
         out = normalize_returns(records)
         np.testing.assert_allclose(out, [0.0, 0.5, 1.0])
 
     def test_singleton_group(self):
-        buf = TrajectoryBuffer()
+        buf = TrajectoryBuffer(200_000)
         records = self._records(buf, [-7.0])
         np.testing.assert_allclose(normalize_returns(records), [0.5])
 
     def test_equal_returns(self):
-        buf = TrajectoryBuffer()
+        buf = TrajectoryBuffer(200_000)
         records = self._records(buf, [-3.0, -3.0])
         np.testing.assert_allclose(normalize_returns(records), [0.5, 0.5])
 
     def test_groups_are_separate(self):
-        buf = TrajectoryBuffer()
+        buf = TrajectoryBuffer(200_000)
         add_episode(buf, [-10.0], goal=(1, 1))
         add_episode(buf, [0.0], goal=(1, 1))
         add_episode(buf, [-100.0], goal=(50, 50))
@@ -335,16 +335,16 @@ class TestNormalizeReturns:
         np.testing.assert_allclose(out, [0.0, 1.0, 0.5])
 
     def test_signed_zeros_share_a_cell(self):
-        buf = TrajectoryBuffer()
+        buf = TrajectoryBuffer(200_000)
         add_episode(buf, [-10.0], start=(-0.0, 0.0), goal=(0.0, -0.0))
         add_episode(buf, [0.0], start=(0.0, -0.0), goal=(-0.0, 0.0))
         np.testing.assert_array_equal(normalize_returns(buf.records), [0.0, 1.0])
 
     def test_empty(self):
-        assert normalize_returns(TrajectoryBuffer().records).shape == (0,)
+        assert normalize_returns(TrajectoryBuffer(200_000).records).shape == (0,)
 
     def test_records_left_untouched(self):
-        buf = TrajectoryBuffer()
+        buf = TrajectoryBuffer(200_000)
         add_episode(buf, [-10.0])
         add_episode(buf, [0.0], start=(0.1, 0.0))
         before = buf.records.tobytes()
@@ -496,6 +496,17 @@ class TestHrWeights:
         with pytest.raises(ValueError, match="alpha must be positive"):
             hr_weights([0.0], [1], alpha=alpha)
 
+    @pytest.mark.parametrize(
+        "returns, lengths",
+        [([0.0, 0.0], [0, 0]), ([0.0, 10.0], [-1, 1]), ([math.nan, 0.0], [1, 1])],
+        ids=["zero-lengths", "negative-length", "nan-return"],
+    )
+    def test_bad_lengths_or_returns_rejected(self, returns, lengths):
+        """Zero lengths divide by zero, a negative one gives a weight of 1.00005, and a NaN
+        return makes every weight NaN."""
+        with pytest.raises(ValueError, match="^lengths must be positive and finite, and corrected"):
+            hr_weights(returns, lengths, alpha=1.0)
+
     def test_normalization_sums_to_one(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
@@ -566,7 +577,7 @@ class TestHrWeights:
 
 class TestComputeWeights:
     def _mixed_buffer(self, shift=0.0, n_episodes=8):
-        buf = TrajectoryBuffer()
+        buf = TrajectoryBuffer(200_000)
         rng = np.random.default_rng(7)
         for i in range(n_episodes):
             n = int(rng.integers(2, 7))
@@ -627,7 +638,7 @@ class TestComputeWeights:
 
 def one_step_buffer(k):
     """k one-step episodes; episode i's only state sits at x = i."""
-    buf = TrajectoryBuffer()
+    buf = TrajectoryBuffer(200_000)
     for i in range(k):
         add_episode(buf, [0.0], start=(float(i), 0.0))
     return buf
@@ -663,7 +674,7 @@ class TestSamplers:
         assert abs(ones - n * 0.1) <= 3 * sigma
 
     def test_weighted_sample_respects_trajectory_mass(self):
-        buf = TrajectoryBuffer()
+        buf = TrajectoryBuffer(200_000)
         add_episode(buf, [-1] * 5, start=(0, 0))
         add_episode(buf, [-1] * 5, start=(100, 100))
         # measure zero on trajectory 0
@@ -671,25 +682,25 @@ class TestSamplers:
         assert np.all(states[:, 0] >= 100.0)
 
     def test_topk_keeps_ceil_fraction_of_records(self):
-        buf = TrajectoryBuffer()
+        buf = TrajectoryBuffer(200_000)
         for n in range(1, 26):
             add_episode(buf, [-float(n % 7)])
             assert np.count_nonzero(topk_mask(buf.records)) == math.ceil(TOPK_FRACTION * n)
 
     def test_topk_selects_highest(self):
-        buf = TrajectoryBuffer()
+        buf = TrajectoryBuffer(200_000)
         for r in (3.0, 5.0, 1.0):
             add_episode(buf, [r])
         assert topk_mask(buf.records).tolist() == [False, True, False]
 
     def test_topk_tie_prefers_newer(self):
-        buf = TrajectoryBuffer()
+        buf = TrajectoryBuffer(200_000)
         add_episode(buf, [2.0])
         add_episode(buf, [2.0])
         assert topk_mask(buf.records).tolist() == [False, True]
 
     def test_pool_single_transition_buffer(self):
-        buf = TrajectoryBuffer()
+        buf = TrajectoryBuffer(200_000)
         add_episode(buf, [-1], start=(4, 2))
         pool = sample_pool(buf, "uniform", 6, np.random.default_rng(0))
         assert pool.shape == (6, 4)
@@ -700,7 +711,7 @@ class TestSamplers:
     # normalization.
 
     def test_pool_hr_dirac(self):
-        buf = TrajectoryBuffer()
+        buf = TrajectoryBuffer(200_000)
         add_episode(buf, [100.0], start=(0.5, 0.0))
         for i in range(4):
             add_episode(buf, [0.0], start=(0.0, 0.1 * i))
@@ -708,7 +719,7 @@ class TestSamplers:
         assert np.all(pool[:, 0] == 0.5)
 
     def test_pool_histogram_matches_weights(self):
-        buf = TrajectoryBuffer()
+        buf = TrajectoryBuffer(200_000)
         add_episode(buf, [0.0] * 2, start=(0.0, 0.0))
         add_episode(buf, [2.0] * 2, start=(0.3, 0.0))
         w = compute_weights(buf, alpha=1.0)
@@ -721,14 +732,14 @@ class TestSamplers:
         assert abs(frac_high - p) <= 3 * sigma
 
     def test_unknown_sampler_rejected(self):
-        buf = TrajectoryBuffer()
+        buf = TrajectoryBuffer(200_000)
         add_episode(buf, [-1])
         with pytest.raises(ValueError):
             sample_pool(buf, "nope", 4, np.random.default_rng(0))
 
     def test_empty_buffer_rejected(self):
         with pytest.raises(ValueError):
-            sample_pool(TrajectoryBuffer(), "uniform", 4, np.random.default_rng(0))
+            sample_pool(TrajectoryBuffer(200_000), "uniform", 4, np.random.default_rng(0))
 
 
 class TestWeightReuse:

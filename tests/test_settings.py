@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mazehrl.envs import MazeSpec, Rect, embossed, phi, spec_from_dict, spec_to_dict, success, umaze12
-from mazehrl.graphplan import LandmarkSet, NoveltyScorer, build_graph, pseudo_landmark
+from mazehrl.graphplan import LandmarkSet, build_graph, pseudo_landmark
 from mazehrl.nets import Adam, Mlp, polyak_update
 from mazehrl.replay import hr_weights
 
@@ -49,7 +49,6 @@ def rect(key, value):
 # (message prefix, a call that sets the setting to v, the values outside its interval besides NaN)
 SETTINGS = {
     "adam lr": ("lr", lambda v: Adam([np.zeros(2)], lr=v), [INF, -INF, 0.0]),
-    "novelty lr": ("lr", lambda v: NoveltyScorer(4, np.random.default_rng(0), lr=v), [INF, -INF, -1e-3]),
     "identity bound": ("Mlp bound", lambda v: Mlp([2, 2], bound=v, rng=np.random.default_rng(0)),
                        [INF, -INF, 0.0]),
     "scaled_tanh bound": ("Mlp bound", lambda v: Mlp([2, 2], "scaled_tanh", v, rng=np.random.default_rng(0)),
@@ -70,14 +69,17 @@ SETTINGS = {
 # (spec field, a value that is not a point of 2 coordinates)
 NOT_POINTS = [("start", 5), ("goal", None), ("eval_goal", Rect(-1, -1, 1, 1)), ("start", "ab"),
               ("start", (1.0, 2.0, 3.0))]
+# (spec field, a value that is not a Rect, or not an iterable of Rects)
+NOT_RECTS = [("extent", (-6, -6, 6, 6)), ("walls", ((-7.0, -0.75, 3.0, 0.75),)), ("walls", 5)]
 
 CASES = [
     pytest.param(prefix, call, bad, id=f"{name}-{bad!r}")
     for name, (prefix, call, outside) in SETTINGS.items()
     for bad in [*NOT_REAL, NAN, *outside]
 ] + [
-    pytest.param(key, lambda v, key=key: replace(umaze12(), **{key: v}), bad, id=f"{key}-point-{bad!r}")
-    for key, bad in NOT_POINTS
+    pytest.param(key, lambda v, key=key: replace(umaze12(), **{key: v}), bad, id=f"{key}-{kind}-{bad!r}")
+    for kind, wrong in (("point", NOT_POINTS), ("rect", NOT_RECTS))
+    for key, bad in wrong
 ]
 
 
