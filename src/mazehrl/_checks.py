@@ -10,25 +10,21 @@ NONNEGATIVE = (">= 0", lambda v: v >= 0.0)  # +inf included
 
 def read_field(state, key, what, shape, kind):
     """``state[key]``, if ``state`` is a dict holding ``key`` whose value is, by ``shape``: (None)
-    one of the tuple or of the type ``kind``; (a tuple) a real, finite array of that shape, -1
-    any length, returned as the dtype ``kind``; (a list) a list of such arrays, one per shape
-    and dtype in ``kind``. Else ``ValueError`` naming the loader ``what`` and ``key``."""
+    one of the tuple or of the type ``kind``, an ndarray (``np.load``'s form of a str, number or
+    list) read as its ``tolist()``; (a tuple) a real, finite array of that shape, -1 any length,
+    as a copy in the dtype ``kind``. Else ``ValueError`` naming the loader ``what`` and ``key``."""
     if not isinstance(state, dict):
         raise ValueError(f"{what} must be a dict, got {type(state).__name__}")
     if key not in state:
         raise ValueError(f"{what} has no {key!r} key")
     value, name = state[key], f"{what} {key!r}"
     if shape is None:
+        value = value.tolist() if isinstance(value, np.ndarray) else value
         if isinstance(kind, tuple) and value not in kind:
             raise ValueError(f"{name} must be one of {kind}, got {value!r:.60}")
         if isinstance(kind, type) and not isinstance(value, kind):
             raise ValueError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
         return value
-    if isinstance(shape, list):
-        if not isinstance(value, (list, tuple)) or len(value) != len(shape):
-            raise ValueError(f"{name} must be a list of {len(shape)} arrays, got {value!r:.60}")
-        slots = enumerate(zip(value, shape, kind))
-        return [read_field({i: v}, i, f"{name} slot", s, k) for i, (v, s, k) in slots]
     try:
         a = np.asarray(value)
     except ValueError:  # ragged nesting
@@ -42,6 +38,12 @@ def read_field(state, key, what, shape, kind):
     if not np.isfinite(a).all():
         raise ValueError(f"{name} holds a NaN or infinite value")
     return a
+
+
+def check_keys(state, written, what):
+    """``ValueError`` naming the loader ``what`` if ``state`` holds a key ``written`` does not."""
+    if extra := sorted(map(str, set(state) - set(written))):
+        raise ValueError(f"{what} holds keys its writer does not write: {extra!r:.80}")
 
 
 def check_count(value, what, least):

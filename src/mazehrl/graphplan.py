@@ -4,10 +4,11 @@ Coverage landmarks come from farthest-point sampling over the (possibly
 high-return-weighted) state pool; novelty landmarks from RND scores over
 a recent-state window. Graph edges carry negated low-level Q-values as
 distance estimates; planning returns the first hop of a shortest path
-toward the goal. A built graph is a pure function of its inputs and is
-read-only. Node 0, the state, has no in-edges, so every path from it is
-one state-row edge ``w(0, j)`` followed by a path from ``j`` to the goal
-among the landmarks. Everything but the state row, the goal side, is
+toward the goal (``plan_subgoal``) or the whole path (``plan_path``). A
+built graph is a pure function of its inputs and is read-only. Node 0,
+the state, has no in-edges, so every path from it is one state-row edge
+``w(0, j)`` followed by a path from ``j`` to the goal among the
+landmarks. Everything but the state row, the goal side, is
 kept on the ``LandmarkSet`` in one cache entry
 (``LandmarkSet._goal_side``): the weights out of the landmarks (to every
 other landmark and to the goal) and, over their cut, the shortest
@@ -29,12 +30,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._checks import FINITE, NONNEGATIVE, check_count, check_real, read_field
+from ._checks import FINITE, NONNEGATIVE, check_count, check_real
 from .nets import Adam, Mlp, param_epoch
 
 NOVELTY_HIDDEN = (64, 64)
 NOVELTY_OUT_DIM = 16
 NOVELTY_LR = 3e-4  # the predictor's Adam rate
+_NOVELTY_PARTS = ("target", "predictor", "opt")  # the key prefixes of a NoveltyScorer state_dict
 
 
 def dedup_points(points):
@@ -94,6 +96,9 @@ class NoveltyScorer:
     """Random-network-distillation novelty: prediction error against a frozen net.
 
     ``rng`` draws both nets; the predictor trains with Adam at ``NOVELTY_LR``.
+    ``state_dict`` joins the state dicts of the three parts in one, each
+    key prefixed with ``target/``, ``predictor/`` or ``opt/``, so one
+    ``np.savez`` writes it.
     ``scores`` keeps the forward passes it ran, keyed on the exact input
     bytes and shape, until the next ``train``; a ``train`` on the same
     states reuses them instead of running both nets again. Every ``train``
@@ -120,8 +125,12 @@ class NoveltyScorer:
         return np.mean(diff * diff, axis=1)
 
     def train(self, states):
-        """One predictor step toward the frozen target; returns the batch loss."""
+        """One predictor step toward the frozen target; returns the batch loss.
+
+        An empty batch raises ``ValueError`` before anything is written."""
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))
+        if not len(states):
+            raise ValueError("train needs at least one state")
         scored, self._scored = self._scored, None
         if scored is not None and scored[1] == states.shape and scored[0] == states.tobytes():
             cache, target = scored[2], scored[3]
@@ -135,19 +144,26 @@ class NoveltyScorer:
         return loss
 
     def state_dict(self):
-        return {
-            "target": self.target.state_dict(),
-            "predictor": self.predictor.state_dict(),
-            "opt": self.opt.state_dict(),
-        }
+        parts = zip(_NOVELTY_PARTS, (self.target, self.predictor, self.opt))
+        return {f"{part}/{k}": v for part, obj in parts for k, v in obj.state_dict().items()}
 
     def load_state_dict(self, state):
-        """Replace the nets and optimizer from the dicts ``state`` holds, under the
+        """Replace the nets and optimizer from the parts ``state`` holds, under the
         loader contract (``nets`` module docstring); a rejected ``state`` changes nothing."""
-        target, predictor, opt = (read_field(state, k, "novelty checkpoint", None, dict)
-                                  for k in ("target", "predictor", "opt"))
-        target, predictor = Mlp.from_state_dict(target), Mlp.from_state_dict(predictor)
-        opt = Adam.from_state_dict(opt, predictor.params)
+        what = "novelty checkpoint"
+        if not isinstance(state, dict):
+            raise ValueError(f"{what} must be a dict, got {type(state).__name__}")
+        parts = {part: {} for part in _NOVELTY_PARTS}
+        for key, value in state.items():
+            part, _, rest = str(key).partition("/")
+            if part not in parts:
+                raise ValueError(f"{what} key {key!r} has no part prefix {_NOVELTY_PARTS}")
+            parts[part][rest] = value
+        for part, keys in parts.items():
+            if not keys:
+                raise ValueError(f"{what} has no {part!r} keys")
+        target, predictor = (Mlp.from_state_dict(parts[part]) for part in ("target", "predictor"))
+        opt = Adam.from_state_dict(parts["opt"], predictor.params)
         self.target, self.predictor, self.opt, self._scored = target, predictor, opt, None
 
 
@@ -342,16 +358,47 @@ def plan_subgoal(graph: LandmarkGraph):
     same way; a NaN sum counts as no route. With no finite option the goal
     point is returned.
     """
+    return graph.points[_first_hop(graph)[0]].copy()
+
+
+def plan_path(graph: LandmarkGraph):
+    """The planned route's node indices, the state (0) first and the goal last.
+
+    The first hop ``j`` is ``plan_subgoal``'s. From there the route follows
+    tight edges, those with ``w_cut[u, v] + D[v] == D[u]``: since ``D`` is
+    the least fixed point of those float sums, every node of finite ``D``
+    has a tight path to the goal, and the route's goal-outward sum from
+    ``j`` is ``D[j]``. Zero-weight edges can make tight cycles, so each
+    next node is, among the tight successors, one with the fewest tight
+    hops left to the goal, ties broken by ``_lowest``; the hop count falls
+    by one each step, and no node is visited twice. On the fallback the
+    route is ``[0, j, goal]``, and with no finite option ``[0, goal]``.
+    """
+    dst = graph.n_nodes - 1
+    j, routed = _first_hop(graph)
+    if not routed:
+        return [0, int(j), dst] if j != dst else [0, dst]
+    D = graph._goal_plan()
+    tight = (graph.w_cut[1:, 1:] + D == D[:, None]) & (D[:, None] < np.inf)
+    hops = distances_to(np.where(tight, 1.0, np.inf), dst - 1)
+    route = [0, int(j)]
+    while route[-1] != dst:
+        route.append(1 + int(_lowest(graph.points[1:], np.where(tight[route[-1] - 1], hops, np.inf))))
+    return route
+
+
+def _first_hop(graph):
+    """(node, routed): ``plan_subgoal``'s waypoint, and whether a route under the cutoff starts there."""
     dst = graph.n_nodes - 1
     total = graph.w_cut[0, 1:] + graph._goal_plan()
     total[~np.isfinite(total)] = np.inf
     if total.min() < np.inf:
-        return graph.points[1 + _lowest(graph.points[1:], total)].copy()
+        return 1 + _lowest(graph.points[1:], total), True
     two_hop = graph.w_raw[0, 1:dst] + graph.w_raw[1:dst, dst]
     two_hop[np.isnan(two_hop)] = np.inf
     if np.any(np.isfinite(two_hop)):
-        return graph.points[1 + _lowest(graph.points[1:dst], two_hop)].copy()
-    return graph.points[dst].copy()
+        return 1 + _lowest(graph.points[1:dst], two_hop), False
+    return dst, False
 
 
 def _lowest(points, values):

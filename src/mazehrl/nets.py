@@ -1,19 +1,22 @@
 """Minimal differentiable-function kernel.
 
 Fixed-architecture fully connected nets with reverse-mode gradients
-w.r.t. parameters and inputs, an Adam optimizer, Polyak target updates,
-and a JSON-serializable checkpoint format (``state_dict``) that
-round-trips bit-exactly.
+w.r.t. parameters and inputs, an Adam optimizer, and Polyak target updates.
+A ``state_dict`` holds one value per key: a str, a number, the list
+``layer_sizes``, or a copy of one param or moment array in its dtype and
+order. So ``np.savez(f, **obj.state_dict())`` writes it as it is, and the
+loader reads ``dict(np.load(f, allow_pickle=False))`` back bit-exactly.
 
 The loaders of outside input (``Mlp``/``Adam.from_state_dict``, ``envs.spec_from_dict``,
 ``graphplan.NoveltyScorer.load_state_dict``) keep one contract, checked in ``_checks``: the
-state is a dict holding every key its writer writes, numbers are finite and of their shapes, and
-counts are integers (not bools) at or above their least value. Anything else raises
-``ValueError`` naming the loader and the key, before anything is built. Every setting (``lr``,
-``bound``, ``tau``, ``alpha``, ``eta``, ``cutoff``, ``delta``, radii, maze coordinates) is one real
-number, not NaN, in its interval (``_checks.check_real``), and kept as the float that returns. A
-value no caller varies (Adam's betas and epsilon, ``graphplan.NOVELTY_LR``) is a module constant,
-and no checkpoint stores one.
+state is a dict holding every key its writer writes (a checkpoint no other), each as the writer's
+value or as the array ``np.load`` makes of it; numbers are finite and of their shapes, and counts
+are integers (not bools) at or above their least value. Anything else raises ``ValueError``
+naming the loader and the key, and nothing is returned or written. Every setting (``lr``,
+``bound``, ``tau``, ``alpha``, ``eta``, ``cutoff``, ``delta``, radii, maze coordinates) is one
+real number, not NaN, in its interval (``_checks.check_real``), and kept as the float that
+returns. A value no caller varies (Adam's betas and epsilon, ``graphplan.NOVELTY_LR``,
+``replay.HER_P``) is a module constant, and no checkpoint stores one.
 
 Each net computes in one dtype fixed at construction: float32 by default,
 or float64, which the finite-difference and loop-reference oracles use.
@@ -27,7 +30,7 @@ column-major (input-major in memory), so the forward product ``a @ W.T``
 is a plain NN GEMM that BLAS need not repack. Weight gradients, Adam
 moments and Polyak targets share that order. ``W.reshape(-1)`` is
 therefore a copy; ``W.ravel(order="K")`` or ``W.reshape(-1, order="A")``
-is a flat view. Checkpoints list each weight row by row.
+is a flat view. A checkpoint keeps each weight's order.
 
 Nets are immutable during inference; parameter updates go through the
 optimizer (``Adam.step``) or ``polyak_update`` on the training thread only.
@@ -53,17 +56,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._checks import POSITIVE, UNIT, check_count, check_real, read_field
+from ._checks import POSITIVE, UNIT, check_count, check_keys, check_real, read_field
 
-__all__ = [
-    "Mlp",
-    "Adam",
-    "polyak_update",
-    "param_epoch",
-]
+__all__ = ["Mlp", "Adam", "polyak_update", "param_epoch"]
 
-CHECKPOINT_FORMAT = "mazehrl-net-v1"
-ADAM_FORMAT = "mazehrl-adam-v2"  # a v1 dict, which also stores beta1, beta2 and eps, is rejected
+CHECKPOINT_FORMAT = "mazehrl-net-v2"  # a v1 dict, which lists the layers, is rejected
+ADAM_FORMAT = "mazehrl-adam-v3"  # so is a v2 dict, which lists the moments
 MOMENT_FLUSH_EVERY = 32  # Adam steps between flushes of subnormal moments to zero
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's fixed decay rates and epsilon
 
@@ -161,11 +159,7 @@ class Mlp:
         weight with ``ravel(order="K")`` or ``reshape(-1, order="A")`` to
         write through it.
         """
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+        return [p for layer in zip(self.weights, self.biases) for p in layer]
 
     def copy(self):
         dup = Mlp.__new__(Mlp)
@@ -339,15 +333,16 @@ class Mlp:
     # ---- checkpointing ----
 
     def state_dict(self):
-        """Versioned, exactly-serializable description of this net."""
+        """Versioned description of this net: the settings, then copies ``weight{i}`` and
+        ``bias{i}`` of each layer's params (module docstring)."""
         return {
             "format": CHECKPOINT_FORMAT,
             "layer_sizes": list(self.layer_sizes),
             "output_activation": self.output_activation,
             "bound": self.bound,
             "dtype": self.dtype.name,
-            "weights": [w.tolist() for w in self.weights],  # row-major per layer
-            "biases": [b.tolist() for b in self.biases],
+            **{f"weight{i}": w.copy(order="F") for i, w in enumerate(self.weights)},
+            **{f"bias{i}": b.copy() for i, b in enumerate(self.biases)},
         }
 
     @classmethod
@@ -361,10 +356,11 @@ class Mlp:
         sizes = read_field(state, "layer_sizes", what, None, list)
         head = read_field(state, "output_activation", what, None, str)
         net._configure(sizes, head, read_field(state, "bound", what, (), np.float64), dtype, what)
-        sizes, dtypes = net.layer_sizes, [dtype] * (len(net.layer_sizes) - 1)
-        weights = read_field(state, "weights", what, [(o, i) for i, o in zip(sizes, sizes[1:])], dtypes)
-        net.weights = tuple(np.asfortranarray(w) for w in weights)
-        net.biases = tuple(read_field(state, "biases", what, [(o,) for o in sizes[1:]], dtypes))
+        layers = list(enumerate(zip(net.layer_sizes, net.layer_sizes[1:])))
+        net.weights = tuple(np.asfortranarray(read_field(state, f"weight{i}", what, (o, n), dtype))
+                            for i, (n, o) in layers)
+        net.biases = tuple(read_field(state, f"bias{i}", what, (o,), dtype) for i, (_, o) in layers)
+        check_keys(state, net.state_dict(), what)
         return net
 
 
@@ -419,30 +415,31 @@ class Adam:
             p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS)
 
     def state_dict(self):
+        """The settings, then copies ``m{i}`` and ``v{i}`` of each slot's moments."""
         return {
             "format": ADAM_FORMAT,
             "lr": self.lr,
             "step_count": self.step_count,
-            "m": [a.tolist() for a in self.m],
-            "v": [a.tolist() for a in self.v],
+            **{f"m{i}": m.copy(order="K") for i, m in enumerate(self.m)},
+            **{f"v{i}": v.copy(order="K") for i, v in enumerate(self.v)},
         }
 
     @classmethod
     def from_state_dict(cls, state, params):
         """The optimizer ``state`` describes, for ``params``, under the loader contract (module
-        docstring): ``m`` and ``v`` slots at their params' shapes, dtypes and order, ``v`` >= 0."""
+        docstring): each ``m{i}`` and ``v{i}`` at its param's shape and dtype, ``v{i}`` >= 0."""
         what = "optimizer checkpoint"
         read_field(state, "format", what, None, (ADAM_FORMAT,))
         opt = cls(params, lr=read_field(state, "lr", what, (), np.float64))
         count = read_field(state, "step_count", what, None, object)
         opt.step_count = check_count(count, f"{what} 'step_count'", 0)
-        for key in ("m", "v"):
-            dsts = getattr(opt, key)  # zeros_like moments, which keep their param's order
-            slots = read_field(state, key, what, [d.shape for d in dsts], [d.dtype for d in dsts])
-            for i, (dst, a) in enumerate(zip(dsts, slots)):
+        for key, dsts in (("m", opt.m), ("v", opt.v)):  # zeros_like moments, in their param's order
+            for i, dst in enumerate(dsts):
+                a = read_field(state, f"{key}{i}", what, dst.shape, dst.dtype)
                 if key == "v" and (a < 0).any():
-                    raise ValueError(f"{what} 'v' slot {i} holds a negative second moment")
+                    raise ValueError(f"{what} 'v{i}' holds a negative second moment")
                 dst[...] = a
+        check_keys(state, opt.state_dict(), what)
         return opt
 
 

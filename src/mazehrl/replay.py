@@ -14,6 +14,9 @@ snapshot. Only ``store_episode`` (a new table) and ``compute_weights`` (its
 ``weight`` column) may write the table; ``sample_pool`` relies on that when
 it reuses the weights.
 
+``TrajectoryBuffer.sample_batch`` draws uniform TD minibatches, and
+``TrajectoryBuffer.sample_relabelled`` draws them with HER "future" goals.
+
 ``sample_pool`` draws landmark candidates under one of ``SAMPLER_CHOICES``:
 
 - ``"hr"``: high-return sampling. Once per stored table and ``alpha``
@@ -40,6 +43,7 @@ import numpy as np
 from ._checks import POSITIVE, check_count, check_real
 
 SAMPLER_CHOICES = ("hr", "uniform", "topk")
+HER_P = 0.8  # share of relabelled goals: HER's "future" strategy with k = 4, k / (k + 1)
 # Per-step columns of the buffer, in Transition order.
 FIELDS = ("s", "sg", "a", "r", "s_next", "sg_next", "done")
 # Side of the grid cells that quantize start and goal positions into tasks.
@@ -160,12 +164,40 @@ class TrajectoryBuffer:
         self._weighted = None
         return traj_id
 
-    def sample_batch(self, n, rng):
-        """Uniform minibatch of ``n`` >= 1 transitions as column arrays (for TD learning)."""
+    def _draw(self, n, rng):
+        """Flat indices of ``n`` >= 1 uniform draws over the stored transitions, and their columns."""
         if self._size == 0:
             raise ValueError("empty buffer")
-        rows = self._rows(rng.integers(0, self._size, size=check_count(n, "n", 1)))
-        return {f: col[rows] for f, col in self._cols.items()}
+        flat = rng.integers(0, self._size, size=check_count(n, "n", 1))
+        rows = self._rows(flat)
+        return flat, {f: col[rows] for f, col in self._cols.items()}
+
+    def sample_batch(self, n, rng):
+        """Uniform minibatch of ``n`` >= 1 transitions as column arrays (for TD learning)."""
+        return self._draw(n, rng)[1]
+
+    def sample_relabelled(self, n, rng):
+        """A ``sample_batch`` minibatch of ``n`` >= 1 transitions with HER "future" goals.
+
+        HER (arXiv 1707.01495): with probability ``HER_P`` a drawn
+        transition, step t of its episode, takes as its goal the position of
+        ``s_next`` at a uniform step k >= t of the same episode. Its ``sg``
+        and ``sg_next`` become that goal minus the positions of ``s`` and
+        ``s_next`` (a position is a state's first ``sg``-width coordinates).
+        The reward and the episode's end depend on the goal, so the batch
+        holds no ``r`` or ``done``: a TD target derives both from ``sg_next``
+        and the success radius, as the bench's does.
+        """
+        flat, batch = self._draw(n, rng)
+        ends = np.cumsum(self.records.length)  # episodes lie end to end in flat order
+        future = rng.integers(flat, ends[np.searchsorted(ends, flat, side="right")])
+        relabel = rng.random(len(flat)) < HER_P
+        del batch["r"], batch["done"]
+        width = batch["sg"].shape[1]
+        goal = self._cols["s_next"][self._rows(future[relabel]), :width]
+        batch["sg"][relabel] = goal - batch["s"][relabel, :width]
+        batch["sg_next"][relabel] = goal - batch["s_next"][relabel, :width]
+        return batch
 
     def recent_states(self, window):
         """Last ``window`` (an integer >= 0) stored states, newest last."""
@@ -327,6 +359,7 @@ def sample_pool(buffer, sampler, pool_size, rng, alpha=0.1):
     if len(buffer) == 0:
         raise ValueError("empty buffer")
     if sampler == "hr":
+        alpha = check_real(alpha, "alpha", POSITIVE)  # before the cache test: True == 1.0
         if buffer._weighted != alpha:
             compute_weights(buffer, alpha)
         return weighted_sample(buffer, buffer.records.weight, pool_size, rng)

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from mazehrl.envs import ACCEL_SCALE, DAMPING, make_maze, phi, reset_state, step_state
-from mazehrl.graphplan import LandmarkSet, build_graph, distances_to, edge_weights, plan_subgoal
+from mazehrl.graphplan import LandmarkSet, build_graph, distances_to, edge_weights, plan_path, plan_subgoal
 
 CELL = {"UMaze12": 0.25, "UMaze24": 0.25, "EmbossedMaze": 0.2}  # wall faces fall on cell edges
 OCTILE = math.sqrt(4.0 - 2.0 * math.sqrt(2.0))  # the worst octile / Euclidean ratio, at 22.5 degrees
@@ -238,7 +238,8 @@ def test_oracle_critic_plans_around_the_wall(umaze24_oracle):
     path between cells plus the target's offset from its cell centre, and the hops joined
     at the landmark cells form a grid path from the start's cell to the goal's, so the
     planned length is at least the start's field value: no kept edge crosses the wall.
-    The tolerance covers only float rounding of the sums."""
+    The same holds for the whole route, which ends at the goal. The tolerance covers only
+    float rounding of the sums."""
     spec, lattice, goal, critic = umaze24_oracle
     start = np.array([*spec.start, 0.0, 0.0])
     to_goal = critic.fields[-1]
@@ -255,6 +256,9 @@ def test_oracle_critic_plans_around_the_wall(umaze24_oracle):
     assert total[j] == total.min()
     assert to_goal.dist[to_goal.cell(hop)] < start_dist
     assert total[j] >= start_dist - 1e-9
+    route = plan_path(graph)
+    assert route[1] == j + 1 and route[-1] == len(graph.points) - 1
+    assert sum(graph.w_cut[u, v] for u, v in zip(route, route[1:])) >= start_dist - 1e-9
 
 
 def ranks(x):

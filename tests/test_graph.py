@@ -1,6 +1,7 @@
 """Tests for landmark sampling, graph building, and planning."""
 
 import heapq
+import io
 import itertools
 import math
 
@@ -20,11 +21,32 @@ from mazehrl.graphplan import (
     distances_to,
     edge_weights,
     fps,
+    plan_path,
     plan_subgoal,
     pseudo_landmark,
     select_novel,
 )
-from mazehrl.nets import Adam, Mlp, polyak_update
+from mazehrl.nets import Adam, Mlp, param_epoch, polyak_update
+
+
+def npz_bytes(state):
+    """The bytes ``np.savez`` writes for ``state``."""
+    buf = io.BytesIO()
+    np.savez(buf, **state)
+    return buf.getvalue()
+
+
+def through_npz(state):
+    """``state`` written by ``np.savez`` and read back by ``np.load(allow_pickle=False)``."""
+    with np.load(io.BytesIO(npz_bytes(state)), allow_pickle=False) as f:
+        return dict(f)
+
+
+def assert_same_state(got, want):
+    """Key by key, the same keys in the same order holding equal values."""
+    assert list(got) == list(want)
+    for key in want:
+        assert np.array_equal(got[key], want[key]), key
 
 
 def min_pairwise(points):
@@ -202,13 +224,24 @@ class TestNovelty:
         assert scorer.scores(probe_out).mean() > scorer.scores(probe_in).mean()
 
     def test_state_roundtrip(self):
+        """A trained scorer through ``np.savez``: the same scores, and save -> load -> save
+        gives the same bytes."""
         rng = np.random.default_rng(5)
         scorer = NoveltyScorer(3, rng)
         scorer.train(rng.normal(size=(8, 3)))
+        state = through_npz(scorer.state_dict())
         clone = NoveltyScorer(3, np.random.default_rng(0))
-        clone.load_state_dict(scorer.state_dict())
+        clone.load_state_dict(state)
         s = rng.normal(size=(5, 3))
         np.testing.assert_array_equal(clone.scores(s), scorer.scores(s))
+        assert clone.opt.step_count == 1
+        assert npz_bytes(clone.state_dict()) == npz_bytes(state) == npz_bytes(scorer.state_dict())
+
+    def test_state_dict_keys_are_prefixed_by_part(self):
+        state = NoveltyScorer(3, np.random.default_rng(0)).state_dict()
+        for part, obj in (("target", "weight0"), ("predictor", "bias2"), ("opt", "v5")):
+            assert f"{part}/format" in state and f"{part}/{obj}" in state
+        assert all(k.partition("/")[0] in ("target", "predictor", "opt") for k in state)
 
     @pytest.mark.parametrize("key", ["target", "predictor", "opt"])
     @pytest.mark.parametrize("missing", [True, False])
@@ -221,12 +254,26 @@ class TestNovelty:
         before = scorer.state_dict()
         state = NoveltyScorer(3, np.random.default_rng(9)).state_dict()
         if missing:
-            del state[key]
+            state = {k: v for k, v in state.items() if not k.startswith(f"{key}/")}
         else:
-            state[key] = {"format": "unknown"}
-        with pytest.raises(ValueError, match=key if missing else "format"):
+            state[f"{key}/format"] = "unknown"
+        with pytest.raises(ValueError, match=f"'{key}' keys" if missing else "format"):
             scorer.load_state_dict(state)
-        assert scorer.state_dict() == before
+        assert_same_state(scorer.state_dict(), before)
+
+    def test_train_on_an_empty_batch_writes_nothing(self):
+        """``recent_states(0)`` on a stored buffer gives such a batch; a step on it would
+        be a NaN loss that still moves the step count and the epoch."""
+        rng = np.random.default_rng(10)
+        scorer = NoveltyScorer(4, rng)
+        scorer.train(rng.normal(size=(8, 4)))
+        params = [p.copy() for p in scorer.predictor.params]
+        epoch = param_epoch()
+        for empty in (np.zeros((0, 4)), np.zeros((0, 0))):
+            with pytest.raises(ValueError, match="^train needs at least one state"):
+                scorer.train(empty)
+        assert all(p.tobytes() == q.tobytes() for p, q in zip(scorer.predictor.params, params))
+        assert scorer.opt.step_count == 1 and param_epoch() == epoch
 
 
 def count_forwards(scorer):
@@ -664,6 +711,73 @@ def assert_distances_match_reference(weights, goals):
         got = distances_to(weights, dst)
         want = reference_distances_to(weights, dst)
         assert [x.hex() for x in got.tolist()] == [x.hex() for x in want]  # -0.0 != 0.0
+
+
+def goal_outward_sum(w, route):
+    """``w(u0, u1) + (w(u1, u2) + (... + 0))`` along ``route``, as ``distances_to`` sums."""
+    total = 0.0
+    for u, v in reversed(list(zip(route, route[1:]))):
+        total = w[u, v] + total
+    return total
+
+
+def assert_route_plans(g):
+    """``plan_path(g)`` starts at the state, ends at the goal, visits no node twice, starts
+    with ``plan_subgoal``'s hop, and, on a route under the cutoff, takes only finite
+    ``w_cut`` edges whose goal-outward sum is ``w_cut[0, j] + D[j]``; else it is the fallback."""
+    route, dst = plan_path(g), g.n_nodes - 1
+    assert route[0] == 0 and route[-1] == dst and len(set(route)) == len(route)
+    assert all(type(u) is int for u in route)
+    assert plan_subgoal(g).tobytes() == g.points[route[1]].tobytes()
+    D = distances_to(g.w_cut[1:, 1:], dst - 1)
+    j = route[1]
+    if np.isfinite(g.w_cut[0, j] + D[j - 1]):
+        assert all(np.isfinite(g.w_cut[u, v]) for u, v in zip(route, route[1:]))
+        assert goal_outward_sum(g.w_cut, route) == g.w_cut[0, j] + D[j - 1]
+        assert goal_outward_sum(g.w_cut, route[1:]) == D[j - 1]
+    else:
+        assert route == ([0, j, dst] if j != dst else [0, dst])
+
+
+class TestPlanPath:
+    def test_line_graph(self):
+        assert plan_path(TestPlanning().line_graph()) == [0, 1, 2]
+
+    def test_fallbacks(self):
+        points = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [9.0, 9.0]])
+        w_raw = np.full((4, 4), np.inf)
+        w_raw[0, 1:3] = 1.0
+        w_raw[1:3, 3] = [4.0, 2.0]
+        assert plan_path(LandmarkGraph(points, np.full((4, 4), np.inf), w_raw, 0.5)) == [0, 2, 3]
+        blank = np.full((4, 4), np.inf)
+        assert plan_path(LandmarkGraph(points, blank, blank.copy(), 0.5)) == [0, 3]
+
+    @pytest.mark.parametrize("exit_from, want", [(2, [0, 1, 2, 3]), (1, [0, 1, 3])])
+    def test_tight_zero_weight_cycle_is_not_revisited(self, exit_from, want):
+        """Landmarks 1, at (0, 5), and 2 form a cycle of zero-weight edges, and one of them
+        has an edge to the goal, at (9, 9), so both cycle edges are tight. Landmark 1 is
+        lexicographically lower than the goal. With the exit at landmark 2, a walk that took
+        the lowest tight successor would go back to landmark 1. With the exit at landmark
+        1, it would go on to landmark 2, whose one way on is back."""
+        points = np.array([[0.0, 0.0], [0.0, 5.0], [1.0, 0.0], [9.0, 9.0]])
+        w = np.full((4, 4), np.inf)
+        w[0, 1] = 1.0
+        w[1, 2] = w[2, 1] = 0.0
+        w[exit_from, 3] = 2.0
+        g = LandmarkGraph(points, w, w.copy(), np.inf)
+        assert (distances_to(w[1:, 1:], 2)[:2] == 2.0).all()
+        assert plan_path(g) == want
+        assert_route_plans(g)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tie_heavy_graphs(), st.sampled_from([0.0, 1.0, 2.0, np.inf]), st.booleans())
+    def test_tie_heavy_routes(self, graph, cutoff, cut_goal):
+        assert_route_plans(planner_graph(*graph, cutoff, cut_goal))
+
+    @settings(max_examples=100, deadline=None)
+    @given(planner_scale_graphs(), st.sampled_from([2.0, 6.0, np.inf]), st.booleans())
+    def test_planner_scale_routes(self, graph, cutoff, cut_goal):
+        assert_route_plans(planner_graph(*graph, cutoff, cut_goal))
 
 
 class TestDistancesAtPlannerScale:

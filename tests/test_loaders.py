@@ -1,12 +1,20 @@
 """One matrix over every loader of outside input.
 
 Each loader gets a state that is not a dict, and each key it reads gets a
-value of the wrong type, of the wrong shape or slot count, and with a NaN,
-where the key holds numbers. Every case must raise ``ValueError`` naming
-the loader and the key, and a failed novelty load must change nothing.
-A missing key is covered by each module's missing-key test.
+value of the wrong type, of the wrong shape, and with a NaN, where the key
+holds numbers. A checkpoint keeps one array per key (``weight0``, ``m0``,
+...), so the rows of a group of such keys edit its first key, its "slots"
+row drops its last key, and its "extra" row adds the key after its last,
+which its writer would not write; a "short" ``layer_sizes`` leaves the
+last layer's keys over. A novelty checkpoint's rows edit a key of one of
+its prefixed parts, which the net or optimizer loader reads, and its
+"prefix" row adds a key of no part. Every case must raise ``ValueError``
+naming the loader and the key, and a failed novelty load must change
+nothing. A missing key is otherwise covered by each module's missing-key
+test.
 """
 
+import io
 import re
 
 import numpy as np
@@ -34,22 +42,35 @@ def good_state(loader):
 def with_nan(value):
     """``value``'s nested numbers, with the first one NaN."""
     a = np.array(value, dtype=np.float64)
-    a.reshape(-1)[0] = NAN
+    a.flat[0] = NAN
     return a.tolist()
 
 
-def row(loader, key, kind, bad, named=None):
-    """A case: ``state[key]`` becomes ``bad`` (or ``bad(state[key])``); the
-    message must name ``named`` (loader, key), by default this loader and key."""
-    return pytest.param(loader, key, bad, named or (loader, key), id=f"{loader}-{key}-{kind}")
+DROP = object()  # a row's ``bad`` that deletes the key
 
 
-def first_slot(change):
-    return lambda slots: [change(slots[0]), *slots[1:]]
+def row(loader, key, kind, bad, named=None, group=None):
+    """A case: ``state[key]`` becomes ``bad`` (or ``bad(state[key])``, or is dropped); the
+    message must name ``named`` (loader, key), by default this loader and key. The id
+    names ``group``, the keys a row of a group stands for, by default the key."""
+    return pytest.param(loader, key, bad, named or (loader, key), id=f"{loader}-{group or key}-{kind}")
 
 
-def predictor_with_nan_bias(state):
-    return {**state, "biases": first_slot(with_nan)(state["biases"])}
+def slot_rows(loader, group, stem, last):
+    """The type, slots, extra, shape and NaN rows of the keys ``stem0`` ... ``stem{last}``."""
+    first = f"{stem}0"
+    return [
+        row(loader, first, "type", "ab", group=group),
+        row(loader, f"{stem}{last}", "slots", DROP, group=group),
+        row(loader, f"{stem}{last + 1}", "extra", [0.0], group=group),
+        row(loader, first, "shape", lambda a: a[..., :-1], group=group),
+        row(loader, first, "nan", with_nan, group=group),
+    ]
+
+
+def part_row(part, kind, key, bad, named):
+    """A case that edits ``key`` of the novelty checkpoint's part ``part``."""
+    return row("novelty checkpoint", f"{part}/{key}", kind, bad, named, group=part)
 
 
 CASES = [
@@ -83,18 +104,13 @@ CASES = [
     row("net checkpoint", "layer_sizes", "type", None),
     row("net checkpoint", "layer_sizes", "shape", [3]),
     row("net checkpoint", "layer_sizes", "nan", [3, NAN, 1]),
+    row("net checkpoint", "layer_sizes", "short", [3, 4], ("net checkpoint", "weight1")),
     row("net checkpoint", "output_activation", "type", 5),
     row("net checkpoint", "bound", "type", "1.0"),
     row("net checkpoint", "bound", "shape", [1.0]),
     row("net checkpoint", "bound", "nan", NAN),
-    row("net checkpoint", "weights", "type", 5),
-    row("net checkpoint", "weights", "slots", lambda ws: ws[:-1]),
-    row("net checkpoint", "weights", "shape", first_slot(lambda w: np.transpose(w).tolist())),
-    row("net checkpoint", "weights", "nan", first_slot(with_nan)),
-    row("net checkpoint", "biases", "type", 5),
-    row("net checkpoint", "biases", "slots", lambda bs: bs[:-1]),
-    row("net checkpoint", "biases", "shape", first_slot(lambda b: b[:-1])),
-    row("net checkpoint", "biases", "nan", first_slot(with_nan)),
+    *slot_rows("net checkpoint", "weights", "weight", 1),
+    *slot_rows("net checkpoint", "biases", "bias", 1),
     # optimizer checkpoint
     row("optimizer checkpoint", "format", "type", 5),
     *[
@@ -102,22 +118,17 @@ CASES = [
         for key in ("lr", "step_count")
         for kind, bad in (("type", "0.5"), ("shape", [0.5]), ("nan", NAN))
     ],
-    *[
-        row("optimizer checkpoint", key, kind, bad)
-        for key in ("m", "v")
-        for kind, bad in (
-            ("type", None),
-            ("slots", []),
-            ("shape", first_slot(lambda a: a + [0.0])),
-            ("nan", first_slot(with_nan)),
-        )
-    ],
-    # novelty checkpoint: each part is a dict for the net or optimizer loader
-    *[row("novelty checkpoint", key, "type", 5) for key in ("target", "predictor", "opt")],
-    row("novelty checkpoint", "target", "nan", predictor_with_nan_bias, ("net checkpoint", "biases")),
-    row("novelty checkpoint", "predictor", "nan", predictor_with_nan_bias, ("net checkpoint", "biases")),
-    row("novelty checkpoint", "opt", "nan", lambda o: {**o, "m": first_slot(with_nan)(o["m"])},
-        ("optimizer checkpoint", "m")),
+    *slot_rows("optimizer checkpoint", "m", "m", 1),
+    *slot_rows("optimizer checkpoint", "v", "v", 1),
+    # novelty checkpoint: each part's keys, prefixed, for the net or optimizer loader
+    *[part_row(part, "type", "format", 5, (loader, "format"))
+      for part, loader in (("target", "net checkpoint"), ("predictor", "net checkpoint"),
+                           ("opt", "optimizer checkpoint"))],
+    part_row("target", "nan", "bias0", with_nan, ("net checkpoint", "bias0")),
+    part_row("predictor", "nan", "bias0", with_nan, ("net checkpoint", "bias0")),
+    part_row("opt", "nan", "m0", with_nan, ("optimizer checkpoint", "m0")),
+    part_row("opt", "extra", "m6", [0.0], ("optimizer checkpoint", "m6")),  # 3 layers, 6 slots
+    row("novelty checkpoint", "critic/format", "prefix", "x", group="critic"),
 ]
 
 
@@ -133,7 +144,8 @@ def load(loader, state):
     try:
         scorer.load_state_dict(state)
     except ValueError:
-        assert scorer.state_dict() == before  # a failed load changes nothing
+        after = scorer.state_dict()  # a failed load changes nothing
+        assert list(after) == list(before) and all(np.array_equal(after[k], before[k]) for k in before)
         raise
     return scorer
 
@@ -145,9 +157,42 @@ def test_non_dict_state_rejected(loader, state):
         load(loader, state)
 
 
+def bad_state(loader, key, bad):
+    state = good_state(loader)
+    if bad is DROP:
+        del state[key]
+    else:
+        state[key] = bad(state[key]) if callable(bad) else bad
+    return state
+
+
+def through_npz(state):
+    """``state`` written by ``np.savez`` and read back by ``np.load(allow_pickle=False)``."""
+    buf = io.BytesIO()
+    np.savez(buf, **state)
+    buf.seek(0)
+    with np.load(buf, allow_pickle=False) as f:
+        return dict(f)
+
+
 @pytest.mark.parametrize("loader, key, bad, named", CASES)
 def test_bad_field_rejected(loader, key, bad, named):
-    state = good_state(loader)
-    state[key] = bad(state[key]) if callable(bad) else bad
     with pytest.raises(ValueError, match=f"^{re.escape(named[0])} .*{re.escape(repr(named[1]))}"):
-        load(loader, state)
+        load(loader, bad_state(loader, key, bad))
+
+
+@pytest.mark.parametrize("loader", LOADERS[1:])
+def test_good_checkpoint_loads_after_np_load(loader):
+    """``np.load`` returns each str, number and list as a 0-d or 1-d array."""
+    state = through_npz(good_state(loader))
+    assert all(isinstance(v, np.ndarray) for v in state.values())
+    load(loader, state)
+
+
+@pytest.mark.parametrize(
+    "loader, key, bad, named", [c for c in CASES if c.values[0] != "maze spec" and c.values[2] is not None]
+)
+def test_bad_field_rejected_after_np_load(loader, key, bad, named):
+    """The checkpoint rows, with every value the array ``np.load`` makes of it."""
+    with pytest.raises(ValueError, match=f"^{re.escape(named[0])} .*{re.escape(repr(named[1]))}"):
+        load(loader, through_npz(bad_state(loader, key, bad)))

@@ -1,13 +1,18 @@
 """Unit and oracle tests for the differentiable-function kernel."""
 
 import hashlib
+import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mazehrl
 from mazehrl.nets import Adam, Mlp, param_epoch, polyak_update
 
 
@@ -20,6 +25,19 @@ def flat_view(a):
     flat = a.reshape(-1, order="A")
     assert np.shares_memory(flat, a)
     return flat
+
+
+def npz_bytes(state):
+    """The bytes ``np.savez`` writes for ``state``."""
+    buf = io.BytesIO()
+    np.savez(buf, **state)
+    return buf.getvalue()
+
+
+def through_npz(state):
+    """``state`` written by ``np.savez`` and read back by ``np.load(allow_pickle=False)``."""
+    with np.load(io.BytesIO(npz_bytes(state)), allow_pickle=False) as f:
+        return dict(f)
 
 
 def central_differences(net, loss, h):
@@ -361,42 +379,53 @@ class TestAdam:
         p = [np.array([1.0, 2.0])]
         opt = Adam(p, lr=0.05)
         opt.step(p, [np.array([0.3, -0.4])])
-        restored = Adam.from_state_dict(json.loads(json.dumps(opt.state_dict())), p)
-        assert restored.step_count == opt.step_count
-        for a, b in zip(restored.m, opt.m):
+        restored = Adam.from_state_dict(through_npz(opt.state_dict()), p)
+        assert restored.step_count == opt.step_count and restored.lr == opt.lr
+        for a, b in zip(restored.m + restored.v, opt.m + opt.v):
             assert a.tobytes() == b.tobytes()
+        assert npz_bytes(restored.state_dict()) == npz_bytes(opt.state_dict())
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_roundtrip_moments_take_param_dtype(self, dtype):
         p = [np.array([1.0, 2.0], dtype=dtype), np.zeros((2, 3), dtype=dtype)]
         opt = Adam(p, lr=0.05)
         opt.step(p, [np.array([0.3, -0.4], dtype=dtype), np.full((2, 3), 0.1, dtype=dtype)])
-        restored = Adam.from_state_dict(json.loads(json.dumps(opt.state_dict())), p)
+        state = through_npz(opt.state_dict())
+        restored = Adam.from_state_dict(state, p)
         for a, b, param in zip(restored.m + restored.v, opt.m + opt.v, p + p):
             assert a.dtype == param.dtype and a.tobytes() == b.tobytes()
+        assert npz_bytes(restored.state_dict()) == npz_bytes(state)
 
-    @pytest.mark.parametrize("m", [[[0.0, 0.0]], []])
+    @pytest.mark.parametrize("m", [[0.0, 0.0], [[0.0, 0.0, 0.0]]])
     def test_mismatched_moments_rejected_at_load(self, m):
         p = [np.zeros(3)]
-        state = {**Adam(p, lr=3e-4).state_dict(), "m": m}
-        with pytest.raises(ValueError, match="optimizer checkpoint"):
+        state = {**Adam(p, lr=3e-4).state_dict(), "m0": m}
+        with pytest.raises(ValueError, match="optimizer checkpoint 'm0' must be real numbers of shape"):
             Adam.from_state_dict(state, p)
 
     def test_negative_second_moment_rejected_at_load(self):
         """The next step would take the square root of -1 and make the param NaN."""
         p = [np.zeros(3)]
-        state = {**Adam(p, lr=3e-4).state_dict(), "v": [[-1.0, 0.0, 0.0]]}
-        with pytest.raises(ValueError, match="'v' slot 0 holds a negative second moment"):
+        state = {**Adam(p, lr=3e-4).state_dict(), "v0": [-1.0, 0.0, 0.0]}
+        with pytest.raises(ValueError, match="'v0' holds a negative second moment"):
             Adam.from_state_dict(state, p)
 
     def test_v1_checkpoint_rejected(self):
-        """v1 also stored beta1, beta2 and eps, the module constants; v2 stores none of them."""
+        """v1 also stored beta1, beta2 and eps, the module constants; v3 stores none of them."""
         p = [np.zeros(3)]
         state = Adam(p, lr=3e-4).state_dict()
-        assert sorted(state) == ["format", "lr", "m", "step_count", "v"]
+        assert sorted(state) == ["format", "lr", "m0", "step_count", "v0"]
         v1 = {**state, "format": "mazehrl-adam-v1", "beta1": 0.9, "beta2": 0.999, "eps": 1e-8}
         with pytest.raises(ValueError, match="^optimizer checkpoint 'format' must be one of"):
             Adam.from_state_dict(v1, p)
+
+    def test_v2_checkpoint_rejected(self):
+        """v2 listed the moments under 'm' and 'v'; v3 keeps one array per key."""
+        p = [np.zeros(3)]
+        v2 = {**listed(Adam(p, lr=3e-4).state_dict(), m="m", v="v"), "format": "mazehrl-adam-v2"}
+        assert sorted(v2) == ["format", "lr", "m", "step_count", "v"]
+        with pytest.raises(ValueError, match="^optimizer checkpoint 'format' must be one of"):
+            Adam.from_state_dict(v2, p)
 
     @pytest.mark.parametrize("key", sorted(Adam([np.zeros(3)], lr=3e-4).state_dict()))
     def test_missing_key_rejected(self, key):
@@ -456,20 +485,68 @@ class TestPolyak:
         assert param_epoch() == before + 1
 
 
+STEPPED_CHECKPOINTS = """
+import sys
+import numpy as np
+from mazehrl.nets import Adam, Mlp
+for dtype in (np.float32, np.float64):
+    rng = np.random.default_rng(0)
+    net = Mlp([8, 64, 64, 1], rng=rng, dtype=dtype)
+    opt = Adam(net.params, lr=3e-4)
+    for _ in range(3):
+        cache = net.forward_cache(rng.normal(size=(32, 8)))
+        opt.step(net.params, net.grad_params_cached(cache, rng.normal(size=(32, 1))))
+    np.savez(f"{sys.argv[1]}-net-{dtype.__name__}.npz", **net.state_dict())
+    np.savez(f"{sys.argv[1]}-opt-{dtype.__name__}.npz", **opt.state_dict())
+"""
+
+
 class TestCheckpoint:
-    def test_json_roundtrip_bit_exact(self):
-        rng = np.random.default_rng(21)
-        net = random_small_net(rng, "scaled_tanh")
-        clone = Mlp.from_state_dict(json.loads(json.dumps(net.state_dict())))
-        assert clone.layer_sizes == net.layer_sizes
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("head", ["identity", "scaled_tanh"])
+    def test_npz_roundtrip_bit_exact(self, head, dtype):
+        """Written by ``np.savez`` as it is, read back equal; save -> load -> save gives the same bytes."""
+        net = random_small_net(np.random.default_rng(21), head)
+        net = Mlp.from_state_dict({**net.state_dict(), "dtype": np.dtype(dtype).name})
+        state = through_npz(net.state_dict())
+        clone = Mlp.from_state_dict(state)
+        assert type(clone.layer_sizes[0]) is int and clone.layer_sizes == net.layer_sizes
         assert clone.output_activation == net.output_activation
-        assert clone.bound == net.bound
-        for a, b in zip(clone.params, net.params):
-            assert a.tobytes() == b.tobytes()
+        assert type(clone.bound) is float and clone.bound == net.bound
+        assert clone.dtype == net.dtype
+        assert_bit_identical(clone.params, net.params)
+        assert npz_bytes(clone.state_dict()) == npz_bytes(state) == npz_bytes(net.state_dict())
+
+    def test_two_processes_write_the_same_bytes(self, tmp_path):
+        """A stepped net and its Adam in each dtype, each written by ``np.savez`` as it is."""
+        src = os.path.dirname(os.path.dirname(mazehrl.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        for run in ("a", "b"):
+            cmd = [sys.executable, "-c", STEPPED_CHECKPOINTS, str(tmp_path / run)]
+            subprocess.run(cmd, env=env, check=True, timeout=60)
+        names = sorted(p.name[2:] for p in tmp_path.glob("a-*.npz"))
+        assert names == ["net-float32.npz", "net-float64.npz", "opt-float32.npz", "opt-float64.npz"]
+        for name in names:
+            assert (tmp_path / f"a-{name}").read_bytes() == (tmp_path / f"b-{name}").read_bytes()
+
+    def test_state_dict_is_a_copy(self):
+        net = Mlp([3, 4, 1], rng=np.random.default_rng(0))
+        state = net.state_dict()
+        state["weight0"][...] = 0.0
+        state["bias1"][...] = 1.0
+        assert net.weights[0].any() and not net.biases[1].any()
 
     def test_bad_format_rejected(self):
         with pytest.raises(ValueError):
             Mlp.from_state_dict({"format": "something-else"})
+
+    def test_v1_checkpoint_rejected(self):
+        """v1 listed the layers under 'weights' and 'biases'; v2 keeps one array per key."""
+        state = Mlp([3, 4, 1], rng=np.random.default_rng(0)).state_dict()
+        assert [k for k in state if k[-1].isdigit()] == ["weight0", "weight1", "bias0", "bias1"]
+        v1 = {**listed(state, weights="weight", biases="bias"), "format": "mazehrl-net-v1"}
+        with pytest.raises(ValueError, match="^net checkpoint 'format' must be one of"):
+            Mlp.from_state_dict(v1)
 
     def test_same_seed_same_net(self):
         a = Mlp([3, 8, 2], rng=np.random.default_rng(123))
@@ -479,21 +556,21 @@ class TestCheckpoint:
 
     def test_wrong_fan_in_rejected(self):
         state = Mlp([4, 8, 1], rng=np.random.default_rng(0)).state_dict()
-        state["weights"][0] = np.zeros((8, 5)).tolist()
-        with pytest.raises(ValueError, match="'weights' slot 0 must be real numbers of shape"):
+        state["weight0"] = np.zeros((8, 5))
+        with pytest.raises(ValueError, match="'weight0' must be real numbers of shape"):
             Mlp.from_state_dict(state)
 
     def test_missing_layer_rejected(self):
         state = Mlp([4, 8, 1], rng=np.random.default_rng(0)).state_dict()
-        del state["weights"][-1], state["biases"][-1]
-        with pytest.raises(ValueError, match="'weights' must be a list of 2 arrays"):
+        del state["weight1"], state["bias1"]
+        with pytest.raises(ValueError, match="^net checkpoint has no 'weight1' key"):
             Mlp.from_state_dict(state)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_roundtrip_keeps_dtype_bit_exact(self, dtype):
         net = Mlp([3, 8, 2], "scaled_tanh", bound=1.5, rng=np.random.default_rng(4), dtype=dtype)
-        state = json.loads(json.dumps(net.state_dict()))
-        assert state["dtype"] == np.dtype(dtype).name
+        state = through_npz(net.state_dict())
+        assert state["dtype"] == np.dtype(dtype).name and state["weight0"].dtype == dtype
         clone = Mlp.from_state_dict(state)
         assert clone.dtype == dtype
         for a, b in zip(clone.params, net.params):
@@ -888,7 +965,7 @@ class TestFloat32Agreement:
 
 # The JSON of Mlp([8, 16, 16, 1], rng=default_rng(0)) in each dtype, and a
 # net and optimizer checkpoint, as written while weights were stored row-major
-# (the optimizer's in the v2 format, which drops beta1, beta2 and eps).
+# and checkpoints were JSON-ready lists (mazehrl-net-v1 and mazehrl-adam-v2).
 ROW_MAJOR_JSON_SHA256 = {
     np.float32: "9b74d79696a229ce18a42d6c5ce7e8d50c6e5fb805d4550c1feee2bf025dd897",
     np.float64: "124dddbff6831ebdd1ef68b3b888de97584ccdac605615b296464a44849018c9",
@@ -916,6 +993,29 @@ ROW_MAJOR_ADAM = (
 )
 
 
+def numbered(state, **groups):
+    """A list-format ``state`` with each list ``state[name]``, for ``name=stem`` in
+    ``groups``, as one array per key: ``stem0``, ``stem1``, ..."""
+    out = {k: v for k, v in state.items() if k not in groups}
+    for name, stem in groups.items():
+        out |= {f"{stem}{i}": np.array(a) for i, a in enumerate(state[name])}
+    return out
+
+
+def listed(state, **groups):
+    """The inverse of ``numbered``: the keys ``stem0``, ``stem1``, ... as one list of
+    nested lists under ``name``, where the first of them stood, and other arrays as lists."""
+    stems = {stem: name for name, stem in groups.items()}
+    out = {}
+    for key, value in state.items():
+        name = stems.get(key.rstrip("0123456789")) if key[-1].isdigit() else None
+        if name is None:
+            out[key] = value.tolist() if isinstance(value, np.ndarray) else value
+        else:
+            out.setdefault(name, []).append(value.tolist())
+    return out
+
+
 def assert_column_major(arrays):
     for a in arrays:
         assert a.flags.f_contiguous
@@ -937,7 +1037,7 @@ class TestColumnMajorWeights:
         assert not any(w.flags.c_contiguous for w in net.weights[:-1])
         x, u = rng.normal(size=(4, 5)), rng.normal(size=(4, 1))
         target = net.copy()
-        loaded = Mlp.from_state_dict(json.loads(json.dumps(net.state_dict())))
+        loaded = Mlp.from_state_dict(through_npz(net.state_dict()))
         Adam(net.params, lr=3e-4).step(net.params, net.grad_params_cached(net.forward_cache(x), u))
         polyak_update(target.params, net.params, 0.5)
         for made in (net, target, loaded, target.copy()):
@@ -957,7 +1057,7 @@ class TestColumnMajorWeights:
         assert_column_major(td[::2] + pen[::2] + pi[::2])
         opt = Adam(net.params, lr=3e-4)
         opt.step(net.params, [a + b for a, b in zip(td, pen)])
-        loaded = Adam.from_state_dict(json.loads(json.dumps(opt.state_dict())), net.params)
+        loaded = Adam.from_state_dict(through_npz(opt.state_dict()), net.params)
         for o in (opt, loaded):
             assert_column_major(o.m[::2] + o.v[::2])
         assert_bit_identical(loaded.m + loaded.v, opt.m + opt.v)
@@ -994,15 +1094,22 @@ class TestColumnMajorWeights:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_checkpoint_json_is_unchanged(self, dtype):
+        """Listed as v1 did, the arrays of a v2 checkpoint give the pinned JSON."""
         net = Mlp([8, 16, 16, 1], rng=np.random.default_rng(0), dtype=dtype)
-        text = json.dumps(net.state_dict()).encode()
-        assert hashlib.sha256(text).hexdigest() == ROW_MAJOR_JSON_SHA256[dtype]
+        v1 = {**listed(net.state_dict(), weights="weight", biases="bias"), "format": "mazehrl-net-v1"}
+        assert hashlib.sha256(json.dumps(v1).encode()).hexdigest() == ROW_MAJOR_JSON_SHA256[dtype]
 
     def test_row_major_checkpoint_loads_column_major(self):
-        net = Mlp.from_state_dict(json.loads(ROW_MAJOR_NET))
-        opt = Adam.from_state_dict(json.loads(ROW_MAJOR_ADAM), net.params)
+        """The arrays of a row-major-era checkpoint load column-major and are written back equal."""
+        net_v1, adam_v2 = json.loads(ROW_MAJOR_NET), json.loads(ROW_MAJOR_ADAM)
+        net = Mlp.from_state_dict({**numbered(net_v1, weights="weight", biases="bias"),
+                                   "format": "mazehrl-net-v2"})
+        adam_v3 = {**numbered(adam_v2, m="m", v="v"), "format": "mazehrl-adam-v3"}
+        opt = Adam.from_state_dict(adam_v3, net.params)
         assert_column_major(net.weights + tuple(opt.m[::2]) + tuple(opt.v[::2]))
-        want = json.loads(ROW_MAJOR_NET)["weights"][0]
-        np.testing.assert_array_equal(net.weights[0], np.array(want, dtype=np.float32))
-        assert json.dumps(net.state_dict()) == ROW_MAJOR_NET
-        assert json.dumps(opt.state_dict()) == ROW_MAJOR_ADAM
+        np.testing.assert_array_equal(net.weights[0], np.array(net_v1["weights"][0], dtype=np.float32))
+        net_state, opt_state = net.state_dict(), opt.state_dict()
+        assert_column_major([net_state["weight0"], opt_state["m0"], opt_state["v0"]])
+        net_listed = {**listed(net_state, weights="weight", biases="bias"), "format": "mazehrl-net-v1"}
+        assert json.dumps(net_listed) == ROW_MAJOR_NET
+        assert json.dumps({**listed(opt_state, m="m", v="v"), "format": "mazehrl-adam-v2"}) == ROW_MAJOR_ADAM

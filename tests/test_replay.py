@@ -220,6 +220,76 @@ class TestRingStore:
         assert len(buf) == 2
 
 
+def relabel_step(t, k, done):
+    """Step t of episode k: integer positions 100 k + t (x) and k (y), and a stored
+    ``sg`` and ``sg_next`` that no relabelling writes."""
+    return Transition(
+        s=np.array([100.0 * k + t, k, 0.25, -0.25]),
+        sg=np.array([0.5, 0.25]),
+        a=np.zeros(2),
+        r=-7.0,
+        s_next=np.array([100.0 * k + t + 1, k, 0.5, 0.0]),
+        sg_next=np.array([0.75, 0.125]),
+        done=done,
+        t=t,
+    )
+
+
+def relabelled_buffer(lengths, capacity):
+    buf = TrajectoryBuffer(capacity)
+    for k, n in enumerate(lengths):
+        buf.store_episode([relabel_step(t, k, t == n - 1) for t in range(n)], (0.0, 0.0))
+    return buf
+
+
+def relabelled_rows(batch, lengths):
+    """(episode, step, goal step) of each relabelled row, after checking every row
+    against the oracle: a row is as stored, or its goal is the ``s_next`` position of
+    a step k >= t of its own episode, with ``sg_next`` rewritten from it."""
+    assert sorted(batch) == sorted(set(FIELDS) - {"r", "done"})
+    out = []
+    for s, sg, a, s_next, sg_next in zip(*(batch[f] for f in ("s", "sg", "a", "s_next", "sg_next"))):
+        k, t = int(s[1]), int(s[0]) - 100 * int(s[1])
+        stored = relabel_step(t, k, False)
+        assert np.array_equal(s, stored.s) and np.array_equal(a, stored.a)
+        assert np.array_equal(s_next, stored.s_next)
+        if np.array_equal(sg, stored.sg):
+            assert np.array_equal(sg_next, stored.sg_next)
+            continue
+        goal = s[:2] + sg  # integers, so exact
+        step = int(goal[0]) - 100 * k - 1
+        assert goal[1] == k and t <= step < lengths[k]
+        assert np.array_equal(goal, relabel_step(step, k, False).s_next[:2])
+        assert np.array_equal(sg_next, goal - s_next[:2])
+        out.append((k, t, step))
+    return out
+
+
+class TestSampleRelabelled:
+    def test_goals_across_the_ring_end(self):
+        """The third episode occupies ring rows 8, 9, 0, 1; every pair t <= k of it is drawn."""
+        lengths = [4, 4, 4]
+        buf = relabelled_buffer(lengths, 10)
+        assert buf.records.offset.tolist() == [4, 8]
+        before = {f: col.copy() for f, col in buf._cols.items()}
+        rows = relabelled_rows(buf.sample_relabelled(400, np.random.default_rng(0)), lengths)
+        assert 0.75 * 400 < len(rows) < 0.85 * 400  # HER_P = 0.8
+        pairs = {(t, step) for k, t, step in rows if k == 2}
+        assert pairs == {(t, step) for step in range(4) for t in range(step + 1)}
+        assert all(np.array_equal(buf._cols[f], before[f]) for f in FIELDS)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(1, 6), min_size=1, max_size=8), st.integers(6, 12),
+           st.integers(0, 2**32 - 1))
+    def test_every_row_is_stored_or_relabelled_within_its_episode(self, lengths, capacity, seed):
+        buf = relabelled_buffer(lengths, capacity)
+        relabelled_rows(buf.sample_relabelled(64, np.random.default_rng(seed)), lengths)
+
+    def test_empty_buffer_rejected(self):
+        with pytest.raises(ValueError, match="empty buffer"):
+            TrajectoryBuffer(4).sample_relabelled(3, np.random.default_rng(0))
+
+
 class TestEpisodeTable:
     GOALS = [(0.3 * k, -0.2 * k) for k in range(8)]
 

@@ -8,6 +8,7 @@ setting's name. A ``MazeSpec`` keeps the values its checks return, so a
 spec built from numpy scalars writes JSON that loads back equal.
 """
 
+import io
 import json
 import re
 from dataclasses import replace
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from mazehrl.envs import MazeSpec, Rect, embossed, phi, spec_from_dict, spec_to_dict, success, umaze12
 from mazehrl.graphplan import LandmarkSet, build_graph, pseudo_landmark
 from mazehrl.nets import Adam, Mlp, polyak_update
-from mazehrl.replay import hr_weights
+from mazehrl.replay import TrajectoryBuffer, Transition, hr_weights, sample_pool
 
 NAN, INF = float("nan"), float("inf")
 NOT_REAL = [True, "1", None, np.array([1.0, 2.0])]
@@ -42,6 +43,15 @@ def decide(eta=1.0, cutoff=5.0):
     return build_graph(np.zeros(4), np.array([9.0, 0.0]), landmarks, Critic(), Actor(), phi, eta, cutoff)
 
 
+def stored_buffer():
+    """A buffer holding one three-step episode."""
+    buf = TrajectoryBuffer(8)
+    steps = [Transition(np.full(4, t), np.zeros(2), np.zeros(2), -1.0, np.full(4, t + 1.0), np.zeros(2),
+                        t == 2, t) for t in range(3)]
+    buf.store_episode(steps, np.zeros(2))
+    return buf
+
+
 def rect(key, value):
     return Rect(**{"x0": -1.0, "y0": -1.0, "x1": 1.0, "y1": 1.0, key: value})
 
@@ -56,6 +66,8 @@ SETTINGS = {
     "success_radius": ("success_radius", lambda v: replace(umaze12(), success_radius=v), [INF, -INF, 0.0]),
     "radius": ("radius", lambda v: success([0.0, 0.0], [0.0, 0.0], v), [INF, -INF, -0.5]),
     "alpha": ("alpha", lambda v: hr_weights([0.0, 1.0], [1, 1], v), [INF, -INF, 0.0]),
+    "pool alpha": ("alpha", lambda v: sample_pool(stored_buffer(), "hr", 3, np.random.default_rng(0), v),
+                   [INF, -INF, 0.0]),
     "tau": ("tau", lambda v: polyak_update([np.zeros(2)], [np.ones(2)], v), [INF, -INF, 1.5, -0.1]),
     "delta": ("delta", lambda v: pseudo_landmark([1.0, 0.0], [0.0, 0.0], v), [INF, -INF]),
     "eta": ("eta", lambda v: decide(eta=v), [INF, -INF]),
@@ -111,12 +123,27 @@ def test_warm_cache_does_not_skip_the_setting_checks():
         build_graph(*args, 1.0, True)
 
 
+def test_hr_cache_does_not_skip_the_alpha_check():
+    """After an ``alpha=1.0`` draw, ``alpha=True`` (``True == 1.0``) is still checked."""
+    buf = stored_buffer()
+    sample_pool(buf, "hr", 3, np.random.default_rng(0), 1.0)
+    with pytest.raises(ValueError, match="^alpha must be a real number"):
+        sample_pool(buf, "hr", 3, np.random.default_rng(0), True)
+    buf = stored_buffer()
+    sample_pool(buf, "hr", 3, np.random.default_rng(0), np.float32(0.5))
+    assert type(buf._weighted) is float  # the checked value is what the cache holds
+
+
 def test_identity_head_nan_bound_never_reaches_a_checkpoint():
     with pytest.raises(ValueError, match="^Mlp bound must be positive and finite"):
         Mlp([3, 1], bound=NAN, rng=np.random.default_rng(0))
     net = Mlp([3, 1], bound=np.float32(2.0), rng=np.random.default_rng(0))
     assert type(net.bound) is float
-    assert Mlp.from_state_dict(json.loads(json.dumps(net.state_dict()))).bound == 2.0
+    buf = io.BytesIO()
+    np.savez(buf, **net.state_dict())
+    buf.seek(0)
+    with np.load(buf, allow_pickle=False) as f:
+        assert Mlp.from_state_dict(dict(f)).bound == 2.0
 
 
 def test_spec_name_must_be_a_string():
