@@ -149,7 +149,8 @@ class NoveltyScorer:
 
     def load_state_dict(self, state):
         """Replace the nets and optimizer from the parts ``state`` holds, under the
-        loader contract (``nets`` module docstring); a rejected ``state`` changes nothing."""
+        loader contract (``nets`` module docstring); a rejected ``state`` changes nothing.
+        A part loader's error is raised again with the part's name in front."""
         what = "novelty checkpoint"
         if not isinstance(state, dict):
             raise ValueError(f"{what} must be a dict, got {type(state).__name__}")
@@ -162,8 +163,15 @@ class NoveltyScorer:
         for part, keys in parts.items():
             if not keys:
                 raise ValueError(f"{what} has no {part!r} keys")
-        target, predictor = (Mlp.from_state_dict(parts[part]) for part in ("target", "predictor"))
-        opt = Adam.from_state_dict(parts["opt"], predictor.params)
+
+        def load(part, loader, *args):
+            try:
+                return loader(parts[part], *args)
+            except ValueError as err:
+                raise ValueError(f"{what} part {part!r}: {err}") from err
+
+        target, predictor = load("target", Mlp.from_state_dict), load("predictor", Mlp.from_state_dict)
+        opt = load("opt", Adam.from_state_dict, predictor.params)
         self.target, self.predictor, self.opt, self._scored = target, predictor, opt, None
 
 

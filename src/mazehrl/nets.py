@@ -13,9 +13,9 @@ state is a dict holding every key its writer writes (a checkpoint no other), eac
 value or as the array ``np.load`` makes of it; numbers are finite and of their shapes, and counts
 are integers (not bools) at or above their least value. Anything else raises ``ValueError``
 naming the loader and the key, and nothing is returned or written. Every setting (``lr``,
-``bound``, ``tau``, ``alpha``, ``eta``, ``cutoff``, ``delta``, radii, maze coordinates) is one
-real number, not NaN, in its interval (``_checks.check_real``), and kept as the float that
-returns. A value no caller varies (Adam's betas and epsilon, ``graphplan.NOVELTY_LR``,
+``tau``, ``alpha``, ``eta``, ``cutoff``, ``delta``, radii, maze coordinates) is one real number,
+not NaN, in its interval (``_checks.check_real``), and kept as the float that returns. A value no
+caller varies (Adam's betas and epsilon, the tanh head's scale, ``graphplan.NOVELTY_LR``,
 ``replay.HER_P``) is a module constant, and no checkpoint stores one.
 
 Each net computes in one dtype fixed at construction: float32 by default,
@@ -39,9 +39,9 @@ net outputs (``graphplan.LandmarkSet._goal_side``) rely on that: a
 parameter written any other way leaves such a cache stale.
 
 Reverse-mode calls read a forward cache (``Mlp.forward_cache``), which keeps
-every layer's output but only the output layer's pre-activation: a hidden
-ReLU mask is read as ``a > 0``, the same bits as ``z > 0`` for ±0 and NaN.
-They keep three rules:
+every layer's output: a hidden ReLU mask is read as ``a > 0``, the same bits
+as ``z > 0`` for ±0 and NaN, and the tanh head's derivative as
+``1 - out * out``. They keep three rules:
 
 - A forward cache is valid only for the parameters it was built with; after
   any parameter write, build a new one.
@@ -60,7 +60,7 @@ from ._checks import POSITIVE, UNIT, check_count, check_keys, check_real, read_f
 
 __all__ = ["Mlp", "Adam", "polyak_update", "param_epoch"]
 
-CHECKPOINT_FORMAT = "mazehrl-net-v2"  # a v1 dict, which lists the layers, is rejected
+CHECKPOINT_FORMAT = "mazehrl-net-v3"  # a v2 dict (with the tanh scale) and a v1 are rejected
 ADAM_FORMAT = "mazehrl-adam-v3"  # so is a v2 dict, which lists the moments
 MOMENT_FLUSH_EVERY = 32  # Adam steps between flushes of subnormal moments to zero
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's fixed decay rates and epsilon
@@ -101,9 +101,10 @@ class Mlp:
     """ReLU MLP with an identity or scaled-tanh output head.
 
     ``layer_sizes`` chains input through hidden widths to the output,
-    e.g. ``[4, 64, 64, 2]``. A scaled-tanh head keeps outputs in
-    ``[-bound, +bound]`` componentwise; ``bound`` is positive and finite for either head.
-    ``rng``, a ``np.random.Generator`` passed by name, draws the initial
+    e.g. ``[4, 64, 64, 2]``. The scaled-tanh head is ``tanh``, at the scale
+    1 of the action bound (``envs.ACTION_BOUND``), so outputs lie in
+    ``[-1, 1]`` componentwise; a caller with another range scales outside
+    the net. ``rng``, a ``np.random.Generator`` passed by name, draws the initial
     weights. ``dtype`` (``np.float32`` or ``np.float64``) is the dtype of
     every array the net makes; inputs, upstream gradients and penalty
     signals are cast to it.
@@ -113,10 +114,8 @@ class Mlp:
     replaced by an array of another dtype.
     """
 
-    def __init__(
-        self, layer_sizes, output_activation="identity", bound=1.0, *, rng, dtype=np.float32
-    ):
-        self._configure(layer_sizes, output_activation, bound, dtype, "Mlp")
+    def __init__(self, layer_sizes, output_activation="identity", *, rng, dtype=np.float32):
+        self._configure(layer_sizes, output_activation, dtype, "Mlp")
         weights = []
         n_layers = len(self.layer_sizes) - 1
         for i in range(n_layers):
@@ -130,7 +129,7 @@ class Mlp:
         self.weights = tuple(weights)
         self.biases = tuple(np.zeros(n, dtype=self.dtype) for n in self.layer_sizes[1:])
 
-    def _configure(self, layer_sizes, output_activation, bound, dtype, what):
+    def _configure(self, layer_sizes, output_activation, dtype, what):
         sizes = [check_count(n, f"{what} 'layer_sizes' entry", 1) for n in layer_sizes]
         if len(sizes) < 2:
             raise ValueError(f"{what} 'layer_sizes' must hold >= 2 sizes, got {layer_sizes!r}")
@@ -140,7 +139,6 @@ class Mlp:
             raise ValueError(f"dtype must be np.float32 or np.float64, got {dtype!r}")
         self.layer_sizes = sizes
         self.output_activation = output_activation
-        self.bound = check_real(bound, f"{what} bound", POSITIVE)
         self.dtype = np.dtype(dtype)
 
     @property
@@ -163,7 +161,7 @@ class Mlp:
 
     def copy(self):
         dup = Mlp.__new__(Mlp)
-        dup._configure(self.layer_sizes, self.output_activation, self.bound, self.dtype, "Mlp")
+        dup._configure(self.layer_sizes, self.output_activation, self.dtype, "Mlp")
         dup.weights = tuple(w.copy(order="F") for w in self.weights)
         dup.biases = tuple(b.copy() for b in self.biases)
         return dup
@@ -183,17 +181,12 @@ class Mlp:
         """Deterministic forward map; accepts a vector or an (n, in_dim) batch."""
         return self.output(self.forward_cache(x))
 
-    def _head(self, z):
-        if self.output_activation == "identity":
-            return z
-        return self.bound * np.tanh(z)
-
     def forward_cache(self, x):
         """Forward pass retaining activations for subsequent backward calls.
 
-        Returns ``{"acts", "z_out", "squeeze"}``: the input and every layer's
-        output, and the output layer's pre-activation. Hidden ReLUs run in
-        place, so reverse sweeps take their masks from ``acts``. The cache
+        Returns ``{"acts", "squeeze"}``: the input and every layer's output.
+        Hidden ReLUs and the tanh head run in place, so reverse sweeps take
+        their masks and the head's derivative from ``acts``. The cache
         holds only for the current parameters (see the module docstring);
         reverse-mode calls may memoise results in it.
         """
@@ -203,20 +196,18 @@ class Mlp:
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             z = acts[-1] @ w.T
             z += b
-            acts.append(np.maximum(z, 0.0, out=z) if i < last else self._head(z))
-        return {"acts": acts, "z_out": z, "squeeze": squeeze}
+            if i < last:
+                np.maximum(z, 0.0, out=z)
+            elif self.output_activation == "scaled_tanh":
+                np.tanh(z, out=z)
+            acts.append(z)
+        return {"acts": acts, "squeeze": squeeze}
 
     def output(self, cache):
         out = cache["acts"][-1]
         return out[0] if cache["squeeze"] else out
 
     # ---- reverse mode ----
-
-    def _head_deriv(self, z):
-        if self.output_activation == "identity":
-            return np.ones_like(z)
-        t = np.tanh(z)
-        return self.bound * (1.0 - t * t)
 
     def _upstream(self, cache, upstream):
         n = cache["acts"][0].shape[0]
@@ -246,7 +237,9 @@ class Mlp:
         """
         acts = cache["acts"]
         zgrads = [None] * len(self.weights)
-        delta = self._upstream(cache, upstream) * self._head_deriv(cache["z_out"])
+        delta = self._upstream(cache, upstream)
+        if self.output_activation == "scaled_tanh":
+            delta = delta * (1.0 - acts[-1] * acts[-1])
         zgrads[-1] = delta
         for i in range(len(self.weights) - 1, 0, -1):
             delta = self._through_layer(delta, i) * (acts[i] > 0.0)
@@ -339,7 +332,6 @@ class Mlp:
             "format": CHECKPOINT_FORMAT,
             "layer_sizes": list(self.layer_sizes),
             "output_activation": self.output_activation,
-            "bound": self.bound,
             "dtype": self.dtype.name,
             **{f"weight{i}": w.copy(order="F") for i, w in enumerate(self.weights)},
             **{f"bias{i}": b.copy() for i, b in enumerate(self.biases)},
@@ -355,7 +347,7 @@ class Mlp:
         net = cls.__new__(cls)
         sizes = read_field(state, "layer_sizes", what, None, list)
         head = read_field(state, "output_activation", what, None, str)
-        net._configure(sizes, head, read_field(state, "bound", what, (), np.float64), dtype, what)
+        net._configure(sizes, head, dtype, what)
         layers = list(enumerate(zip(net.layer_sizes, net.layer_sizes[1:])))
         net.weights = tuple(np.asfortranarray(read_field(state, f"weight{i}", what, (o, n), dtype))
                             for i, (n, o) in layers)

@@ -6,12 +6,13 @@ holds numbers. A checkpoint keeps one array per key (``weight0``, ``m0``,
 ...), so the rows of a group of such keys edit its first key, its "slots"
 row drops its last key, and its "extra" row adds the key after its last,
 which its writer would not write; a "short" ``layer_sizes`` leaves the
-last layer's keys over. A novelty checkpoint's rows edit a key of one of
-its prefixed parts, which the net or optimizer loader reads, and its
-"prefix" row adds a key of no part. Every case must raise ``ValueError``
-naming the loader and the key, and a failed novelty load must change
-nothing. A missing key is otherwise covered by each module's missing-key
-test.
+last layer's keys over, and a "stale" row adds a key an older format
+wrote. A novelty checkpoint's rows edit a key of one of its prefixed
+parts, which the net or optimizer loader reads, so the message names the
+part and then that loader and its key; its "prefix" row adds a key of no
+part. Every case must raise ``ValueError`` naming the loader and the key,
+and a failed novelty load must change nothing. A missing key is otherwise
+covered by each module's missing-key test.
 """
 
 import io
@@ -68,8 +69,9 @@ def slot_rows(loader, group, stem, last):
     ]
 
 
-def part_row(part, kind, key, bad, named):
-    """A case that edits ``key`` of the novelty checkpoint's part ``part``."""
+def part_row(part, kind, key, bad, loader):
+    """A case that edits ``key`` of the novelty checkpoint's part ``part``, which ``loader`` reads."""
+    named = (f"novelty checkpoint part {part!r}: {loader}", key)
     return row("novelty checkpoint", f"{part}/{key}", kind, bad, named, group=part)
 
 
@@ -106,9 +108,7 @@ CASES = [
     row("net checkpoint", "layer_sizes", "nan", [3, NAN, 1]),
     row("net checkpoint", "layer_sizes", "short", [3, 4], ("net checkpoint", "weight1")),
     row("net checkpoint", "output_activation", "type", 5),
-    row("net checkpoint", "bound", "type", "1.0"),
-    row("net checkpoint", "bound", "shape", [1.0]),
-    row("net checkpoint", "bound", "nan", NAN),
+    row("net checkpoint", "bound", "stale", 1.0),  # the tanh scale, which v2 stored
     *slot_rows("net checkpoint", "weights", "weight", 1),
     *slot_rows("net checkpoint", "biases", "bias", 1),
     # optimizer checkpoint
@@ -121,13 +121,13 @@ CASES = [
     *slot_rows("optimizer checkpoint", "m", "m", 1),
     *slot_rows("optimizer checkpoint", "v", "v", 1),
     # novelty checkpoint: each part's keys, prefixed, for the net or optimizer loader
-    *[part_row(part, "type", "format", 5, (loader, "format"))
+    *[part_row(part, "type", "format", 5, loader)
       for part, loader in (("target", "net checkpoint"), ("predictor", "net checkpoint"),
                            ("opt", "optimizer checkpoint"))],
-    part_row("target", "nan", "bias0", with_nan, ("net checkpoint", "bias0")),
-    part_row("predictor", "nan", "bias0", with_nan, ("net checkpoint", "bias0")),
-    part_row("opt", "nan", "m0", with_nan, ("optimizer checkpoint", "m0")),
-    part_row("opt", "extra", "m6", [0.0], ("optimizer checkpoint", "m6")),  # 3 layers, 6 slots
+    part_row("target", "nan", "bias0", with_nan, "net checkpoint"),
+    part_row("predictor", "nan", "bias0", with_nan, "net checkpoint"),
+    part_row("opt", "nan", "m0", with_nan, "optimizer checkpoint"),
+    part_row("opt", "extra", "m6", [0.0], "optimizer checkpoint"),  # 3 layers, 6 slots
     row("novelty checkpoint", "critic/format", "prefix", "x", group="critic"),
 ]
 

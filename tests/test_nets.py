@@ -96,7 +96,7 @@ def random_small_net(rng, out_act="identity"):
     n_hidden = int(rng.integers(1, 3))
     sizes = [int(rng.integers(2, 6))] + [int(rng.integers(2, 8)) for _ in range(n_hidden)]
     sizes.append(int(rng.integers(1, 4)))
-    net = Mlp(sizes, output_activation=out_act, bound=2.0, rng=rng, dtype=np.float64)
+    net = Mlp(sizes, output_activation=out_act, rng=rng, dtype=np.float64)
     # randomize everything (incl. biases) so no preactivation sits on a ReLU kink
     for i in range(len(net.weights)):
         net.weights[i][...] = rng.normal(0.0, 0.6, size=net.weights[i].shape)
@@ -154,16 +154,17 @@ class TestForward:
         rng = np.random.default_rng(3)
         net = Mlp([4, 8, 8, 1], head, rng=rng)
         cache = net.forward_cache(rng.normal(size=(5, 4)))
-        assert set(cache) == {"acts", "z_out", "squeeze"}
+        assert set(cache) == {"acts", "squeeze"}
         acts = cache["acts"]
         assert len(acts) == len(net.weights) + 1
-        # the identity head's output is its pre-activation; a hidden ReLU
-        # output is the pre-activation array rewritten in place, kept once
-        assert (cache["z_out"] is acts[-1]) == (head == "identity")
-        arrays = acts + [cache["z_out"]]
+        # every layer's output is its pre-activation array, rewritten in place
+        # by a hidden ReLU or the tanh head, and kept once
         for i in range(1, len(acts) - 1):
             assert np.all(acts[i] >= 0.0)
-            assert sum(np.shares_memory(acts[i], a) for a in arrays) == 1
+        for a in acts:
+            assert sum(np.shares_memory(a, b) for b in acts) == 1
+        z = acts[-2] @ net.weights[-1].T + net.biases[-1]
+        assert acts[-1].tobytes() == (np.tanh(z) if head == "scaled_tanh" else z).tobytes()
 
     @pytest.mark.parametrize("width", [4.5, "4", True, np.float64(4.0), 0])
     def test_layer_size_must_be_an_integer_count(self, width):
@@ -177,20 +178,12 @@ class TestForward:
 
     def test_scaled_tanh_within_bound(self):
         rng = np.random.default_rng(11)
-        net = Mlp([2, 8, 2], output_activation="scaled_tanh", bound=1.5, rng=rng)
+        net = Mlp([2, 8, 2], output_activation="scaled_tanh", rng=rng)
         net.weights[-1][...] = rng.normal(0.0, 5.0, size=net.weights[-1].shape)
         xs = rng.normal(scale=10.0, size=(200, 2))
         out = net.forward(xs)
-        assert np.all(np.abs(out) <= 1.5 + 1e-12)
-
-    @pytest.mark.parametrize("bound", [float("nan"), float("inf")])
-    def test_non_finite_bound_rejected(self, bound):
-        """A NaN bound makes every output NaN, and inf * tanh(0) is NaN too."""
-        with pytest.raises(ValueError, match="bound must be positive and finite"):
-            Mlp([2, 2], "scaled_tanh", bound=bound, rng=np.random.default_rng(0))
-        state = {**Mlp([2, 2], "scaled_tanh", rng=np.random.default_rng(0)).state_dict(), "bound": bound}
-        with pytest.raises(ValueError, match="'bound' holds a NaN or infinite value"):
-            Mlp.from_state_dict(state)
+        assert np.all(np.abs(out) <= 1.0)  # the action bound
+        assert np.max(np.abs(out)) > 0.99
 
 
 class TestGradParams:
@@ -266,7 +259,7 @@ class TestGradInput:
 
     def test_scaled_tanh_jacobian_finite_on_grid(self):
         rng = np.random.default_rng(9)
-        net = Mlp([2, 16, 16, 2], output_activation="scaled_tanh", bound=3.0, rng=rng)
+        net = Mlp([2, 16, 16, 2], output_activation="scaled_tanh", rng=rng)
         grid = np.stack(np.meshgrid(np.linspace(-8, 8, 17), np.linspace(-8, 8, 17)), axis=-1).reshape(-1, 2)
         jac = unit_vjp_jacobian(net, grid)
         norms = np.sqrt((jac**2).sum(axis=(1, 2)))
@@ -512,7 +505,6 @@ class TestCheckpoint:
         clone = Mlp.from_state_dict(state)
         assert type(clone.layer_sizes[0]) is int and clone.layer_sizes == net.layer_sizes
         assert clone.output_activation == net.output_activation
-        assert type(clone.bound) is float and clone.bound == net.bound
         assert clone.dtype == net.dtype
         assert_bit_identical(clone.params, net.params)
         assert npz_bytes(clone.state_dict()) == npz_bytes(state) == npz_bytes(net.state_dict())
@@ -548,6 +540,14 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="^net checkpoint 'format' must be one of"):
             Mlp.from_state_dict(v1)
 
+    @pytest.mark.parametrize("head", ["identity", "scaled_tanh"])
+    def test_v2_checkpoint_rejected(self, head):
+        """v2 also stored the tanh head's scale; v3 writes no 'bound' key."""
+        state = Mlp([3, 4, 1], head, rng=np.random.default_rng(0)).state_dict()
+        assert state["format"] == "mazehrl-net-v3" and "bound" not in state
+        with pytest.raises(ValueError, match="^net checkpoint 'format' must be one of"):
+            Mlp.from_state_dict({**state, "format": "mazehrl-net-v2", "bound": 1.0})
+
     def test_same_seed_same_net(self):
         a = Mlp([3, 8, 2], rng=np.random.default_rng(123))
         b = Mlp([3, 8, 2], rng=np.random.default_rng(123))
@@ -568,7 +568,7 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_roundtrip_keeps_dtype_bit_exact(self, dtype):
-        net = Mlp([3, 8, 2], "scaled_tanh", bound=1.5, rng=np.random.default_rng(4), dtype=dtype)
+        net = Mlp([3, 8, 2], "scaled_tanh", rng=np.random.default_rng(4), dtype=dtype)
         state = through_npz(net.state_dict())
         assert state["dtype"] == np.dtype(dtype).name and state["weight0"].dtype == dtype
         clone = Mlp.from_state_dict(state)
@@ -677,12 +677,20 @@ class TestRejectedUpdatesWriteNothing:
 # ---- loop references: a full reverse sweep per call, and double backprop layer by layer ----
 
 
+def reference_head(net, z):
+    """The output head at ``z`` and its derivative there: tanh for the scaled-tanh head."""
+    if net.output_activation == "identity":
+        return z, np.ones_like(z)
+    t = np.tanh(z)
+    return t, 1.0 - t * t
+
+
 def reference_forward_cache(net, x):
     acts, zs = [x], []
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         z = acts[-1] @ w.T + b
         zs.append(z)
-        acts.append(np.maximum(z, 0.0) if i < len(net.weights) - 1 else net._head(z))
+        acts.append(np.maximum(z, 0.0) if i < len(net.weights) - 1 else reference_head(net, z)[0])
     return {"acts": acts, "zs": zs, "squeeze": False}
 
 
@@ -691,7 +699,7 @@ def reference_backward(net, cache, u):
     acts, zs = cache["acts"], cache["zs"]
     grads = [None] * (2 * len(net.weights))
     zgrads = [None] * len(net.weights)
-    delta = u * net._head_deriv(zs[-1])
+    delta = u * reference_head(net, zs[-1])[1]
     for i in range(len(net.weights) - 1, -1, -1):
         zgrads[i] = delta
         grads[2 * i] = delta.T @ acts[i]
@@ -781,7 +789,7 @@ class TestSharedUnitSweep:
         cache = net.forward_cache(x)
         ref = reference_forward_cache(net, x)
         assert net.forward(x).tobytes() == ref["acts"][-1].tobytes()
-        assert_bit_identical(cache["acts"] + [cache["z_out"]], ref["acts"] + ref["zs"][-1:])
+        assert_bit_identical(cache["acts"], ref["acts"])
 
         td = net.grad_params_cached(cache, u)
         g, zgrads = net.input_grad_scalar(cache)
@@ -847,7 +855,7 @@ class TestSharedUnitSweep:
     )
     def test_other_heads_keep_their_sweep(self, sizes, head):
         rng = np.random.default_rng(6)
-        net = Mlp(sizes, output_activation=head, bound=1.5, rng=rng, dtype=np.float64)
+        net = Mlp(sizes, output_activation=head, rng=rng, dtype=np.float64)
         for w in net.weights:
             w[...] = rng.normal(0.0, 0.8, size=w.shape)
         x, u = rng.normal(size=(7, sizes[0])), rng.normal(size=(7, sizes[-1]))
@@ -892,7 +900,7 @@ class TestDtype:
         cache = critic.forward_cache(x)
         g, zgrads = critic.input_grad_scalar(cache)
         arrays = [
-            critic.forward(x), *cache["acts"], cache["z_out"], g, *zgrads,
+            critic.forward(x), *cache["acts"], g, *zgrads,
             *critic.grad_params_cached(cache, rng.normal(size=(6, 1))),
             *critic.double_backprop(cache, zgrads, rng.normal(size=(6, 5))),
             *actor.grad_params_cached(actor.forward_cache(x[:, :4]), rng.normal(size=(6, 2))),
@@ -1016,6 +1024,17 @@ def listed(state, **groups):
     return out
 
 
+def net_v1(state):
+    """A net ``state`` listed as v1 wrote it: the layers as lists, and the tanh scale
+    1.0, which v1 and v2 stored as 'bound' after the head, where v3 stores nothing."""
+    out = {}
+    for key, value in listed(state, weights="weight", biases="bias").items():
+        out[key] = value
+        if key == "output_activation":
+            out["bound"] = 1.0
+    return {**out, "format": "mazehrl-net-v1"}
+
+
 def assert_column_major(arrays):
     for a in arrays:
         assert a.flags.f_contiguous
@@ -1094,22 +1113,22 @@ class TestColumnMajorWeights:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_checkpoint_json_is_unchanged(self, dtype):
-        """Listed as v1 did, the arrays of a v2 checkpoint give the pinned JSON."""
+        """Listed as v1 did, the arrays of a v3 checkpoint give the pinned JSON."""
         net = Mlp([8, 16, 16, 1], rng=np.random.default_rng(0), dtype=dtype)
-        v1 = {**listed(net.state_dict(), weights="weight", biases="bias"), "format": "mazehrl-net-v1"}
+        v1 = net_v1(net.state_dict())
         assert hashlib.sha256(json.dumps(v1).encode()).hexdigest() == ROW_MAJOR_JSON_SHA256[dtype]
 
     def test_row_major_checkpoint_loads_column_major(self):
         """The arrays of a row-major-era checkpoint load column-major and are written back equal."""
-        net_v1, adam_v2 = json.loads(ROW_MAJOR_NET), json.loads(ROW_MAJOR_ADAM)
-        net = Mlp.from_state_dict({**numbered(net_v1, weights="weight", biases="bias"),
-                                   "format": "mazehrl-net-v2"})
+        net_json, adam_v2 = json.loads(ROW_MAJOR_NET), json.loads(ROW_MAJOR_ADAM)
+        v3 = {**numbered(net_json, weights="weight", biases="bias"), "format": "mazehrl-net-v3"}
+        del v3["bound"]
+        net = Mlp.from_state_dict(v3)
         adam_v3 = {**numbered(adam_v2, m="m", v="v"), "format": "mazehrl-adam-v3"}
         opt = Adam.from_state_dict(adam_v3, net.params)
         assert_column_major(net.weights + tuple(opt.m[::2]) + tuple(opt.v[::2]))
-        np.testing.assert_array_equal(net.weights[0], np.array(net_v1["weights"][0], dtype=np.float32))
+        np.testing.assert_array_equal(net.weights[0], np.array(net_json["weights"][0], dtype=np.float32))
         net_state, opt_state = net.state_dict(), opt.state_dict()
         assert_column_major([net_state["weight0"], opt_state["m0"], opt_state["v0"]])
-        net_listed = {**listed(net_state, weights="weight", biases="bias"), "format": "mazehrl-net-v1"}
-        assert json.dumps(net_listed) == ROW_MAJOR_NET
+        assert json.dumps(net_v1(net_state)) == ROW_MAJOR_NET
         assert json.dumps({**listed(opt_state, m="m", v="v"), "format": "mazehrl-adam-v2"}) == ROW_MAJOR_ADAM

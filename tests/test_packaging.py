@@ -12,6 +12,8 @@ tomllib = pytest.importorskip("tomllib")
 
 ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
+WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
+NAME = r"[A-Za-z0-9_.-]+"
 
 
 def test_console_script_targets_import():
@@ -20,6 +22,25 @@ def test_console_script_targets_import():
     for name, target in scripts.items():
         module, _, attr = target.partition(":")
         assert callable(getattr(importlib.import_module(module), attr)), f"{name} = {target!r}"
+
+
+def test_test_extra_pins_what_ci_installs():
+    """The ``test`` extra pins each tool to the version CI's install step pins, and CI
+    pins nothing else but the runtime dependencies: tests run with warnings as errors,
+    so a tool upgrade can fail them with no code change."""
+    with open(PYPROJECT, "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    extra = {}
+    for req in project["optional-dependencies"]["test"]:
+        pin = re.fullmatch(rf"({NAME})==(\S+)", req)
+        assert pin, f"test extra {req!r} is not an == pin"
+        extra[pin[1]] = pin[2]
+    install = re.search(r"- name: Install\n\s+run: (.*)", WORKFLOW.read_text())
+    assert install, f"no Install step in {WORKFLOW.name}"
+    ci = dict(re.findall(rf'"({NAME})==([^"]+)"', install[1]))
+    runtime = {re.match(NAME, d).group() for d in project["dependencies"]}
+    assert {k: ci.get(k) for k in extra} == extra
+    assert set(ci) - set(extra) <= runtime
 
 
 def test_package_imports_only_declared_dependencies():
@@ -54,7 +75,6 @@ PUBLIC_KNOBS = {
     ("envs", "reset_state", "evaluate"),
     ("envs", "PointMazeEnv.reset", "evaluate"),
     ("nets", "Mlp.__init__", "output_activation"),
-    ("nets", "Mlp.__init__", "bound"),
     ("nets", "Mlp.__init__", "dtype"),
     ("replay", "sample_pool", "alpha"),
 }

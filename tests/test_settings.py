@@ -8,7 +8,6 @@ setting's name. A ``MazeSpec`` keeps the values its checks return, so a
 spec built from numpy scalars writes JSON that loads back equal.
 """
 
-import io
 import json
 import re
 from dataclasses import replace
@@ -18,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mazehrl.agent import critic_update
 from mazehrl.envs import MazeSpec, Rect, embossed, phi, spec_from_dict, spec_to_dict, success, umaze12
 from mazehrl.graphplan import LandmarkSet, build_graph, pseudo_landmark
 from mazehrl.nets import Adam, Mlp, polyak_update
@@ -52,6 +52,15 @@ def stored_buffer():
     return buf
 
 
+def critic_step(radius):
+    """One ``critic_update`` of tiny nets on a one-transition batch."""
+    rng = np.random.default_rng(0)
+    critics = [Mlp([8, 4, 1], rng=rng) for _ in range(2)]
+    batch = {k: np.zeros((1, d)) for k, d in (("s", 4), ("sg", 2), ("a", 2), ("s_next", 4), ("sg_next", 2))}
+    critic_update(critics, [q.copy() for q in critics], [Adam(q.params, lr=1e-3) for q in critics],
+                  Mlp([6, 4, 2], "scaled_tanh", rng=rng), batch, rng, radius)
+
+
 def rect(key, value):
     return Rect(**{"x0": -1.0, "y0": -1.0, "x1": 1.0, "y1": 1.0, key: value})
 
@@ -59,12 +68,9 @@ def rect(key, value):
 # (message prefix, a call that sets the setting to v, the values outside its interval besides NaN)
 SETTINGS = {
     "adam lr": ("lr", lambda v: Adam([np.zeros(2)], lr=v), [INF, -INF, 0.0]),
-    "identity bound": ("Mlp bound", lambda v: Mlp([2, 2], bound=v, rng=np.random.default_rng(0)),
-                       [INF, -INF, 0.0]),
-    "scaled_tanh bound": ("Mlp bound", lambda v: Mlp([2, 2], "scaled_tanh", v, rng=np.random.default_rng(0)),
-                          [INF, -INF, -1.0]),
     "success_radius": ("success_radius", lambda v: replace(umaze12(), success_radius=v), [INF, -INF, 0.0]),
     "radius": ("radius", lambda v: success([0.0, 0.0], [0.0, 0.0], v), [INF, -INF, -0.5]),
+    "critic_update radius": ("radius", critic_step, [INF, -INF, 0.0]),
     "alpha": ("alpha", lambda v: hr_weights([0.0, 1.0], [1, 1], v), [INF, -INF, 0.0]),
     "pool alpha": ("alpha", lambda v: sample_pool(stored_buffer(), "hr", 3, np.random.default_rng(0), v),
                    [INF, -INF, 0.0]),
@@ -132,18 +138,6 @@ def test_hr_cache_does_not_skip_the_alpha_check():
     buf = stored_buffer()
     sample_pool(buf, "hr", 3, np.random.default_rng(0), np.float32(0.5))
     assert type(buf._weighted) is float  # the checked value is what the cache holds
-
-
-def test_identity_head_nan_bound_never_reaches_a_checkpoint():
-    with pytest.raises(ValueError, match="^Mlp bound must be positive and finite"):
-        Mlp([3, 1], bound=NAN, rng=np.random.default_rng(0))
-    net = Mlp([3, 1], bound=np.float32(2.0), rng=np.random.default_rng(0))
-    assert type(net.bound) is float
-    buf = io.BytesIO()
-    np.savez(buf, **net.state_dict())
-    buf.seek(0)
-    with np.load(buf, allow_pickle=False) as f:
-        assert Mlp.from_state_dict(dict(f)).bound == 2.0
 
 
 def test_spec_name_must_be_a_string():
