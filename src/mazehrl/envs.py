@@ -161,10 +161,10 @@ def sample_free_point(spec, region, rng):
     raise RuntimeError("could not sample a free point; region may be walled off")
 
 
-def reset_state(spec: MazeSpec, rng, evaluate=False) -> EnvState:
+def reset_state(spec: MazeSpec, rng) -> EnvState:
     """Fresh episode state: start-sampled position, zero velocity, sampled goal."""
     pos = sample_free_point(spec, spec.start, rng)
-    goal = sample_free_point(spec, spec.eval_goal if evaluate else spec.goal, rng)
+    goal = sample_free_point(spec, spec.goal, rng)
     return EnvState(position=pos, velocity=np.zeros(2), t=0, goal=goal)
 
 
@@ -232,8 +232,8 @@ class PointMazeEnv:
         self.state = None
         self.clamp_warnings = 0
 
-    def reset(self, evaluate=False) -> EnvState:
-        self.state = reset_state(self.spec, self.rng, evaluate=evaluate)
+    def reset(self) -> EnvState:
+        self.state = reset_state(self.spec, self.rng)
         return self.state
 
     def step(self, action):

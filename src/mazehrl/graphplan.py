@@ -5,19 +5,18 @@ high-return-weighted) state pool; novelty landmarks from RND scores over
 a recent-state window. Graph edges carry negated low-level Q-values as
 distance estimates; planning returns the first hop of a shortest path
 toward the goal (``plan_subgoal``) or the whole path (``plan_path``). A
-built graph is a pure function of its inputs and is read-only. Node 0,
-the state, has no in-edges, so every path from it is one state-row edge
-``w(0, j)`` followed by a path from ``j`` to the goal among the
-landmarks. Everything but the state row, the goal side, is
-kept on the ``LandmarkSet`` in one cache entry
-(``LandmarkSet._goal_side``): the weights out of the landmarks (to every
-other landmark and to the goal) and, over their cut, the shortest
-distance ``D[j]`` from each landmark and the goal to the goal. A warm
-decision scores only the edges out of the current state and takes one
-argmin over ``w(0, j) + D[j]``. ``D`` sums each path goal-outward,
-``w(u, v1) + (w(v1, v2) + (... + 0))``. The cached block and the state
-row are each always scored in one batch of their own shape, so a graph
-built from the cache equals a cold build byte for byte.
+built graph is read-only. Node 0, the state, has no in-edges, so every
+path from it is one state-row edge ``w(0, j)`` followed by a path from
+``j`` to the goal among the landmarks. Everything but the state row, the
+goal side, is kept on the ``LandmarkSet`` (``LandmarkSet._goal_side``):
+the weights out of the landmarks (to every other landmark and to the goal)
+and, over their cut, the shortest distance ``D[j]`` from each landmark and
+the goal to the goal. A warm decision scores only the edges out of the
+current state and takes one argmin over ``w(0, j) + D[j]``. ``D`` sums
+each path goal-outward, ``w(u, v1) + (w(v1, v2) + (... + 0))``. The block
+and the state row are each always scored in one batch of their own shape,
+so with no param written between them a warm build equals a cold build
+byte for byte.
 
 Every tie in planning is broken by one rule, where it occurs
 (``_lowest``): among exactly equal values the lexicographically lowest
@@ -31,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._checks import FINITE, NONNEGATIVE, check_count, check_real
-from .nets import Adam, Mlp, param_epoch
+from .nets import Adam, Mlp
 
 NOVELTY_HIDDEN = (64, 64)
 NOVELTY_OUT_DIM = 16
@@ -200,7 +199,11 @@ class LandmarkSet:
     The coverage states come first, then the novelty states; a state whose
     goal point exactly equals an earlier one is dropped (``dedup_points``).
     ``points`` and ``states`` are read-only, because ``build_graph`` caches
-    on it the planner's goal side, which depends on them (``_goal_side``).
+    on the set the planner's goal side (``_goal_side``), which depends on
+    them. The goal side is scored on the nets as they are at the first build
+    for its key and kept while the key holds: later writes to those nets'
+    params do not reach it, while the state row is always scored on the nets
+    as passed. For a goal side on newer nets, build a new ``LandmarkSet``.
     """
 
     def __init__(self, coverage_states, novelty_states, goal_map):
@@ -230,14 +233,11 @@ class LandmarkSet:
         landmark (column j < L) and the goal (column L); the diagonal is inf
         (no self-loops). ``D`` is ``distances_to`` the goal from each
         landmark and the goal over the cut block. The L * L finite-candidate
-        pairs are scored in one batch, and all of it is kept for the last
-        key ``(critic, actor, goal_map, eta, nets.param_epoch(), goal bytes,
-        cutoff)``: the objects by identity, ``eta`` by value, the epoch,
-        which every ``Adam.step`` and ``polyak_update`` raises, and the goal
-        and ``cutoff`` by value. Any change of key re-scores the whole
-        block; parameters written any other way leave it stale.
+        pairs are scored in one batch, and all of it is kept for the last key
+        ``(critic, actor, goal_map, eta, goal bytes, cutoff)``, the nets by
+        identity and the rest by value; a new key re-scores the whole block.
         """
-        key = (critic, actor, goal_map, eta, param_epoch(), goal_point.tobytes(), cutoff)
+        key = (critic, actor, goal_map, eta, goal_point.tobytes(), cutoff)
         if self._key != key:
             n = len(self)
             targets = np.vstack([self.points, goal_point])
@@ -310,10 +310,9 @@ class LandmarkGraph:
 def build_graph(state, goal_point, landmarks: LandmarkSet, critic, actor, goal_map, eta, cutoff):
     """Assemble the planning graph for one high-level decision (module docstring).
 
-    The goal side is kept on ``landmarks`` (``LandmarkSet._goal_side``
-    gives its key); each decision scores only the L + 1 pairs from the
-    state to every other node, in a batch of their own, and hands the
-    cached ``D`` to the graph. ``eta`` is finite, ``cutoff`` >= 0.
+    Each decision scores only the L + 1 state-row pairs, in a batch of their
+    own; the goal side and its ``D`` come from ``landmarks`` (``LandmarkSet``
+    says how long they are kept). ``eta`` is finite, ``cutoff`` >= 0.
     """
     eta, cutoff = check_real(eta, "eta", FINITE), check_real(cutoff, "cutoff", NONNEGATIVE)
     state = np.asarray(state, dtype=np.float64)

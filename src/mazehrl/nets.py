@@ -34,9 +34,6 @@ is a flat view. A checkpoint keeps each weight's order.
 
 Nets are immutable during inference; parameter updates go through the
 optimizer (``Adam.step``) or ``polyak_update`` on the training thread only.
-Both bump ``param_epoch()`` before their first in-place write, and caches of
-net outputs (``graphplan.LandmarkSet._goal_side``) rely on that: a
-parameter written any other way leaves such a cache stale.
 
 Reverse-mode calls read a forward cache (``Mlp.forward_cache``), which keeps
 every layer's output: a hidden ReLU mask is read as ``a > 0``, the same bits
@@ -58,28 +55,12 @@ import numpy as np
 
 from ._checks import POSITIVE, UNIT, check_count, check_keys, check_real, read_field
 
-__all__ = ["Mlp", "Adam", "polyak_update", "param_epoch"]
+__all__ = ["Mlp", "Adam", "polyak_update"]
 
 CHECKPOINT_FORMAT = "mazehrl-net-v3"  # a v2 dict (with the tanh scale) and a v1 are rejected
 ADAM_FORMAT = "mazehrl-adam-v3"  # so is a v2 dict, which lists the moments
 MOMENT_FLUSH_EVERY = 32  # Adam steps between flushes of subnormal moments to zero
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's fixed decay rates and epsilon
-
-_param_epoch = 0  # in-place parameter writes so far, process-wide
-
-
-def param_epoch():
-    """Count of ``Adam.step`` and ``polyak_update`` calls that wrote parameters.
-
-    Any in-place write to any net's parameters through those two raises it,
-    so an output cached with an equal epoch is still current.
-    """
-    return _param_epoch
-
-
-def _bump_param_epoch():
-    global _param_epoch
-    _param_epoch += 1
 
 
 def _check_slots(values, what, *dests):
@@ -386,11 +367,11 @@ class Adam:
 
         Every slot is checked before anything is written. A length or shape
         mismatch raises ``ValueError`` and a non-finite gradient raises
-        ``FloatingPointError``; either way the params, the moments,
-        ``step_count`` and ``param_epoch()`` stay as they were.
+        ``FloatingPointError``; either way the params, the moments and
+        ``step_count`` stay as they were. A goal side already scored on these
+        params keeps its values (``graphplan.LandmarkSet``).
         """
         _check_slots(grads, "gradient", params, self.m)
-        _bump_param_epoch()
         self.step_count += 1
         b1c = 1.0 - ADAM_BETA1**self.step_count
         b2c = 1.0 - ADAM_BETA2**self.step_count
@@ -440,12 +421,12 @@ def polyak_update(target_params, online_params, tau):
 
     Every slot is checked before anything is written: a bad ``tau`` or a
     length or shape mismatch raises ``ValueError``, a non-finite online
-    parameter ``FloatingPointError``, and the targets and ``param_epoch()``
-    stay as they were.
+    parameter ``FloatingPointError``, and the targets stay as they were. A
+    goal side already scored on the targets keeps its values
+    (``graphplan.LandmarkSet``).
     """
     tau = check_real(tau, "tau", UNIT)
     _check_slots(online_params, "online parameter", target_params)
-    _bump_param_epoch()
     for t, o in zip(target_params, online_params):
         t *= 1.0 - tau
         t += tau * o

@@ -51,23 +51,6 @@ class TestReset:
         np.testing.assert_array_equal(state.velocity, [0.0, 0.0])
         assert state.t == 0
 
-    def test_umaze_eval_goal_top_left(self):
-        state = reset_state(umaze12(), np.random.default_rng(0), evaluate=True)
-        np.testing.assert_allclose(state.goal, [-4.5, 4.5])
-
-    @pytest.mark.parametrize("name", sorted(MAZE_BUILDERS))
-    def test_eval_reset_draws_nothing(self, name):
-        """Every built-in start and eval goal is a point: an eval reset leaves the rng as it
-        was and hands out the eval goal as a float64 array of its own."""
-        spec = make_maze(name)
-        rng = np.random.default_rng(0)
-        before = rng.bit_generator.state
-        state = reset_state(spec, rng, evaluate=True)
-        assert rng.bit_generator.state == before
-        assert state.goal.dtype == np.float64 and tuple(state.goal) == spec.eval_goal
-        state.goal += 1.0
-        assert spec.eval_goal == make_maze(name).eval_goal
-
     def test_same_seed_identical(self):
         a = reset_state(umaze12(), np.random.default_rng(5))
         b = reset_state(umaze12(), np.random.default_rng(5))

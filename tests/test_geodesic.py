@@ -22,7 +22,7 @@ import math
 import numpy as np
 import pytest
 
-from mazehrl.envs import ACCEL_SCALE, DAMPING, make_maze, phi, reset_state, step_state
+from mazehrl.envs import ACCEL_SCALE, DAMPING, EnvState, make_maze, phi, step_state
 from mazehrl.graphplan import LandmarkSet, build_graph, distances_to, edge_weights, plan_path, plan_subgoal
 
 CELL = {"UMaze12": 0.25, "UMaze24": 0.25, "EmbossedMaze": 0.2}  # wall faces fall on cell edges
@@ -166,7 +166,7 @@ def test_field_goes_around_the_wall(name):
 def follow(spec, f):
     """Run one evaluation episode with a controller that steers toward the point three
     field-descent moves ahead; returns (reached, steps)."""
-    state = reset_state(spec, np.random.default_rng(0), evaluate=True)
+    state = EnvState(np.array(spec.start), np.zeros(2), 0, np.array(spec.eval_goal))
     for _ in range(spec.max_episode_steps):
         pos = state.position
         cell = f.entry(pos)[1]

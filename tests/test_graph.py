@@ -26,7 +26,7 @@ from mazehrl.graphplan import (
     pseudo_landmark,
     select_novel,
 )
-from mazehrl.nets import Adam, Mlp, param_epoch, polyak_update
+from mazehrl.nets import Adam, Mlp, polyak_update
 
 
 def npz_bytes(state):
@@ -263,17 +263,16 @@ class TestNovelty:
 
     def test_train_on_an_empty_batch_writes_nothing(self):
         """``recent_states(0)`` on a stored buffer gives such a batch; a step on it would
-        be a NaN loss that still moves the step count and the epoch."""
+        be a NaN loss that still moves the step count."""
         rng = np.random.default_rng(10)
         scorer = NoveltyScorer(4, rng)
         scorer.train(rng.normal(size=(8, 4)))
         params = [p.copy() for p in scorer.predictor.params]
-        epoch = param_epoch()
         for empty in (np.zeros((0, 4)), np.zeros((0, 0))):
             with pytest.raises(ValueError, match="^train needs at least one state"):
                 scorer.train(empty)
         assert all(p.tobytes() == q.tobytes() for p, q in zip(scorer.predictor.params, params))
-        assert scorer.opt.step_count == 1 and param_epoch() == epoch
+        assert scorer.opt.step_count == 1
 
 
 def count_forwards(scorer):
@@ -826,8 +825,10 @@ class TestMatchesLoopReference:
 class TwinCritic:
     def __init__(self, q1, q2):
         self.q1, self.q2 = q1, q2
+        self.rows = 0
 
     def min_q(self, x):
+        self.rows += len(x)
         return np.minimum(self.q1.forward(x)[:, 0], self.q2.forward(x)[:, 0])
 
 
@@ -889,21 +890,15 @@ class TestCachedLandmarkBlock:
 
     @pytest.mark.parametrize("n_lm", [0, 1, 29])
     def test_warm_build_equals_cold_build(self, n_lm):
+        """With no param written between them, a build on a used set equals one on a new
+        set byte for byte, through new nets, a new eta and a new goal."""
         rng = np.random.default_rng(21 + n_lm)
         cov, nov = landmark_inputs(rng, n_lm)
         landmarks = LandmarkSet(cov, nov, phi)
         assert len(landmarks) == n_lm
         actor = Mlp([6, 16, 16, 2], "scaled_tanh", rng=rng)
-        q1, q2 = spread_critic(rng), spread_critic(rng)
-        target = q2.copy()
-        opt = Adam(q1.params, lr=1e-2)
-        nets = {"critic": TwinCritic(q1, q2), "actor": actor, "eta": 1.0}
-
-        def adam_step():
-            opt.step(q1.params, [rng.normal(size=p.shape) for p in q1.params])
-
-        def polyak():
-            polyak_update(q2.params, target.params, 0.5)
+        q2 = spread_critic(rng)
+        nets = {"critic": TwinCritic(spread_critic(rng), q2), "actor": actor, "eta": 1.0}
 
         def new_critic():
             nets["critic"] = TwinCritic(spread_critic(rng), q2)
@@ -918,7 +913,7 @@ class TestCachedLandmarkBlock:
             nets["goal"] = rng.uniform(-5, 5, 2)
 
         new_goal()
-        for change in (None, adam_step, polyak, new_critic, new_actor, new_eta, new_goal):
+        for change in (None, new_critic, new_actor, new_eta, new_goal):
             if change is not None:
                 change()
             goal = nets["goal"]
@@ -949,27 +944,60 @@ class TestCachedLandmarkBlock:
         if n_lm == 29:
             assert 0 < kept < 10 * 30 * 30  # the cutoff keeps some edges and drops others
 
+    @pytest.mark.parametrize("write", ["adam", "polyak", "novelty"])
+    @pytest.mark.parametrize("n_lm", [1, 29])
+    def test_param_write_keeps_the_goal_side(self, n_lm, write):
+        """After a param write, a build on the same set and key scores only the state row,
+        on the nets as passed, and keeps the block and ``D`` of the first build (not those a
+        new set scores on the written nets)."""
+        rng = np.random.default_rng(91 + n_lm)
+        cov, nov = landmark_inputs(rng, n_lm)
+        landmarks = LandmarkSet(cov, nov, phi)
+        q1, q2 = spread_critic(rng), spread_critic(rng)
+        critic = TwinCritic(q1, q2)
+        args = (critic, Mlp([6, 16, 16, 2], "scaled_tanh", rng=rng), phi, 1.0, self.CUTOFF)
+        goal = rng.uniform(-5, 5, 2)
+        first = build_graph(random_states(rng, 1)[0], goal, landmarks, *args)
+        if write == "adam":
+            Adam(q2.params, lr=1e-2).step(q2.params, [rng.normal(size=p.shape) for p in q2.params])
+        elif write == "polyak":
+            polyak_update(q2.params, spread_critic(rng).params, 0.5)
+        else:
+            NoveltyScorer(4, rng).train(random_states(rng, 8))
+        state, critic.rows = random_states(rng, 1)[0], 0
+        warm = build_graph(state, goal, landmarks, *args)
+        assert critic.rows == n_lm + 1
+        cold = build_graph(state, goal, LandmarkSet(cov, nov, phi), *args)
+        assert warm.w_raw[1:-1, 1:].tobytes() == first.w_raw[1:-1, 1:].tobytes()
+        assert warm._goal_plan().tobytes() == first._goal_plan().tobytes()
+        assert warm.w_raw[0].tobytes() == cold.w_raw[0].tobytes()
+        if write != "novelty" and n_lm > 1:  # the write moved the scores the set keeps
+            assert warm.w_raw[1:-1, 1:].tobytes() != cold.w_raw[1:-1, 1:].tobytes()
+
     @pytest.mark.parametrize("n_lm", [0, 1, 2, 29])
     def test_rows_scored_per_decision(self, n_lm):
         rng = np.random.default_rng(41 + n_lm)
-        landmarks = LandmarkSet(*landmark_inputs(rng, n_lm), phi)
-        critic, actor = RowCountingCritic(-1.0), StubActor()
+        cov, nov = landmark_inputs(rng, n_lm)
+        landmarks = LandmarkSet(cov, nov, phi)
+        counter, stub = RowCountingCritic(-1.0), StubActor()
         # the state row; the block is every landmark to the other landmarks and the goal
         per_decision, block = n_lm + 1, n_lm * n_lm
 
-        def rows(goal):
+        def rows(goal, lms=landmarks, critic=counter, actor=stub, eta=1.0, cutoff=self.CUTOFF):
             critic.rows = 0
-            build_graph(random_states(rng, 1)[0], goal, landmarks, critic, actor, phi, 1.0,
-                        self.CUTOFF)
+            build_graph(random_states(rng, 1)[0], goal, lms, critic, actor, phi, eta, cutoff)
             return critic.rows
 
         goal, other = np.zeros(2), np.ones(2)
         assert [rows(goal) for _ in range(3)] == [per_decision + block] + [per_decision] * 2
-        polyak_update([np.zeros(1)], [np.zeros(1)], 0.5)  # any parameter write invalidates it
-        assert [rows(goal), rows(goal)] == [per_decision + block, per_decision]
         assert [rows(other), rows(other)] == [per_decision + block, per_decision]  # a new goal
         assert rows(other.copy()) == per_decision  # the goal is keyed by value
-        assert rows(goal) == per_decision + block
+        assert rows(goal) == per_decision + block  # only the last key is kept
+        assert [rows(goal, cutoff=2.0), rows(goal, eta=0.5)] == [per_decision + block] * 2
+        new_critic = RowCountingCritic(-1.0)
+        assert rows(goal, critic=new_critic) == per_decision + block
+        assert rows(goal, critic=new_critic, actor=StubActor()) == per_decision + block  # a new actor
+        assert rows(goal, LandmarkSet(cov, nov, phi)) == per_decision + block
 
     def test_landmark_arrays_are_read_only(self):
         rng = np.random.default_rng(51)
@@ -1001,6 +1029,8 @@ class TestCachedGoalDistances:
         return TwinCritic(spread_critic(rng), spread_critic(rng)), Mlp([6, 16, 16, 2], "scaled_tanh", rng=rng)
 
     def test_recomputed_on_new_cutoff_goal_or_epoch(self, monkeypatch):
+        """``D`` is computed once per key: again on a new cutoff or goal, not after a param
+        write."""
         rng = np.random.default_rng(61)
         landmarks = LandmarkSet(*landmark_inputs(rng, 12), phi)
         critic, actor = self.nets(rng)
@@ -1017,8 +1047,8 @@ class TestCachedGoalDistances:
         assert [computed(goal, 5.0), computed(goal, 5.0)] == [1, 0]
         assert [computed(goal, 3.0), computed(goal, 3.0)] == [1, 0]  # a new cutoff
         assert [computed(other, 3.0), computed(other.copy(), 3.0)] == [1, 0]  # a new goal, by value
-        polyak_update([np.zeros(1)], [np.zeros(1)], 0.5)  # any parameter write
-        assert [computed(other, 3.0), computed(other, 3.0)] == [1, 0]
+        polyak_update(critic.q1.params, critic.q2.params, 0.5)  # a write to the critic's params
+        assert computed(other, 3.0) == 0
         assert computed(other, 5.0) == 1  # back to an earlier cutoff: only the last is kept
 
     @pytest.mark.parametrize("n_lm", [0, 1, 29])
@@ -1054,7 +1084,8 @@ class TestCachedGoalDistances:
 
 
 class TestGoalSideKey:
-    """One goal-side entry per landmark set, re-scored on a new goal, cutoff or epoch."""
+    """One goal-side entry per landmark set, re-scored on a new goal or cutoff and kept
+    through param writes."""
 
     GOALS = ((1.0, -2.0), (-3.0, 4.0))
     CUTOFFS = (5.0, 2.0, np.inf)
@@ -1064,7 +1095,7 @@ class TestGoalSideKey:
         ops=st.lists(
             st.tuples(st.just("goal"), st.integers(0, 1))
             | st.tuples(st.just("cutoff"), st.integers(0, 2))
-            | st.tuples(st.sampled_from(["same_goal", "polyak", "none"]), st.just(0)),
+            | st.tuples(st.sampled_from(["same_goal", "adam", "polyak", "none"]), st.just(0)),
             max_size=12,
         ),
         seed=st.integers(0, 2**32 - 1),
@@ -1075,12 +1106,12 @@ class TestGoalSideKey:
         landmarks, counted = LandmarkSet(cov, nov, phi), LandmarkSet(cov, nov, phi)
         n_lm = len(landmarks)
         q1, q2 = spread_critic(rng), spread_critic(rng)
-        target = q2.copy()
+        target, opt = q2.copy(), Adam(q2.params, lr=1e-2)
         critic, actor = TwinCritic(q1, q2), Mlp([6, 16, 16, 2], "scaled_tanh", rng=rng)
         counter, stub_actor = RowCountingCritic(-1.0), StubActor()
         goal, cutoff = np.array(self.GOALS[0]), self.CUTOFFS[0]
         last = None  # (goal bytes, cutoff) of the previous build
-        polyak_since = False
+        kept, written = None, False  # the goal side last scored; whether a write followed it
         for op, arg in [("none", 0)] + ops:
             if op == "goal":
                 goal = np.array(self.GOALS[arg])
@@ -1088,19 +1119,26 @@ class TestGoalSideKey:
                 goal = goal.copy()
             elif op == "cutoff":
                 cutoff = self.CUTOFFS[arg]
+            elif op == "adam":
+                opt.step(q2.params, [rng.normal(size=p.shape) for p in q2.params])
             elif op == "polyak":
                 polyak_update(q2.params, target.params, 0.5)
-                polyak_since = True
+            written |= op in ("adam", "polyak")
             state = random_states(rng, 1)[0]
             rest = (critic, actor, phi, 1.0, cutoff)
             warm = build_graph(state, goal, landmarks, *rest)
             cold = build_graph(state, goal, LandmarkSet(cov, nov, phi), *rest)
-            assert graph_bytes(warm) == graph_bytes(cold)
-            assert plan_subgoal(warm).tobytes() == plan_subgoal(cold).tobytes()
-            assert warm._goal_plan().tobytes() == cold._goal_plan().tobytes()
+            rescored = last != (goal.tobytes(), cutoff)
+            if rescored:
+                kept, written = (warm.w_raw[1:-1, 1:].tobytes(), warm._goal_plan().tobytes()), False
+            assert (warm.w_raw[1:-1, 1:].tobytes(), warm._goal_plan().tobytes()) == kept
+            assert warm.w_raw[0].tobytes() == cold.w_raw[0].tobytes()
+            if not written:
+                assert graph_bytes(warm) == graph_bytes(cold)
+                assert plan_subgoal(warm).tobytes() == plan_subgoal(cold).tobytes()
+                assert warm._goal_plan().tobytes() == cold._goal_plan().tobytes()
 
             counter.rows = 0
             build_graph(state, goal, counted, counter, stub_actor, phi, 1.0, cutoff)
-            rescored = polyak_since or last != (goal.tobytes(), cutoff)
             assert counter.rows == n_lm + 1 + (n_lm * n_lm if rescored else 0)
-            last, polyak_since = (goal.tobytes(), cutoff), False
+            last = (goal.tobytes(), cutoff)

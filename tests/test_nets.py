@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mazehrl
-from mazehrl.nets import Adam, Mlp, param_epoch, polyak_update
+from mazehrl.nets import Adam, Mlp, polyak_update
 
 
 def flat_view(a):
@@ -358,16 +358,6 @@ class TestAdam:
         with pytest.raises(FloatingPointError):
             opt.step(p, [np.array([1.0, np.nan])])
 
-    def test_param_epoch_advances_only_on_a_written_step(self):
-        p = [np.zeros(2)]
-        opt = Adam(p, lr=3e-4)
-        before = param_epoch()
-        opt.step(p, [np.array([1.0, -1.0])])
-        assert param_epoch() == before + 1
-        with pytest.raises(FloatingPointError):
-            opt.step(p, [np.array([np.inf, 0.0])])
-        assert param_epoch() == before + 1  # the rejected step wrote nothing
-
     def test_optimizer_state_roundtrip(self):
         p = [np.array([1.0, 2.0])]
         opt = Adam(p, lr=0.05)
@@ -468,14 +458,6 @@ class TestPolyak:
     def test_bad_tau_raises(self):
         with pytest.raises(ValueError):
             polyak_update([np.zeros(1)], [np.zeros(1)], 1.5)
-
-    def test_param_epoch_advances(self):
-        before = param_epoch()
-        polyak_update([np.zeros(2)], [np.ones(2)], 0.5)
-        assert param_epoch() == before + 1
-        with pytest.raises(ValueError):
-            polyak_update([np.zeros(1)], [np.zeros(1)], -0.1)
-        assert param_epoch() == before + 1
 
 
 STEPPED_CHECKPOINTS = """
@@ -624,36 +606,30 @@ class TestRejectedUpdatesWriteNothing:
         p = [np.zeros(2), np.zeros(3)]
         opt = Adam([np.zeros(2), np.zeros(3)], lr=0.1)
         before = self.snapshot(*p, *opt.m, *opt.v)
-        epoch = param_epoch()
         with pytest.raises(error):
             opt.step(p, grads)
         assert self.snapshot(*p, *opt.m, *opt.v) == before
         assert opt.step_count == 0
-        assert param_epoch() == epoch
 
     def test_adam_read_only_param_leaves_state(self):
-        """numpy would raise only at the in-place write, after the moments,
-        step_count and the epoch had moved."""
+        """numpy would raise only at the in-place write, after the moments
+        and step_count had moved."""
         p = [np.zeros(2), np.zeros(3)]
         p[1].setflags(write=False)
         opt = Adam(p, lr=0.1)
         before = self.snapshot(*p, *opt.m, *opt.v)
-        epoch = param_epoch()
         with pytest.raises(ValueError, match="read-only"):
             opt.step(p, [np.ones(2), np.ones(3)])
         assert self.snapshot(*p, *opt.m, *opt.v) == before
         assert opt.step_count == 0
-        assert param_epoch() == epoch
 
     def test_polyak_read_only_target_leaves_targets(self):
         t = [np.zeros(2), np.zeros(3)]
         t[1].setflags(write=False)
         before = self.snapshot(*t)
-        epoch = param_epoch()
         with pytest.raises(ValueError, match="read-only"):
             polyak_update(t, [np.ones(2), np.ones(3)], 0.5)
         assert self.snapshot(*t) == before
-        assert param_epoch() == epoch
 
     @pytest.mark.parametrize(
         "n_targets, online, error",
@@ -667,11 +643,9 @@ class TestRejectedUpdatesWriteNothing:
     def test_polyak_rejection_leaves_targets(self, n_targets, online, error):
         t = [np.zeros(2), np.zeros(3)][:n_targets]
         before = self.snapshot(*t)
-        epoch = param_epoch()
         with pytest.raises(error):
             polyak_update(t, online, 0.5)
         assert self.snapshot(*t) == before
-        assert param_epoch() == epoch
 
 
 # ---- loop references: a full reverse sweep per call, and double backprop layer by layer ----

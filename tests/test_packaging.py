@@ -67,13 +67,19 @@ def test_package_imports_only_declared_dependencies():
                 )
 
 
+def test_no_module_rebinds_a_global():
+    """No function in the package holds a ``global`` statement, so no module keeps state
+    that every caller in the process shares: a cache keys on what its caller passes."""
+    for path in sorted((ROOT / "src" / "mazehrl").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            assert not isinstance(node, ast.Global), f"{path.name}:{node.lineno} rebinds {node.names}"
+
+
 # Every defaulted parameter of the package's public functions, public methods
 # and constructors, as (module, function, parameter), and every defaulted field
 # of a public dataclass, as (module, class, field). Each one is an option a
 # caller can set; a new one must be added here, so its need is argued in review.
 PUBLIC_KNOBS = {
-    ("envs", "reset_state", "evaluate"),
-    ("envs", "PointMazeEnv.reset", "evaluate"),
     ("nets", "Mlp.__init__", "output_activation"),
     ("nets", "Mlp.__init__", "dtype"),
     ("replay", "sample_pool", "alpha"),
