@@ -3,10 +3,10 @@
 ``critic_update`` is one penalised step of twin critics, and ``actor_update``
 one deterministic-policy-gradient step of the actor; the policy delay
 belongs to the caller's loop. Both read a minibatch as
-``TrajectoryBuffer.sample_batch`` or ``sample_relabelled`` draws it, and
-only its columns ``s``, ``sg``, ``a``, ``s_next`` and ``sg_next``: the
-reward and the episode's end are derived from ``sg_next`` and the success
-radius, so a relabelled goal gets its own.
+``TrajectoryBuffer.sample_batch`` or ``sample_relabelled`` draws it, with
+exactly the five columns ``s``, ``sg``, ``a``, ``s_next`` and ``sg_next``
+(``replay.FIELDS``): the reward and the episode's end are derived from
+``sg_next`` and the success radius, so a relabelled goal gets its own.
 
 An observation is ``[s, sg]`` and a critic input ``[s, sg, a]``. The
 penalty is the hinge ``max(||dQ/dx|| - GRAD_BOUND, 0)`` on the gradient

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import FINITE, POSITIVE, check_count, check_real, read_field
+from ._checks import FINITE, POSITIVE, check_count, check_keys, check_real, read_field
 
 ACTION_BOUND = 1.0
 DAMPING = 0.9
@@ -328,10 +328,12 @@ def _point_or_rect_to_obj(value):
 
 
 def _point_or_rect_from_obj(obj, key):
-    where = read_field(obj, key, "maze spec", None, dict)
-    if "rect" in where:
-        return Rect(*read_field(where, "rect", f"maze spec {key!r}", (4,), np.float64))
-    return read_field(where, "point", f"maze spec {key!r}", (2,), np.float64)
+    where, what = read_field(obj, key, "maze spec", None, dict), f"maze spec {key!r}"
+    kind = "rect" if "rect" in where else "point"
+    check_keys(where, (kind,), what)  # so a "rect" with a "point" is rejected too
+    if kind == "rect":
+        return Rect(*read_field(where, "rect", what, (4,), np.float64))
+    return read_field(where, "point", what, (2,), np.float64)
 
 
 def spec_to_dict(spec: MazeSpec) -> dict:
@@ -350,11 +352,12 @@ def spec_to_dict(spec: MazeSpec) -> dict:
 
 def spec_from_dict(obj: dict) -> MazeSpec:
     """The spec ``obj`` describes, under the loader contract (``nets`` module docstring):
-    ``extent`` 4 numbers, ``walls`` k x 4, a ``start`` or ``goal`` ``point`` 2 or ``rect`` 4,
-    ``eval_goal`` 2, ``success_radius`` one, ``name`` a string; ``MazeSpec`` checks the values."""
+    ``extent`` 4 numbers, ``walls`` k x 4, a ``start`` or ``goal`` that holds only a ``point`` 2
+    or only a ``rect`` 4, ``eval_goal`` 2, ``success_radius`` one, ``name`` a string;
+    ``MazeSpec`` checks the values."""
     what = "maze spec"
     read_field(obj, "format", what, None, (SPEC_FORMAT,))
-    return MazeSpec(
+    spec = MazeSpec(
         name=read_field(obj, "name", what, None, str),
         extent=Rect(*read_field(obj, "extent", what, (4,), np.float64)),
         walls=tuple(Rect(*w) for w in read_field(obj, "walls", what, (-1, 4), np.float64)),
@@ -364,3 +367,5 @@ def spec_from_dict(obj: dict) -> MazeSpec:
         success_radius=read_field(obj, "success_radius", what, (), np.float64),
         max_episode_steps=read_field(obj, "max_episode_steps", what, None, object),
     )
+    check_keys(obj, spec_to_dict(spec), what)
+    return spec

@@ -149,7 +149,8 @@ class NoveltyScorer:
     def load_state_dict(self, state):
         """Replace the nets and optimizer from the parts ``state`` holds, under the
         loader contract (``nets`` module docstring); a rejected ``state`` changes nothing.
-        A part loader's error is raised again with the part's name in front."""
+        A part loader's error is raised again with the part's name in front, and a
+        ``target`` and ``predictor`` of different ``layer_sizes`` are rejected."""
         what = "novelty checkpoint"
         if not isinstance(state, dict):
             raise ValueError(f"{what} must be a dict, got {type(state).__name__}")
@@ -170,6 +171,9 @@ class NoveltyScorer:
                 raise ValueError(f"{what} part {part!r}: {err}") from err
 
         target, predictor = load("target", Mlp.from_state_dict), load("predictor", Mlp.from_state_dict)
+        if target.layer_sizes != predictor.layer_sizes:
+            raise ValueError(f"{what} parts 'target' and 'predictor' cannot score together: layer_sizes "
+                             f"{target.layer_sizes} and {predictor.layer_sizes}")
         opt = load("opt", Adam.from_state_dict, predictor.params)
         self.target, self.predictor, self.opt, self._scored = target, predictor, opt, None
 

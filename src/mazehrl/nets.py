@@ -9,7 +9,7 @@ loader reads ``dict(np.load(f, allow_pickle=False))`` back bit-exactly.
 
 The loaders of outside input (``Mlp``/``Adam.from_state_dict``, ``envs.spec_from_dict``,
 ``graphplan.NoveltyScorer.load_state_dict``) keep one contract, checked in ``_checks``: the
-state is a dict holding every key its writer writes (a checkpoint no other), each as the writer's
+state is a dict holding every key its writer writes and no other, each as the writer's
 value or as the array ``np.load`` makes of it; numbers are finite and of their shapes, and counts
 are integers (not bools) at or above their least value. Anything else raises ``ValueError``
 naming the loader and the key, and nothing is returned or written. Every setting (``lr``,

@@ -4,18 +4,24 @@ The low-level buffer keeps whole episodes in a ring of preallocated
 columns, one per name in ``FIELDS`` (``capacity`` rows each), and an
 episode table, ``TrajectoryBuffer.records``: an ``np.recarray`` with one
 row per stored episode, oldest first, and the fields ``traj_id``,
-``length``, ``offset``, ``ret`` (undiscounted return), ``weight``, ``start``
-(the first state) and ``goal``. An episode occupies ``length`` consecutive
-ring rows from ``offset``, wrapping past the last row. Storing an episode
-evicts whole oldest episodes (FIFO) until it fits; an episode longer than
-``capacity`` is rejected. ``store_episode`` replaces the table with a new
-array, so a reference to ``records`` held across a store is a stale
-snapshot. Only ``store_episode`` (a new table) and ``compute_weights`` (its
-``weight`` column) may write the table; ``sample_pool`` relies on that when
-it reuses the weights.
+``length``, ``ret`` (undiscounted return), ``weight``, ``start`` (the
+first state) and ``goal``. An episode's rows are found from the
+``length`` column alone (``TrajectoryBuffer``). A goal, and every ``sg``
+and ``sg_next`` row, has one shape ``(k,)``, k at most the width of the
+1-D states: a position is a state's first k coordinates. Storing an
+episode evicts whole oldest episodes (FIFO) until it fits; an episode
+longer than ``capacity`` is rejected. ``store_episode`` replaces the
+table with a new array, so a reference to ``records`` held across a store
+is a stale snapshot. Only ``store_episode`` (a new table) and
+``compute_weights`` (its ``weight`` column) may write the table;
+``sample_pool`` relies on that when it reuses the weights.
 
 ``TrajectoryBuffer.sample_batch`` draws uniform TD minibatches, and
-``TrajectoryBuffer.sample_relabelled`` draws them with HER "future" goals.
+``TrajectoryBuffer.sample_relabelled`` draws them with HER "future" goals;
+both hold the ``FIELDS`` columns. The ring stores no step's ``r`` or
+``done``, which depend on the goal: a TD target derives both from
+``sg_next`` and the success radius, so a relabelled goal gets its own.
+``store_episode`` still checks them and sums ``r`` into ``ret``.
 
 ``sample_pool`` draws landmark candidates under one of ``SAMPLER_CHOICES``:
 
@@ -45,7 +51,7 @@ from ._checks import POSITIVE, check_count, check_real
 SAMPLER_CHOICES = ("hr", "uniform", "topk")
 HER_P = 0.8  # share of relabelled goals: HER's "future" strategy with k = 4, k / (k + 1)
 # Per-step columns of the buffer, in Transition order.
-FIELDS = ("s", "sg", "a", "r", "s_next", "sg_next", "done")
+FIELDS = ("s", "sg", "a", "s_next", "sg_next")
 # Side of the grid cells that quantize start and goal positions into tasks.
 TASK_CELL_SIZE = 0.75
 # Share of the episodes, by episodic return, that the topk sampler keeps.
@@ -73,7 +79,6 @@ def _table_dtype(state_shape, goal_shape):
     return [
         ("traj_id", np.int64),
         ("length", np.int64),
-        ("offset", np.int64),  # ring row of the episode's first step
         ("ret", np.float64),
         ("weight", np.float64),
         ("start", np.float64, state_shape),
@@ -90,14 +95,19 @@ class TrajectoryBuffer:
     ``store_episode``, with that episode's row, start and goal shapes; the
     columns are left unfilled (``np.empty``), so memory pages are touched
     only as rows are written, and no read reaches a row that no stored
-    episode holds. Flat index ``i`` (0 is the oldest stored step) is ring
-    row ``(head + i) % capacity``.
+    episode holds.
+
+    One rule locates every row. The stored episodes lie end to end in
+    flat order, oldest first, so episode j holds the ``length[j]`` flat
+    indices from the sum of the earlier ``length``s; flat index ``i`` (0 is
+    the oldest stored step) is ring row ``_rows(i) = (head + i) % capacity``.
 
     ``store_episode`` raises ``ValueError``, leaving the buffer unchanged,
     for an empty episode, non-consecutive step indices, ``done`` before the
-    last step, more steps than ``capacity``, a non-finite value in a step
-    column or the goal, or row or goal shapes that differ from the columns
-    and the table.
+    last step, more steps than ``capacity``, a non-finite step value,
+    reward or goal, a goal or ``sg``/``sg_next`` row that is not one shape
+    ``(k,)`` with k at most the width of the 1-D ``s`` and ``s_next`` rows,
+    or row or goal shapes that differ from the columns and the table.
     """
 
     def __init__(self, capacity):
@@ -133,33 +143,39 @@ class TrajectoryBuffer:
             if tr.done and i != length - 1:
                 raise ValueError("done before the final transition")
         episode = {f: np.array([getattr(tr, f) for tr in transitions], dtype=np.float64) for f in FIELDS}
+        rewards = np.array([tr.r for tr in transitions], dtype=np.float64)
         goal = np.array(goal, dtype=np.float64)
-        for f, values in [*episode.items(), ("goal", goal)]:
+        for f, values in [*episode.items(), ("r", rewards), ("goal", goal)]:
             if not np.isfinite(values).all():
                 raise ValueError(f"non-finite {f} in episode")
-        if self._cols is not None:
-            shapes = {f: (v.shape[1:], self._cols[f].shape[1:]) for f, v in episode.items()}
-            shapes["goal"] = (goal.shape, self.records.goal.shape[1:])
-            for f, (shape, have) in shapes.items():
-                if shape != have:
-                    raise ValueError(f"{f} rows of shape {shape}, buffer has {have}")
-        else:
+        shapes = {**{f: v.shape[1:] for f, v in episode.items()}, "goal": goal.shape}
+        state, pos = shapes["s"], shapes["goal"]
+        if len(state) != 1 or len(pos) != 1 or not 1 <= pos[0] <= state[0]:
+            raise ValueError(f"goal of shape {pos} is not the first k coordinates, shape (k,), "
+                             f"of states of shape {state}")
+        want = {"s_next": state, "sg": pos, "sg_next": pos}
+        if self._cols is not None:  # the stored shapes keep the rule above
+            want = {f: col.shape[1:] for f, col in self._cols.items()}
+            want["goal"] = self.records.goal.shape[1:]
+        for f, have in want.items():
+            if shapes[f] != have:
+                raise ValueError(f"{f} rows of shape {shapes[f]}, want {have}")
+        if self._cols is None:
             self._cols = {f: np.empty((self.capacity,) + v.shape[1:]) for f, v in episode.items()}
-            self.records = np.recarray(0, dtype=_table_dtype(episode["s"].shape[1:], goal.shape))
-        gone = 0
-        while self._size + length > self.capacity:
-            freed = int(self.records.length[gone])
-            self._head = (self._head + freed) % self.capacity
-            self._size -= freed
+            self.records = np.recarray(0, dtype=_table_dtype(state, pos))
+        gone = freed = 0
+        while self._size - freed + length > self.capacity:
+            freed += int(self.records.length[gone])
             gone += 1
+        self._head, self._size = self._rows(freed), self._size - freed
         rows = self._rows(np.arange(self._size, self._size + length))
         for f, values in episode.items():
             self._cols[f][rows] = values
         self._size += length
         traj_id = self._next_id
         self._next_id += 1
-        ret = np.sum(episode["r"])  # undiscounted
-        row = np.array([(traj_id, length, rows[0], ret, 0.0, episode["s"][0], goal)], self.records.dtype)
+        ret = np.sum(rewards)  # undiscounted
+        row = np.array([(traj_id, length, ret, 0.0, episode["s"][0], goal)], self.records.dtype)
         self.records = np.concatenate([self.records[gone:], row]).view(np.recarray)
         self._weighted = None
         return traj_id
@@ -183,16 +199,12 @@ class TrajectoryBuffer:
         transition, step t of its episode, takes as its goal the position of
         ``s_next`` at a uniform step k >= t of the same episode. Its ``sg``
         and ``sg_next`` become that goal minus the positions of ``s`` and
-        ``s_next`` (a position is a state's first ``sg``-width coordinates).
-        The reward and the episode's end depend on the goal, so the batch
-        holds no ``r`` or ``done``: a TD target derives both from ``sg_next``
-        and the success radius, as the bench's does.
+        ``s_next`` (module docstring).
         """
         flat, batch = self._draw(n, rng)
         ends = np.cumsum(self.records.length)  # episodes lie end to end in flat order
         future = rng.integers(flat, ends[np.searchsorted(ends, flat, side="right")])
         relabel = rng.random(len(flat)) < HER_P
-        del batch["r"], batch["done"]
         width = batch["sg"].shape[1]
         goal = self._cols["s_next"][self._rows(future[relabel]), :width]
         batch["sg"][relabel] = goal - batch["s"][relabel, :width]
@@ -214,8 +226,8 @@ def normalize_returns(records):
     """Per-task max-min normalization of episodic returns, as an array.
 
     A task is a pair of grid cells, floor(coordinate / TASK_CELL_SIZE), of
-    the start position and the goal; the start position is the first
-    ``len(goal)`` coordinates of the start state. A degenerate task
+    the start position and the goal (module docstring: a position is a
+    state's first ``len(goal)`` coordinates). A degenerate task
     (max == min) maps to 0.5. ``records`` is an episode table; it is left
     untouched.
     """
@@ -330,14 +342,15 @@ def weighted_sample(buffer, traj_weights, n, rng):
     a trajectory is chosen with probability proportional to T_i * w_i, then
     a step within it uniformly. All-zero weights raise ``ValueError``.
     """
-    lengths, offsets = buffer.records.length, buffer.records.offset
+    lengths = buffer.records.length
     mass = lengths * np.asarray(traj_weights, dtype=np.float64)
     total = mass.sum()
     if total <= 0:
         raise ValueError("all-zero weights")
     ti = rng.choice(mass.size, size=n, p=mass / total)
+    firsts = np.cumsum(lengths) - lengths  # flat index of each episode's first step
     steps = rng.integers(0, lengths[ti])
-    return buffer._cols["s"][(offsets[ti] + steps) % buffer.capacity]
+    return buffer._cols["s"][buffer._rows(firsts[ti] + steps)]
 
 
 def topk_mask(records):

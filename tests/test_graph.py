@@ -261,6 +261,21 @@ class TestNovelty:
             scorer.load_state_dict(state)
         assert_same_state(scorer.state_dict(), before)
 
+    @pytest.mark.parametrize("wide", [("target",), ("predictor", "opt")])
+    def test_parts_that_cannot_score_together_rejected(self, wide):
+        """Parts of a 4-wide scorer with the others of a 3-wide one loaded, and the
+        next ``scores`` raised an input-shape error from whichever net was 3 wide."""
+        rng = np.random.default_rng(8)
+        scorer = NoveltyScorer(3, rng)
+        scorer.train(rng.normal(size=(8, 3)))
+        before = scorer.state_dict()
+        state = NoveltyScorer(3, np.random.default_rng(9)).state_dict()
+        state.update((k, v) for k, v in NoveltyScorer(4, np.random.default_rng(9)).state_dict().items()
+                     if k.partition("/")[0] in wide)
+        with pytest.raises(ValueError, match="^novelty checkpoint parts 'target' and 'predictor' "):
+            scorer.load_state_dict(state)
+        assert_same_state(scorer.state_dict(), before)
+
     def test_train_on_an_empty_batch_writes_nothing(self):
         """``recent_states(0)`` on a stored buffer gives such a batch; a step on it would
         be a NaN loss that still moves the step count."""

@@ -7,12 +7,15 @@ holds numbers. A checkpoint keeps one array per key (``weight0``, ``m0``,
 row drops its last key, and its "extra" row adds the key after its last,
 which its writer would not write; a "short" ``layer_sizes`` leaves the
 last layer's keys over, and a "stale" row adds a key an older format
-wrote. A novelty checkpoint's rows edit a key of one of its prefixed
-parts, which the net or optimizer loader reads, so the message names the
-part and then that loader and its key; its "prefix" row adds a key of no
-part. Every case must raise ``ValueError`` naming the loader and the key,
-and a failed novelty load must change nothing. A missing key is otherwise
-covered by each module's missing-key test.
+wrote. A maze spec's "extra" rows add such a key at its top level and in
+its ``start``, and its "both" row gives the ``start`` a ``rect`` and a
+``point``, of which its writer writes one. A novelty checkpoint's rows
+edit a key of one of its prefixed parts, which the net or optimizer
+loader reads, so the message names the part and then that loader and its
+key; its "prefix" row adds a key of no part. Every case must raise
+``ValueError`` naming the loader and the key, and a failed novelty load
+must change nothing. A missing key is otherwise covered by each module's
+missing-key test.
 """
 
 import io
@@ -100,6 +103,9 @@ CASES = [
     row("maze spec", "max_episode_steps", "type", "500"),
     row("maze spec", "max_episode_steps", "shape", [500]),
     row("maze spec", "max_episode_steps", "nan", NAN),
+    row("maze spec", "max_episode_step", "extra", 7),  # loaded, with the 500 steps of the spec
+    row("maze spec", "start", "both", {"rect": [-6.0, -6.0, -3.0, -3.0], "point": [-4.5, -4.5]}),
+    row("maze spec", "start", "extra", {"point": [-4.5, -4.5], "pt": 3}),
     # net checkpoint
     row("net checkpoint", "format", "type", 5),
     row("net checkpoint", "dtype", "type", 5),

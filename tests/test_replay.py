@@ -107,8 +107,8 @@ class TestBuffer:
         buf = TrajectoryBuffer(200_000)
         add_episode(buf, [-1] * 10)
         batch = buf.sample_batch(4, np.random.default_rng(0))
-        assert batch["s"].shape == (4, 4)
-        assert batch["r"].shape == (4,)
+        assert tuple(batch) == FIELDS
+        assert batch["s"].shape == (4, 4) and batch["a"].shape == (4, 2)
 
     def test_recent_states_window(self):
         buf = TrajectoryBuffer(200_000)
@@ -246,7 +246,7 @@ def relabelled_rows(batch, lengths):
     """(episode, step, goal step) of each relabelled row, after checking every row
     against the oracle: a row is as stored, or its goal is the ``s_next`` position of
     a step k >= t of its own episode, with ``sg_next`` rewritten from it."""
-    assert sorted(batch) == sorted(set(FIELDS) - {"r", "done"})
+    assert tuple(batch) == FIELDS
     out = []
     for s, sg, a, s_next, sg_next in zip(*(batch[f] for f in ("s", "sg", "a", "s_next", "sg_next"))):
         k, t = int(s[1]), int(s[0]) - 100 * int(s[1])
@@ -270,7 +270,8 @@ class TestSampleRelabelled:
         """The third episode occupies ring rows 8, 9, 0, 1; every pair t <= k of it is drawn."""
         lengths = [4, 4, 4]
         buf = relabelled_buffer(lengths, 10)
-        assert buf.records.offset.tolist() == [4, 8]
+        assert buf.records.length.tolist() == [4, 4]
+        assert buf._rows(np.arange(8)).tolist() == [4, 5, 6, 7, 8, 9, 0, 1]
         before = {f: col.copy() for f, col in buf._cols.items()}
         rows = relabelled_rows(buf.sample_relabelled(400, np.random.default_rng(0)), lengths)
         assert 0.75 * 400 < len(rows) < 0.85 * 400  # HER_P = 0.8
@@ -300,7 +301,8 @@ class TestEpisodeTable:
             buf.store_episode([distinct_step(t, k, t == n - 1) for t in range(n)], self.GOALS[k])
         assert isinstance(buf.records, np.recarray)
         assert buf.records.traj_id[0] > 0
-        assert np.any(buf.records.offset + buf.records.length > buf.capacity)
+        firsts = np.cumsum(buf.records.length) - buf.records.length
+        assert np.any(buf._rows(firsts) + buf.records.length > buf.capacity)
         return buf
 
     def test_weights_sum_to_one_row_by_row(self):
@@ -314,10 +316,14 @@ class TestEpisodeTable:
         for name in buf.records.dtype.names:
             rows = np.array([getattr(rec, name) for rec in buf.records])
             np.testing.assert_array_equal(rows, getattr(buf.records, name))
-        for rec, nxt in zip(buf.records, buf.records[1:]):
-            assert nxt.offset == (rec.offset + rec.length) % buf.capacity
-        for rec in buf.records:
-            k = int(rec.traj_id)
+        first = 0
+        for rec in buf.records:  # episodes lie end to end in flat order
+            k, n = int(rec.traj_id), int(rec.length)
+            rows = buf._rows(np.arange(first, first + n))
+            first += n
+            for f in FIELDS:
+                want = [getattr(distinct_step(t, k, t == n - 1), f) for t in range(n)]
+                np.testing.assert_array_equal(buf._cols[f][rows], want)
             assert rec.ret == -sum(1.0 + t for t in range(rec.length))
             np.testing.assert_array_equal(rec.start, distinct_step(0, k, False).s)
             np.testing.assert_array_equal(rec.goal, self.GOALS[k])
@@ -353,6 +359,67 @@ class TestEpisodeTable:
         with pytest.raises(ValueError, match="non-finite"):
             empty.store_episode(nan_reward, (0.0, 0.0))
         assert len(empty) == 0 and empty._cols is None
+
+
+def shape_case(case):
+    """A two-step episode and goal with the one shape fault ``case`` names."""
+    steps, goal = [distinct_step(t, 9, t == 1) for t in range(2)], (0.0, 0.0)
+    for step in steps:
+        if case == "empty goal":
+            step.sg = step.sg_next = np.zeros(0)
+        elif case == "wide sg":
+            step.sg = np.zeros(6)
+        elif case == "wide goal":
+            step.sg = step.sg_next = np.zeros(6)
+        elif case == "sg_next":
+            step.sg_next = np.zeros(3)
+        elif case == "s_next":
+            step.s_next = np.zeros(3)
+        elif case == "matrix state":
+            step.s = step.s_next = np.zeros((2, 2))
+    goal = {"scalar goal": 1.0, "matrix goal": ((0.0, 0.0), (1.0, 1.0)), "empty goal": (),
+            "wide goal": np.zeros(6)}.get(case, goal)
+    return steps, goal
+
+
+SHAPE_CASES = ["scalar goal", "matrix goal", "empty goal", "wide sg", "wide goal", "sg_next", "s_next",
+               "matrix state"]
+
+
+class TestGoalShape:
+    """A goal and every ``sg`` and ``sg_next`` row share one shape (k,), 1 <= k <= the
+    width of the 1-D ``s`` and ``s_next`` rows. A scalar or (2, 2) goal stored fine, and
+    the first hr draw then raised inside ``normalize_returns``; a 6-wide ``sg`` with
+    4-wide states stored fine, and ``sample_relabelled`` then raised a broadcast error."""
+
+    @pytest.mark.parametrize("case", SHAPE_CASES)
+    def test_rejected_on_an_empty_buffer(self, case):
+        buf = TrajectoryBuffer(capacity=7)
+        with pytest.raises(ValueError):
+            buf.store_episode(*shape_case(case))
+        assert buf._cols is None and len(buf) == 0 and len(buf.records) == 0
+        buf.store_episode(*shape_case("none"))
+        assert len(buf) == 2
+
+    @pytest.mark.parametrize("case", SHAPE_CASES)
+    def test_rejected_on_a_stored_buffer(self, case):
+        buf = TrajectoryBuffer(capacity=7)
+        buf.store_episode(*shape_case("none"))
+        before = ({f: col.tobytes() for f, col in buf._cols.items()}, buf.records.tobytes())
+        with pytest.raises(ValueError):
+            buf.store_episode(*shape_case(case))
+        assert ({f: col.tobytes() for f, col in buf._cols.items()}, buf.records.tobytes()) == before
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_every_width_up_to_the_state_is_a_position(self, k):
+        buf = TrajectoryBuffer(capacity=7)
+        for j in range(3):
+            steps = [distinct_step(t, j, t == 1) for t in range(2)]
+            for step in steps:
+                step.sg, step.sg_next = np.full(k, 0.5), np.full(k, 0.25)
+            buf.store_episode(steps, np.full(k, float(j)))
+        assert sample_pool(buf, "hr", 5, np.random.default_rng(0)).shape == (5, 4)
+        assert buf.sample_relabelled(5, np.random.default_rng(0))["sg"].shape == (5, k)
 
 
 def episodic_return(rewards):
@@ -459,8 +526,8 @@ def task_records(draw):
         rets.append(draw(st.sampled_from([-50.0, -10.0, -7.25, -3.0, 0.0]) | st.floats(-100, 0)))
     ids = np.arange(n)
     return np.rec.fromarrays(
-        [ids, np.ones(n, dtype=int), ids, np.array(rets), np.zeros(n), np.array(starts), np.array(goals)],
-        dtype=[("traj_id", int), ("length", int), ("offset", int), ("ret", float), ("weight", float),
+        [ids, np.ones(n, dtype=int), np.array(rets), np.zeros(n), np.array(starts), np.array(goals)],
+        dtype=[("traj_id", int), ("length", int), ("ret", float), ("weight", float),
                ("start", float, 4), ("goal", float, 2)],
     )
 
@@ -879,8 +946,8 @@ class TestWeightReuse:
 
 class ListModel:
     """Reference semantics of the buffer: one array per field per episode,
-    one object per episode record, FIFO whole-episode eviction,
-    cumsum/searchsorted row location, weights from list-comprehension
+    its rewards among them, one object per episode record, FIFO whole-episode
+    eviction, cumsum/searchsorted row location, weights from list-comprehension
     gathers, and one scalar step draw per sampled state."""
 
     def __init__(self, capacity):
@@ -894,7 +961,7 @@ class ListModel:
 
     def store_episode(self, transitions, goal):
         ep = {f: np.stack([np.asarray(getattr(tr, f), dtype=np.float64) for tr in transitions])
-              for f in FIELDS}
+              for f in (*FIELDS, "r")}
         traj_id = self.next_id
         self.next_id += 1
         self.episodes.append(ep)
@@ -984,6 +1051,7 @@ class TestRingMatchesListModel:
             batch_seed = int(rng.integers(2**32))
             ours = buf.sample_batch(5, np.random.default_rng(batch_seed))
             ref = model.sample_batch(5, np.random.default_rng(batch_seed))
+            assert tuple(ours) == tuple(ref) == FIELDS
             for f in FIELDS:
                 np.testing.assert_array_equal(ours[f], ref[f])
         for sampler in SAMPLER_CHOICES:
